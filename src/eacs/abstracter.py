@@ -17,10 +17,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import numcore as nc
+from .config import RunConfig
 from .corpus import BOS, EOS, Corpus, RawPair, Vocabulary, tokenize_comment
 from .errors import EmptyCorpus, EmptyInput, EmptySnippet, ShapeError, VocabMismatch
-from .extractor import ExtractorModel, TrainHistory, predict_important
-from .segmenter import segment
+from .extractor import ExtractorModel, TrainHistory, fit, predict_important, split_validation
+from .segmenter import SegmentedSnippet, segment
 
 log = logging.getLogger(__name__)
 
@@ -28,103 +29,65 @@ FUSION_ORDERS = ("abex", "exab")
 LOGPROB_CLAMP = 1e-9
 
 
-@dataclass
-class AbstracterConfig:
-    embed_dim: int = 64
-    hidden_dim: int = 64
-    batch_size: int = 8
-    lr: float = 3e-3
-    dropout: float = 0.1
-    epochs: int = 300
-    max_statement_tokens: int = 30
-    max_code_tokens: int = 120
-    max_comment_tokens: int = 30
-    seed: int = 13
-    weight_decay: float = 0.01
-    val_fraction: float = 0.0
-    fusion: str = "abex"
-    share_embeddings: bool = True
-    dtype: str = "float32"
-
-    def np_dtype(self):
-        return np.dtype(self.dtype)
+# The shared run configuration under the abstracter's name, which
+# perfbench/workloads.py imports to build its published-width model.
+AbstracterConfig = RunConfig
 
 
 class AbstracterModel:
-    def __init__(self, vocab_size: int, config: AbstracterConfig, rng: np.random.Generator):
+    KIND = "abstracter"
+    # The config fields a checkpoint needs to rebuild this model, besides fusion.
+    HYPERPARAMETERS = (
+        "embed_dim",
+        "hidden_dim",
+        "dropout",
+        "max_statement_tokens",
+        "max_code_tokens",
+        "max_comment_tokens",
+        "share_embeddings",
+    )
+
+    def __init__(
+        self, vocab_size: int, config: RunConfig, rng: np.random.Generator, dtype=np.float32
+    ):
         if config.fusion not in FUSION_ORDERS:
             raise ValueError(f"fusion must be one of {FUSION_ORDERS}, got {config.fusion!r}")
         self.config = config
         self.vocab_size = vocab_size
-        e, h = config.embed_dim, config.hidden_dim
-        dt = config.np_dtype()
-
-        def weight(name, shape):
-            return nc.Parameter(name, nc.xavier_uniform(rng, shape, dtype=dt))
-
-        def zeros(name, shape):
-            return nc.Parameter(name, np.zeros(shape, dtype=dt))
-
+        self._params = nc.init_parameters(self.shapes(vocab_size, config), rng, dtype)
+        for p in self._params:
+            setattr(self, p.name, p)
         if config.share_embeddings:
-            self.embedding = weight("embedding", (vocab_size, e))
-            self.embedding_ex = self.embedding
-            self.embedding_ab = self.embedding
-            self.embedding_dec = self.embedding
+            self.embedding_ex = self.embedding_ab = self.embedding_dec = self.embedding
+
+    @staticmethod
+    def shapes(vocab_size: int, config: RunConfig) -> dict[str, tuple[int, ...]]:
+        """Parameter shapes in declaration order."""
+        e, h = config.embed_dim, config.hidden_dim
+        if config.share_embeddings:
+            names = ("embedding",)
         else:
-            self.embedding_ex = weight("embedding_ex", (vocab_size, e))
-            self.embedding_ab = weight("embedding_ab", (vocab_size, e))
-            self.embedding_dec = weight("embedding_dec", (vocab_size, e))
-        self.ex_wx = weight("ex_wx", (e, 4 * h))
-        self.ex_wh = weight("ex_wh", (h, 4 * h))
-        self.ex_b = zeros("ex_b", (4 * h,))
-        self.ab_wx = weight("ab_wx", (e, 4 * h))
-        self.ab_wh = weight("ab_wh", (h, 4 * h))
-        self.ab_b = zeros("ab_b", (4 * h,))
-        self.ctx_w = weight("ctx_w", (2 * h, h))
-        self.ctx_b = zeros("ctx_b", (h,))
-        self.step_w = weight("step_w", (2 * h, h))
-        self.step_b = zeros("step_b", (h,))
-        self.dec_wx = weight("dec_wx", (e + h, 4 * h))
-        self.dec_wh = weight("dec_wh", (h, 4 * h))
-        self.dec_b = zeros("dec_b", (4 * h,))
-        self.out_w = weight("out_w", (h, vocab_size))
-        self.out_b = zeros("out_b", (vocab_size,))
+            names = ("embedding_ex", "embedding_ab", "embedding_dec")
+        return {name: (vocab_size, e) for name in names} | {
+            "ex_wx": (e, 4 * h),
+            "ex_wh": (h, 4 * h),
+            "ex_b": (4 * h,),
+            "ab_wx": (e, 4 * h),
+            "ab_wh": (h, 4 * h),
+            "ab_b": (4 * h,),
+            "ctx_w": (2 * h, h),
+            "ctx_b": (h,),
+            "step_w": (2 * h, h),
+            "step_b": (h,),
+            "dec_wx": (e + h, 4 * h),
+            "dec_wh": (h, 4 * h),
+            "dec_b": (4 * h,),
+            "out_w": (h, vocab_size),
+            "out_b": (vocab_size,),
+        }
 
     def parameters(self) -> list[nc.Parameter]:
-        if self.config.share_embeddings:
-            embeds = [self.embedding]
-        else:
-            embeds = [self.embedding_ex, self.embedding_ab, self.embedding_dec]
-        return embeds + [
-            self.ex_wx,
-            self.ex_wh,
-            self.ex_b,
-            self.ab_wx,
-            self.ab_wh,
-            self.ab_b,
-            self.ctx_w,
-            self.ctx_b,
-            self.step_w,
-            self.step_b,
-            self.dec_wx,
-            self.dec_wh,
-            self.dec_b,
-            self.out_w,
-            self.out_b,
-        ]
-
-    def hyperparameters(self) -> dict:
-        c = self.config
-        return {
-            "embed_dim": c.embed_dim,
-            "hidden_dim": c.hidden_dim,
-            "dropout": c.dropout,
-            "max_statement_tokens": c.max_statement_tokens,
-            "max_code_tokens": c.max_code_tokens,
-            "max_comment_tokens": c.max_comment_tokens,
-            "share_embeddings": c.share_embeddings,
-            "vocab_size": self.vocab_size,
-        }
+        return list(self._params)
 
     def encode_extractive(
         self,
@@ -247,31 +210,37 @@ def step_distributions(model: AbstracterModel, sample: AbstracterSample) -> list
     return out
 
 
+def abstracter_input(
+    snippet: SegmentedSnippet, extractor: ExtractorModel, vocab: Vocabulary, config: RunConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """(important_ids, code_ids), the two encoders' inputs, for training and inference."""
+    selected, _ = predict_important(snippet, extractor, vocab)
+    important = [tok for st in selected for tok in st.tokens[: config.max_statement_tokens]]
+    return vocab.encode(important), vocab.encode(snippet.full_tokens[: config.max_code_tokens])
+
+
 def build_abstracter_dataset(
     pairs: Sequence[RawPair],
     language: str,
     vocab: Vocabulary,
     extractor: ExtractorModel,
-    config: AbstracterConfig,
+    config: RunConfig,
 ) -> list[AbstracterSample]:
     """Encode pairs; important statements come from the frozen extractor."""
     samples = []
     for pair in pairs:
         try:
-            selected, _ = predict_important(pair.code, extractor, vocab, language)
             snippet = segment(pair.code, language)
             comment = tokenize_comment(pair.comment)
         except EmptySnippet:
             continue
-        important_tokens: list[str] = []
-        for st in selected:
-            important_tokens.extend(st.tokens[: config.max_statement_tokens])
+        important_ids, code_ids = abstracter_input(snippet, extractor, vocab, config)
         comment_core = list(vocab.encode(comment[: config.max_comment_tokens - 2]))
         samples.append(
             AbstracterSample(
                 pair_id=pair.id,
-                code_ids=vocab.encode(snippet.full_tokens[: config.max_code_tokens]),
-                important_ids=vocab.encode(important_tokens),
+                code_ids=code_ids,
+                important_ids=important_ids,
                 comment_ids=np.array([BOS] + comment_core + [EOS], dtype=np.int64),
                 comment_tokens=comment,
             )
@@ -287,18 +256,11 @@ class AbstracterTrainResult:
     best_epoch: int
 
 
-def _dataset_loss(model: AbstracterModel, samples: Sequence[AbstracterSample]) -> float:
-    total = 0.0
-    for s in samples:
-        total += _sequence_nll(model, s).item()
-    return total / len(samples)
-
-
 def train_abstracter(
     corpus: Corpus | Sequence[RawPair],
     extractor: ExtractorModel,
     vocab: Vocabulary,
-    config: AbstracterConfig,
+    config: RunConfig,
     language: str = "java",
 ) -> AbstracterTrainResult:
     """Jointly train both encoders, projections, and the decoder with AdamW.
@@ -312,38 +274,9 @@ def train_abstracter(
     samples = build_abstracter_dataset(pairs, language, vocab, extractor, config)
     if not samples:
         raise EmptyCorpus("no usable samples after segmentation")
-
-    init_rng, shuffle_rng, drop_rng = nc.rng_streams(config.seed)
-    model = AbstracterModel(len(vocab), config, init_rng)
-    params = model.parameters()
-    opt = nc.AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
-
-    n_val = int(len(samples) * config.val_fraction)
-    train_set = samples[: len(samples) - n_val] if n_val else samples
-    val_set = samples[len(samples) - n_val :] if n_val else samples
-
-    history = TrainHistory()
-    best_val = float("inf")
-    best_epoch = -1
-    best_state = [p.data.copy() for p in params]
-    for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(len(train_set))
-        for start in range(0, len(order), config.batch_size):
-            batch = [train_set[i] for i in order[start : start + config.batch_size]]
-            opt.zero_grad()
-            with nc.Tape() as tape:
-                loss = abstracter_loss(model, batch, train=True, rng=drop_rng)
-                tape.backward(loss, params=params)
-            opt.step()
-        train_loss = _dataset_loss(model, train_set)
-        val_loss = train_loss if val_set is train_set else _dataset_loss(model, val_set)
-        history.log_epoch(epoch, train_loss, val_loss)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best_state = [p.data.copy() for p in params]
-    for p, data in zip(params, best_state):
-        p.data = data
+    model = AbstracterModel(len(vocab), config, nc.rng_streams(config.seed)[0])
+    train_set, val_set = split_validation(samples, config.val_fraction)
+    history, best_epoch = fit(model, abstracter_loss, train_set, val_set, config)
     return AbstracterTrainResult(model=model, vocab=vocab, history=history, best_epoch=best_epoch)
 
 
@@ -426,16 +359,10 @@ def generate_summary(
         raise VocabMismatch("extractor and abstracter checkpoints disagree on vocabulary")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    selected, _ = predict_important(code, extractor, ex_vocab, language)
-    snippet = segment(code, language)
     cfg = abstracter.config
-    important_tokens: list[str] = []
-    for st in selected:
-        important_tokens.extend(st.tokens[: cfg.max_statement_tokens])
-    e_ex = abstracter.encode_extractive(ab_vocab.encode(important_tokens))
-    e_ab = abstracter.encode_abstractive(
-        ab_vocab.encode(snippet.full_tokens[: cfg.max_code_tokens])
-    )
+    important_ids, code_ids = abstracter_input(segment(code, language), extractor, ab_vocab, cfg)
+    e_ex = abstracter.encode_extractive(important_ids)
+    e_ab = abstracter.encode_abstractive(code_ids)
     e_fu = fuse(e_ex, e_ab, cfg.fusion)
     if beam_width <= 1:
         return _greedy_decode(abstracter, e_fu, ab_vocab, max_len)

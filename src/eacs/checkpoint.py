@@ -4,23 +4,32 @@ Layout: one UTF-8 JSON header line (format version, model kind,
 hyperparameters, fusion order, vocabulary token list), then per parameter in
 declaration order a ``name dim0 dim1 ...`` line followed by the raw
 little-endian float32 values. Save -> load -> save is byte-identical.
+
+:func:`save_model` and :func:`load_model` turn a model into a file and back;
+the header's ``kind`` picks the model class, and its hyperparameters are the
+config fields that class lists in ``HYPERPARAMETERS``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .abstracter import AbstracterConfig, AbstracterModel
+from .abstracter import AbstracterModel
+from .config import FIELD_TYPES, RunConfig
 from .corpus import Vocabulary
-from .errors import CorruptCheckpoint, IoError, VersionError
-from .extractor import ExtractorConfig, ExtractorModel
+from .errors import CorruptCheckpoint, IoError, UsageError, VersionError
+from .extractor import ExtractorModel
 
 FORMAT_VERSION = 1
-KINDS = ("extractor", "abstracter")
+MODELS = {cls.KIND: cls for cls in (ExtractorModel, AbstracterModel)}
+# JSON value types accepted for each config field type; bools are never numbers.
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool}
 
 
 @dataclass
@@ -67,16 +76,25 @@ def load_checkpoint(path: str) -> Checkpoint:
     except OSError as exc:
         raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
     with fh:
+        size = os.fstat(fh.fileno()).st_size
         try:
             header = json.loads(_read_line(fh, path).decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CorruptCheckpoint(f"{path}: invalid header") from exc
+        if not isinstance(header, dict):
+            raise CorruptCheckpoint(f"{path}: header is not a JSON object")
         version = header.get("format_version")
         if version != FORMAT_VERSION:
             raise VersionError(f"{path}: format version {version!r}, expected {FORMAT_VERSION}")
         kind = header.get("kind")
-        if kind not in KINDS:
+        if kind not in MODELS:
             raise CorruptCheckpoint(f"{path}: unknown model kind {kind!r}")
+        hyperparameters = header.get("hyperparameters")
+        if not isinstance(hyperparameters, dict):
+            raise CorruptCheckpoint(f"{path}: hyperparameters are not a JSON object")
+        vocabulary = header.get("vocabulary")
+        if not isinstance(vocabulary, list) or not all(isinstance(t, str) for t in vocabulary):
+            raise CorruptCheckpoint(f"{path}: vocabulary is not a list of strings")
         params: list[tuple[str, np.ndarray]] = []
         while True:
             line = fh.readline()
@@ -84,109 +102,86 @@ def load_checkpoint(path: str) -> Checkpoint:
                 break
             if not line.endswith(b"\n"):
                 raise CorruptCheckpoint(f"{path}: truncated parameter header")
-            fields = line[:-1].decode("utf-8").split(" ")
-            name, dims = fields[0], fields[1:]
             try:
+                name, *dims = line[:-1].decode("utf-8").split(" ")
                 shape = tuple(int(d) for d in dims)
             except ValueError as exc:
-                raise CorruptCheckpoint(f"{path}: bad shape for {name!r}") from exc
-            nbytes = int(np.prod(shape, dtype=np.int64)) * 4
-            blob = fh.read(nbytes)
-            if len(blob) != nbytes:
+                raise CorruptCheckpoint(f"{path}: bad parameter header {line[:80]!r}") from exc
+            if any(d < 0 for d in shape):
+                raise CorruptCheckpoint(f"{path}: negative dimension in {name!r}{shape}")
+            nbytes = math.prod(shape) * 4
+            if nbytes > size - fh.tell():
                 raise CorruptCheckpoint(f"{path}: truncated values for {name!r}")
-            params.append((name, np.frombuffer(blob, dtype="<f4").reshape(shape).copy()))
+            params.append((name, np.frombuffer(fh.read(nbytes), dtype="<f4").reshape(shape).copy()))
     return Checkpoint(
         kind=kind,
-        hyperparameters=header.get("hyperparameters", {}),
+        hyperparameters=hyperparameters,
         fusion_order=header.get("fusion_order"),
-        vocabulary=list(header.get("vocabulary", [])),
+        vocabulary=vocabulary,
         params=params,
     )
 
 
-def checkpoint_from_extractor(model: ExtractorModel, vocab: Vocabulary) -> Checkpoint:
-    return Checkpoint(
-        kind="extractor",
-        hyperparameters=model.hyperparameters(),
-        fusion_order=None,
+def save_model(model: ExtractorModel | AbstracterModel, vocab: Vocabulary, path: str) -> None:
+    hyperparameters = {name: getattr(model.config, name) for name in model.HYPERPARAMETERS}
+    hyperparameters["vocab_size"] = model.vocab_size
+    ckpt = Checkpoint(
+        kind=model.KIND,
+        hyperparameters=hyperparameters,
+        fusion_order=model.config.fusion if model.KIND == "abstracter" else None,
         vocabulary=list(vocab.index_to_token),
         params=[(p.name, p.data) for p in model.parameters()],
     )
+    save_checkpoint(ckpt, path)
 
 
-def checkpoint_from_abstracter(model: AbstracterModel, vocab: Vocabulary) -> Checkpoint:
-    return Checkpoint(
-        kind="abstracter",
-        hyperparameters=model.hyperparameters(),
-        fusion_order=model.config.fusion,
-        vocabulary=list(vocab.index_to_token),
-        params=[(p.name, p.data) for p in model.parameters()],
-    )
-
-
-def _load_params(model, ckpt: Checkpoint, path_hint: str) -> None:
-    expected = model.parameters()
-    if len(expected) != len(ckpt.params):
+def _model_config(ckpt: Checkpoint, vocab: Vocabulary, path: str) -> RunConfig:
+    """The config a checkpoint's header describes; a missing or bad value is corruption."""
+    hp = ckpt.hyperparameters
+    values: dict = {}
+    for name in MODELS[ckpt.kind].HYPERPARAMETERS:
+        if name not in hp:
+            raise CorruptCheckpoint(f"{path}: hyperparameter {name} missing")
+        value, want = hp[name], FIELD_TYPES[name]
+        if not isinstance(value, _JSON_TYPES[want]) or isinstance(value, bool) != (want == "bool"):
+            raise CorruptCheckpoint(f"{path}: hyperparameter {name} = {value!r} is not {want}")
+        values[name] = float(value) if want == "float" else value
+    if hp.get("vocab_size") != len(vocab):
         raise CorruptCheckpoint(
-            f"{path_hint}: {len(ckpt.params)} parameters, expected {len(expected)}"
+            f"{path}: vocab_size {hp.get('vocab_size')!r} but {len(vocab)} vocabulary tokens"
         )
-    for p, (name, arr) in zip(expected, ckpt.params):
-        if p.name != name or p.data.shape != arr.shape:
+    if ckpt.kind == "abstracter":
+        values["fusion"] = ckpt.fusion_order
+    config = RunConfig(**values)
+    try:
+        config.validate()
+    except UsageError as exc:
+        raise CorruptCheckpoint(f"{path}: {exc}") from exc
+    return config
+
+
+def load_model(path: str, kind: str) -> tuple[ExtractorModel | AbstracterModel, Vocabulary]:
+    """The model and vocabulary in the checkpoint at ``path``, which must be of ``kind``."""
+    ckpt = load_checkpoint(path)
+    if ckpt.kind != kind:
+        raise CorruptCheckpoint(f"{path}: kind {ckpt.kind!r}, expected {kind}")
+    try:
+        vocab = Vocabulary(ckpt.vocabulary)
+    except ValueError as exc:
+        raise CorruptCheckpoint(f"{path}: {exc}") from exc
+    cls = MODELS[kind]
+    config = _model_config(ckpt, vocab, path)
+    # Shapes are compared before the model exists, so a header claiming a huge
+    # width is rejected without allocating it.
+    expected = cls.shapes(len(vocab), config)
+    if len(expected) != len(ckpt.params):
+        raise CorruptCheckpoint(f"{path}: {len(ckpt.params)} parameters, expected {len(expected)}")
+    for (want, shape), (name, arr) in zip(expected.items(), ckpt.params):
+        if want != name or shape != arr.shape:
             raise CorruptCheckpoint(
-                f"{path_hint}: parameter {name!r}{arr.shape} does not match "
-                f"{p.name!r}{p.data.shape}"
+                f"{path}: parameter {name!r}{arr.shape} does not match {want!r}{shape}"
             )
+    model = cls(len(vocab), config, np.random.default_rng(0))
+    for p, (_, arr) in zip(model.parameters(), ckpt.params):
         p.data = arr.astype(p.data.dtype)
-
-
-def extractor_from_checkpoint(ckpt: Checkpoint, path_hint: str = "checkpoint") -> tuple[ExtractorModel, Vocabulary]:
-    if ckpt.kind != "extractor":
-        raise CorruptCheckpoint(f"{path_hint}: kind {ckpt.kind!r}, expected extractor")
-    hp = ckpt.hyperparameters
-    config = ExtractorConfig(
-        embed_dim=int(hp["embed_dim"]),
-        hidden_dim=int(hp["hidden_dim"]),
-        dropout=float(hp.get("dropout", 0.0)),
-        max_statement_tokens=int(hp.get("max_statement_tokens", 30)),
-        max_statements=int(hp.get("max_statements", 30)),
-    )
-    vocab = Vocabulary(ckpt.vocabulary)
-    model = ExtractorModel(len(vocab), config, np.random.default_rng(0))
-    _load_params(model, ckpt, path_hint)
     return model, vocab
-
-
-def abstracter_from_checkpoint(ckpt: Checkpoint, path_hint: str = "checkpoint") -> tuple[AbstracterModel, Vocabulary]:
-    if ckpt.kind != "abstracter":
-        raise CorruptCheckpoint(f"{path_hint}: kind {ckpt.kind!r}, expected abstracter")
-    hp = ckpt.hyperparameters
-    config = AbstracterConfig(
-        embed_dim=int(hp["embed_dim"]),
-        hidden_dim=int(hp["hidden_dim"]),
-        dropout=float(hp.get("dropout", 0.0)),
-        max_statement_tokens=int(hp.get("max_statement_tokens", 30)),
-        max_code_tokens=int(hp.get("max_code_tokens", 120)),
-        max_comment_tokens=int(hp.get("max_comment_tokens", 30)),
-        fusion=ckpt.fusion_order or "abex",
-        share_embeddings=bool(hp.get("share_embeddings", True)),
-    )
-    vocab = Vocabulary(ckpt.vocabulary)
-    model = AbstracterModel(len(vocab), config, np.random.default_rng(0))
-    _load_params(model, ckpt, path_hint)
-    return model, vocab
-
-
-def save_extractor(model: ExtractorModel, vocab: Vocabulary, path: str) -> None:
-    save_checkpoint(checkpoint_from_extractor(model, vocab), path)
-
-
-def save_abstracter(model: AbstracterModel, vocab: Vocabulary, path: str) -> None:
-    save_checkpoint(checkpoint_from_abstracter(model, vocab), path)
-
-
-def load_extractor(path: str) -> tuple[ExtractorModel, Vocabulary]:
-    return extractor_from_checkpoint(load_checkpoint(path), path)
-
-
-def load_abstracter(path: str) -> tuple[AbstracterModel, Vocabulary]:
-    return abstracter_from_checkpoint(load_checkpoint(path), path)

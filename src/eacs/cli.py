@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .abstracter import generate_summary, train_abstracter
-from .checkpoint import load_abstracter, load_extractor, save_abstracter, save_extractor
+from .checkpoint import load_model, save_model
 from .config import RunConfig, make_run_config
 from .corpus import load_corpus, tokenize_comment
 from .errors import EacsError, EmptySnippet, IoError, UsageError
@@ -29,12 +29,12 @@ log = logging.getLogger(__name__)
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
@@ -91,8 +91,8 @@ def _cmd_label(args) -> int:
 def _cmd_train_extractor(args) -> int:
     run = _config_from_args(args)
     corpus = load_corpus(args.corpus)
-    result = train_extractor(corpus, run.extractor_config(), language=run.language)
-    save_extractor(result.model, result.vocab, args.out)
+    result = train_extractor(corpus, run, language=run.language)
+    save_model(result.model, result.vocab, args.out)
     best = min(result.history.val_loss) if result.history.val_loss else float("nan")
     print(
         f"trained extractor on {len(corpus)} pair(s): best epoch {result.best_epoch}, "
@@ -102,7 +102,7 @@ def _cmd_train_extractor(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    model, vocab = load_extractor(args.ckpt)
+    model, vocab = load_model(args.ckpt, "extractor")
     statements, indices = predict_important(_read_text(args.code), model, vocab, args.lang)
     for idx, st in zip(indices, statements):
         print(f"{idx}\t{' '.join(st.text.split())}")
@@ -112,11 +112,9 @@ def _cmd_extract(args) -> int:
 def _cmd_train_abstracter(args) -> int:
     run = _config_from_args(args)
     corpus = load_corpus(args.corpus)
-    ex_model, ex_vocab = load_extractor(args.extractor)
-    result = train_abstracter(
-        corpus, ex_model, ex_vocab, run.abstracter_config(), language=run.language
-    )
-    save_abstracter(result.model, result.vocab, args.out)
+    ex_model, ex_vocab = load_model(args.extractor, "extractor")
+    result = train_abstracter(corpus, ex_model, ex_vocab, run, language=run.language)
+    save_model(result.model, result.vocab, args.out)
     best = min(result.history.val_loss) if result.history.val_loss else float("nan")
     print(
         f"trained abstracter ({run.fusion}) on {len(corpus)} pair(s): best epoch "
@@ -126,8 +124,8 @@ def _cmd_train_abstracter(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    ex_model, ex_vocab = load_extractor(args.extractor)
-    ab_model, ab_vocab = load_abstracter(args.abstracter)
+    ex_model, ex_vocab = load_model(args.extractor, "extractor")
+    ab_model, ab_vocab = load_model(args.abstracter, "abstracter")
     result = generate_summary(
         _read_text(args.code),
         ex_model,

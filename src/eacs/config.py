@@ -1,5 +1,8 @@
 """Run configuration: presets, flat key-value config files, env overrides.
 
+:class:`RunConfig` is the one configuration both models, both trainers, the
+CLI and checkpoints share; each reads the fields it needs.
+
 The ``desk`` preset is small enough to overfit a toy corpus in minutes on one
 core; ``full`` carries the published training setup (512-d embeddings and
 hidden size, batch 32, lr 0.0003, dropout 0.1). ``EACS_SEED`` overrides the
@@ -12,9 +15,7 @@ import os
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .abstracter import AbstracterConfig
 from .errors import IoError, UsageError
-from .extractor import ExtractorConfig
 
 
 @dataclass
@@ -45,45 +46,17 @@ class RunConfig:
             raise UsageError("dropout must be in [0, 1)")
         if self.batch_size < 1 or self.epochs < 0:
             raise UsageError("batch_size must be >= 1 and epochs >= 0")
+        limits = ("max_statement_tokens", "max_statements", "max_code_tokens", "max_comment_tokens")
+        if any(getattr(self, name) < 1 for name in limits):
+            raise UsageError(f"{', '.join(limits)} must be >= 1")
+        if self.vocab_size < 4:
+            raise UsageError("vocab_size must leave room for the 4 reserved tokens")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise UsageError("val_fraction must be in [0, 1)")
         if self.fusion not in ("abex", "exab"):
             raise UsageError(f"fusion must be abex or exab, got {self.fusion!r}")
         if self.language not in ("java", "python", "generic"):
             raise UsageError(f"unknown language {self.language!r}")
-
-    def extractor_config(self) -> ExtractorConfig:
-        return ExtractorConfig(
-            embed_dim=self.embed_dim,
-            hidden_dim=self.hidden_dim,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            dropout=self.dropout,
-            epochs=self.epochs,
-            max_statement_tokens=self.max_statement_tokens,
-            max_statements=self.max_statements,
-            seed=self.seed,
-            weight_decay=self.weight_decay,
-            val_fraction=self.val_fraction,
-            vocab_size=self.vocab_size,
-            min_freq=self.min_freq,
-        )
-
-    def abstracter_config(self) -> AbstracterConfig:
-        return AbstracterConfig(
-            embed_dim=self.embed_dim,
-            hidden_dim=self.hidden_dim,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            dropout=self.dropout,
-            epochs=self.epochs,
-            max_statement_tokens=self.max_statement_tokens,
-            max_code_tokens=self.max_code_tokens,
-            max_comment_tokens=self.max_comment_tokens,
-            seed=self.seed,
-            weight_decay=self.weight_decay,
-            val_fraction=self.val_fraction,
-            fusion=self.fusion,
-            share_embeddings=self.share_embeddings,
-        )
 
 
 PRESETS: dict[str, dict] = {
@@ -104,24 +77,25 @@ PRESETS: dict[str, dict] = {
     },
 }
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# Field name -> annotation ("int", "float", "bool" or "str").
+FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
+    kind = FIELD_TYPES[key]
     raw = raw.strip()
-    if kind == "bool" or kind is bool:
+    if kind == "bool":
         if raw.lower() in ("1", "true", "yes"):
             return True
         if raw.lower() in ("0", "false", "no"):
             return False
         raise UsageError(f"config key {key}: expected a boolean, got {raw!r}")
-    if kind == "int" or kind is int:
+    if kind == "int":
         try:
             return int(raw)
         except ValueError as exc:
             raise UsageError(f"config key {key}: expected an integer, got {raw!r}") from exc
-    if kind == "float" or kind is float:
+    if kind == "float":
         try:
             return float(raw)
         except ValueError as exc:
@@ -132,8 +106,9 @@ def _coerce(key: str, raw: str):
 def parse_config_file(path: str) -> dict:
     """Flat ``key = value`` lines; '#' starts a comment; unknown keys rejected."""
     try:
-        text = open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read config file {path}: {exc}") from exc
     out: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -143,7 +118,7 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected `key = value`")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in FIELD_TYPES:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         out[key] = _coerce(key, raw)
     return out
@@ -164,7 +139,7 @@ def make_run_config(
     for key, val in (overrides or {}).items():
         if val is None:
             continue
-        if key not in _FIELD_TYPES:
+        if key not in FIELD_TYPES:
             raise UsageError(f"unknown config key {key!r}")
         values[key] = val
     env = os.environ if env is None else env

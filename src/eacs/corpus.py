@@ -100,31 +100,34 @@ def load_corpus(path: str) -> Corpus:
         raise IoError(f"cannot read corpus file {path}: {exc}") from exc
     pairs: list[RawPair] = []
     skipped = 0
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", line=lineno) from exc
-            if not isinstance(record, dict):
-                raise FormatError("record is not an object", line=lineno)
-            for fld in ("code", "comment"):
-                if fld not in record:
-                    raise FormatError(f"missing `{fld}` field", line=lineno)
-                if not isinstance(record[fld], str):
-                    raise FormatError(f"`{fld}` is not a string", line=lineno)
-            code, comment = record["code"], record["comment"]
-            if not code.strip():
-                skipped += 1
-                continue
-            try:
-                tokenize_comment(comment)
-            except EmptyComment:
-                skipped += 1
-                continue
-            pairs.append(RawPair(id=len(pairs), code=code, comment=comment))
+    try:
+        with fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise FormatError(f"invalid JSON ({exc.msg})", line=lineno) from exc
+                if not isinstance(record, dict):
+                    raise FormatError("record is not an object", line=lineno)
+                for fld in ("code", "comment"):
+                    if fld not in record:
+                        raise FormatError(f"missing `{fld}` field", line=lineno)
+                    if not isinstance(record[fld], str):
+                        raise FormatError(f"`{fld}` is not a string", line=lineno)
+                code, comment = record["code"], record["comment"]
+                if not code.strip():
+                    skipped += 1
+                    continue
+                try:
+                    tokenize_comment(comment)
+                except EmptyComment:
+                    skipped += 1
+                    continue
+                pairs.append(RawPair(id=len(pairs), code=code, comment=comment))
+    except UnicodeDecodeError as exc:
+        raise IoError(f"cannot read corpus file {path}: {exc}") from exc
     if skipped:
         log.info("skipped %d line(s) that failed preprocessing", skipped)
     return Corpus(pairs, skipped=skipped)
@@ -164,24 +167,6 @@ class Vocabulary:
                 continue
             out.append(self.index_to_token[int(i)])
         return out
-
-    def save(self, path: str) -> None:
-        """One token per line; the line number is the index."""
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                for token in self.index_to_token:
-                    fh.write(token + "\n")
-        except OSError as exc:
-            raise IoError(f"cannot write vocabulary {path}: {exc}") from exc
-
-    @classmethod
-    def load(cls, path: str) -> "Vocabulary":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                tokens = [line.rstrip("\n") for line in fh]
-        except OSError as exc:
-            raise IoError(f"cannot read vocabulary {path}: {exc}") from exc
-        return cls([t for t in tokens if t])
 
 
 def build_vocabulary(pairs: Sequence[RawPair], min_freq: int = 1, max_size: int = 2000) -> Vocabulary:

@@ -37,6 +37,10 @@ class EmptyCorpus(EacsError):
     """Training was started on a corpus with no usable pairs."""
 
 
+class NonFiniteLoss(EacsError):
+    """A training loss became NaN or infinite."""
+
+
 class ShapeError(EacsError):
     """Tensor or sequence shapes are incompatible."""
 

@@ -5,20 +5,32 @@ vectors are passed through a second LSTM so each statement sees its
 neighbors (importance is relative within a snippet), and a 2-way softmax
 head predicts the label. Training targets come from the greedy labeling
 oracle; binary cross entropy is computed on P(label=1).
+
+The minibatch training loop, :func:`fit`, lives here too and also trains the
+abstracter.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import numcore as nc
+from .config import RunConfig
 from .corpus import Corpus, RawPair, Vocabulary, build_vocabulary, tokenize_comment
-from .errors import EmptyCorpus, EmptySnippet, ShapeError, TruncationWarning
+from .errors import (
+    EmptyCorpus,
+    EmptyInput,
+    EmptySnippet,
+    NonFiniteLoss,
+    ShapeError,
+    TruncationWarning,
+)
 from .oracle import label_statements
 from .segmenter import SegmentedSnippet, Statement, segment
 
@@ -27,75 +39,46 @@ log = logging.getLogger(__name__)
 PROB_CLAMP = 1e-7
 
 
-@dataclass
-class ExtractorConfig:
-    embed_dim: int = 64
-    hidden_dim: int = 64
-    batch_size: int = 8
-    lr: float = 3e-3
-    dropout: float = 0.1
-    epochs: int = 300
-    max_statement_tokens: int = 30
-    max_statements: int = 30
-    seed: int = 13
-    weight_decay: float = 0.01
-    val_fraction: float = 0.0
-    vocab_size: int = 2000
-    min_freq: int = 1
-    dtype: str = "float32"
-
-    def np_dtype(self):
-        return np.dtype(self.dtype)
-
-
 class ExtractorModel:
     """Token LSTM -> statement vectors -> context LSTM -> softmax head."""
 
-    def __init__(self, vocab_size: int, config: ExtractorConfig, rng: np.random.Generator):
+    KIND = "extractor"
+    # The config fields a checkpoint needs to rebuild this model.
+    HYPERPARAMETERS = (
+        "embed_dim",
+        "hidden_dim",
+        "dropout",
+        "max_statement_tokens",
+        "max_statements",
+    )
+
+    def __init__(
+        self, vocab_size: int, config: RunConfig, rng: np.random.Generator, dtype=np.float32
+    ):
         self.config = config
         self.vocab_size = vocab_size
+        self._params = nc.init_parameters(self.shapes(vocab_size, config), rng, dtype)
+        for p in self._params:
+            setattr(self, p.name, p)
+
+    @staticmethod
+    def shapes(vocab_size: int, config: RunConfig) -> dict[str, tuple[int, ...]]:
+        """Parameter shapes in declaration order."""
         e, h = config.embed_dim, config.hidden_dim
-        dt = config.np_dtype()
-
-        def weight(name, shape):
-            return nc.Parameter(name, nc.xavier_uniform(rng, shape, dtype=dt))
-
-        def zeros(name, shape):
-            return nc.Parameter(name, np.zeros(shape, dtype=dt))
-
-        self.embedding = weight("embedding", (vocab_size, e))
-        self.tok_wx = weight("tok_wx", (e, 4 * h))
-        self.tok_wh = weight("tok_wh", (h, 4 * h))
-        self.tok_b = zeros("tok_b", (4 * h,))
-        self.ctx_wx = weight("ctx_wx", (h, 4 * h))
-        self.ctx_wh = weight("ctx_wh", (h, 4 * h))
-        self.ctx_b = zeros("ctx_b", (4 * h,))
-        self.cls_w = weight("cls_w", (h, 2))
-        self.cls_b = zeros("cls_b", (2,))
+        return {
+            "embedding": (vocab_size, e),
+            "tok_wx": (e, 4 * h),
+            "tok_wh": (h, 4 * h),
+            "tok_b": (4 * h,),
+            "ctx_wx": (h, 4 * h),
+            "ctx_wh": (h, 4 * h),
+            "ctx_b": (4 * h,),
+            "cls_w": (h, 2),
+            "cls_b": (2,),
+        }
 
     def parameters(self) -> list[nc.Parameter]:
-        return [
-            self.embedding,
-            self.tok_wx,
-            self.tok_wh,
-            self.tok_b,
-            self.ctx_wx,
-            self.ctx_wh,
-            self.ctx_b,
-            self.cls_w,
-            self.cls_b,
-        ]
-
-    def hyperparameters(self) -> dict:
-        c = self.config
-        return {
-            "embed_dim": c.embed_dim,
-            "hidden_dim": c.hidden_dim,
-            "dropout": c.dropout,
-            "max_statement_tokens": c.max_statement_tokens,
-            "max_statements": c.max_statements,
-            "vocab_size": self.vocab_size,
-        }
+        return list(self._params)
 
     def encode_statements(
         self,
@@ -147,6 +130,22 @@ def extractor_loss(probs: nc.Tensor, gold: np.ndarray) -> nc.Tensor:
     return nc.mul(nc.mean_all(nc.add(pos, neg)), -1.0)
 
 
+def extractor_batch_loss(
+    model: ExtractorModel,
+    samples: Sequence[ExtractorSample],
+    train: bool = False,
+    rng: Optional[np.random.Generator] = None,
+) -> nc.Tensor:
+    """Batch loss: per-snippet mean cross entropy, then mean over the batch."""
+    if not samples:
+        raise EmptyInput("extractor_batch_loss needs at least one sample")
+    total = None
+    for s in samples:
+        term = extractor_loss(model.statement_probs(s.stmt_ids, train=train, rng=rng), s.labels)
+        total = term if total is None else nc.add(total, term)
+    return nc.mul(total, 1.0 / len(samples))
+
+
 @dataclass
 class ExtractorSample:
     pair_id: int
@@ -171,23 +170,30 @@ def truncate_snippet(snippet: SegmentedSnippet, max_statements: int) -> Segmente
     )
 
 
+def extractor_input(
+    snippet: SegmentedSnippet, vocab: Vocabulary, config: RunConfig
+) -> tuple[SegmentedSnippet, list[np.ndarray]]:
+    """The truncated snippet and its per-statement token ids, for training and inference."""
+    snippet = truncate_snippet(snippet, config.max_statements)
+    return snippet, [
+        vocab.encode(st.tokens[: config.max_statement_tokens]) for st in snippet.statements
+    ]
+
+
 def build_extractor_dataset(
     pairs: Sequence[RawPair],
     language: str,
     vocab: Vocabulary,
-    config: ExtractorConfig,
+    config: RunConfig,
 ) -> list[ExtractorSample]:
     samples = []
     for pair in pairs:
         try:
-            snippet = truncate_snippet(segment(pair.code, language), config.max_statements)
+            snippet, stmt_ids = extractor_input(segment(pair.code, language), vocab, config)
             comment = tokenize_comment(pair.comment)
         except EmptySnippet:
             continue
         labeled = label_statements(snippet, comment)
-        stmt_ids = [
-            vocab.encode(st.tokens[: config.max_statement_tokens]) for st in snippet.statements
-        ]
         samples.append(
             ExtractorSample(
                 pair_id=pair.id,
@@ -213,20 +219,81 @@ class TrainHistory:
         log.info("epoch %d: train loss %.6f, val loss %.6f", epoch, train, val)
 
 
+def split_validation(samples: list, val_fraction: float) -> tuple[list, list]:
+    """Hold out the last ``val_fraction`` of the samples; with none held out,
+    validation runs on the training set itself (the desk-scale default)."""
+    n_val = int(len(samples) * val_fraction)
+    if not n_val:
+        return samples, samples
+    return samples[: len(samples) - n_val], samples[len(samples) - n_val :]
+
+
+def dataset_loss(model, batch_loss: Callable[..., nc.Tensor], samples: Sequence) -> float:
+    """Mean per-sample loss with dropout off."""
+    return sum(batch_loss(model, [s]).item() for s in samples) / len(samples)
+
+
+def _check_finite(loss: float, where: str) -> None:
+    if not math.isfinite(loss):
+        raise NonFiniteLoss(f"{where}: loss is {loss}; lower lr or check the data")
+
+
+def fit(
+    model,
+    batch_loss: Callable[..., nc.Tensor],
+    train_set: Sequence,
+    val_set: Sequence,
+    config: RunConfig,
+) -> tuple[TrainHistory, int]:
+    """Minibatch AdamW on ``train_set``; restores the best-validation weights.
+
+    ``batch_loss(model, samples, train=..., rng=...)`` is the mean loss of a
+    minibatch. Shuffling and dropout draw from streams 1 and 2 of
+    ``rng_streams(config.seed)``; stream 0 initialises the model. Returns the
+    history and the best epoch; a non-finite loss raises
+    :class:`NonFiniteLoss`.
+    """
+    _, shuffle_rng, drop_rng = nc.rng_streams(config.seed)
+    params = model.parameters()
+    opt = nc.AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
+    history = TrainHistory()
+    best_val = float("inf")
+    best_epoch = -1
+    best_state = [p.data.copy() for p in params]
+    # Overflow surfaces as a NonFiniteLoss naming the batch, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = shuffle_rng.permutation(len(train_set))
+            for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
+                batch = [train_set[i] for i in order[start : start + config.batch_size]]
+                opt.zero_grad()
+                with nc.Tape() as tape:
+                    loss = batch_loss(model, batch, train=True, rng=drop_rng)
+                    _check_finite(loss.item(), f"epoch {epoch}, batch {batch_no}")
+                    tape.backward(loss, params=params)
+                opt.step()
+            train_loss = dataset_loss(model, batch_loss, train_set)
+            val_loss = (
+                train_loss if val_set is train_set else dataset_loss(model, batch_loss, val_set)
+            )
+            _check_finite(train_loss, f"epoch {epoch}, training set")
+            _check_finite(val_loss, f"epoch {epoch}, validation set")
+            history.log_epoch(epoch, train_loss, val_loss)
+            if val_loss < best_val:
+                best_val = val_loss
+                best_epoch = epoch
+                best_state = [p.data.copy() for p in params]
+    for p, data in zip(params, best_state):
+        p.data = data
+    return history, best_epoch
+
+
 @dataclass
 class ExtractorTrainResult:
     model: ExtractorModel
     vocab: Vocabulary
     history: TrainHistory
     best_epoch: int
-
-
-def _dataset_loss(model: ExtractorModel, samples: Sequence[ExtractorSample]) -> float:
-    total = 0.0
-    for s in samples:
-        probs = model.statement_probs(s.stmt_ids, train=False)
-        total += extractor_loss(probs, s.labels).item()
-    return total / len(samples)
 
 
 def label_accuracy(model: ExtractorModel, samples: Sequence[ExtractorSample]) -> float:
@@ -243,15 +310,11 @@ def label_accuracy(model: ExtractorModel, samples: Sequence[ExtractorSample]) ->
 
 def train_extractor(
     corpus: Corpus | Sequence[RawPair],
-    config: ExtractorConfig,
+    config: RunConfig,
     language: str = "java",
     vocab: Optional[Vocabulary] = None,
 ) -> ExtractorTrainResult:
-    """Oracle labeling + minibatch AdamW; returns the best-validation model.
-
-    With ``val_fraction`` 0 the validation loss is measured on the training
-    set itself (desk-scale default).
-    """
+    """Oracle labeling + minibatch AdamW; returns the best-validation model."""
     pairs = list(corpus)
     if not pairs:
         raise EmptyCorpus("no pairs to train on")
@@ -260,65 +323,28 @@ def train_extractor(
     samples = build_extractor_dataset(pairs, language, vocab, config)
     if not samples:
         raise EmptyCorpus("no usable samples after segmentation")
-
-    init_rng, shuffle_rng, drop_rng = nc.rng_streams(config.seed)
-    model = ExtractorModel(len(vocab), config, init_rng)
-    params = model.parameters()
-    opt = nc.AdamW(
-        params, lr=config.lr, weight_decay=config.weight_decay
-    )
-
-    n_val = int(len(samples) * config.val_fraction)
-    train_set = samples[: len(samples) - n_val] if n_val else samples
-    val_set = samples[len(samples) - n_val :] if n_val else samples
-
-    history = TrainHistory()
-    best_val = float("inf")
-    best_epoch = -1
-    best_state = [p.data.copy() for p in params]
-    for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(len(train_set))
-        for start in range(0, len(order), config.batch_size):
-            batch = [train_set[i] for i in order[start : start + config.batch_size]]
-            opt.zero_grad()
-            with nc.Tape() as tape:
-                loss = None
-                for s in batch:
-                    probs = model.statement_probs(s.stmt_ids, train=True, rng=drop_rng)
-                    term = extractor_loss(probs, s.labels)
-                    loss = term if loss is None else nc.add(loss, term)
-                loss = nc.mul(loss, 1.0 / len(batch))
-                tape.backward(loss, params=params)
-            opt.step()
-        train_loss = _dataset_loss(model, train_set)
-        val_loss = train_loss if val_set is train_set else _dataset_loss(model, val_set)
-        history.log_epoch(epoch, train_loss, val_loss)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best_state = [p.data.copy() for p in params]
-    for p, data in zip(params, best_state):
-        p.data = data
+    model = ExtractorModel(len(vocab), config, nc.rng_streams(config.seed)[0])
+    train_set, val_set = split_validation(samples, config.val_fraction)
+    history, best_epoch = fit(model, extractor_batch_loss, train_set, val_set, config)
     return ExtractorTrainResult(model=model, vocab=vocab, history=history, best_epoch=best_epoch)
 
 
 def predict_important(
-    code: str,
+    code: str | SegmentedSnippet,
     model: ExtractorModel,
     vocab: Vocabulary,
     language: str = "java",
 ) -> tuple[list[Statement], list[int]]:
     """Statements predicted important, in source order.
 
+    ``code`` is source text in ``language`` or an already segmented snippet.
     A tie at exactly P=0.5 resolves to label 0; when nothing is labeled 1 the
     single highest-P(1) statement is returned so downstream encoders always
     receive input.
     """
-    snippet = truncate_snippet(segment(code, language), model.config.max_statements)
-    stmt_ids = [
-        vocab.encode(st.tokens[: model.config.max_statement_tokens])
-        for st in snippet.statements
-    ]
+    if isinstance(code, str):
+        code = segment(code, language)
+    snippet, stmt_ids = extractor_input(code, vocab, model.config)
     probs = model.statement_probs(stmt_ids, train=False).data
     indices = [i for i in range(len(snippet.statements)) if probs[i, 1] > probs[i, 0]]
     if not indices:

@@ -13,9 +13,10 @@ from typing import Callable
 import numpy as np
 
 from . import numcore as nc
-from .abstracter import AbstracterConfig, AbstracterModel, AbstracterSample, _sequence_nll
+from .abstracter import AbstracterModel, AbstracterSample, _sequence_nll
+from .config import RunConfig
 from .corpus import BOS, EOS
-from .extractor import ExtractorConfig, ExtractorModel, extractor_loss
+from .extractor import ExtractorModel, extractor_loss
 
 TOLERANCE = 1e-4
 
@@ -94,8 +95,8 @@ def op_checks(seed: int = 0) -> list[tuple[str, Callable[[], nc.Tensor], list[nc
 
 def extractor_loss_check(seed: int = 1) -> tuple[str, Callable[[], nc.Tensor], list[nc.Parameter]]:
     rng = np.random.default_rng(seed)
-    config = ExtractorConfig(embed_dim=4, hidden_dim=4, dropout=0.0, dtype="float64")
-    model = ExtractorModel(12, config, rng)
+    config = RunConfig(embed_dim=4, hidden_dim=4, dropout=0.0)
+    model = ExtractorModel(12, config, rng, dtype=np.float64)
     stmt_ids = [np.array([1, 5, 7]), np.array([4, 9])]
     gold = np.array([1, 0])
 
@@ -107,8 +108,8 @@ def extractor_loss_check(seed: int = 1) -> tuple[str, Callable[[], nc.Tensor], l
 
 def abstracter_loss_check(seed: int = 2) -> tuple[str, Callable[[], nc.Tensor], list[nc.Parameter]]:
     rng = np.random.default_rng(seed)
-    config = AbstracterConfig(embed_dim=4, hidden_dim=4, dropout=0.0, dtype="float64")
-    model = AbstracterModel(8, config, rng)
+    config = RunConfig(embed_dim=4, hidden_dim=4, dropout=0.0)
+    model = AbstracterModel(8, config, rng, dtype=np.float64)
     sample = AbstracterSample(
         pair_id=0,
         code_ids=np.array([4, 5, 6, 7]),

@@ -44,6 +44,17 @@ def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...], dtype=np.fl
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
+def init_parameters(
+    shapes: dict[str, tuple[int, ...]], rng: np.random.Generator, dtype=np.float32
+) -> list[Parameter]:
+    """Parameters in declaration order: Xavier-uniform matrices, zero vectors."""
+    params = []
+    for name, shape in shapes.items():
+        data = xavier_uniform(rng, shape, dtype) if len(shape) == 2 else np.zeros(shape, dtype)
+        params.append(Parameter(name, data))
+    return params
+
+
 __all__ = [
     "AdamW",
     "Parameter",
@@ -57,6 +68,7 @@ __all__ = [
     "embedding_lookup",
     "finite_difference_check",
     "gather_rows",
+    "init_parameters",
     "log",
     "lstm_cell",
     "lstm_over",

@@ -6,9 +6,10 @@ from dataclasses import dataclass
 
 import pytest
 
-from eacs.abstracter import AbstracterConfig, AbstracterTrainResult, train_abstracter
+from eacs.abstracter import AbstracterTrainResult, train_abstracter
+from eacs.config import RunConfig
 from eacs.corpus import Corpus, load_corpus
-from eacs.extractor import ExtractorConfig, ExtractorTrainResult, train_extractor
+from eacs.extractor import ExtractorTrainResult, train_extractor
 
 TYPES = ["int", "long", "float", "double"]
 OPS = [
@@ -65,10 +66,10 @@ def toy_corpus(toy_corpus_path) -> Corpus:
     return load_corpus(toy_corpus_path)
 
 
-TOY_EXTRACTOR_CONFIG = ExtractorConfig(
+TOY_EXTRACTOR_CONFIG = RunConfig(
     epochs=80, lr=3e-3, dropout=0.1, batch_size=8, seed=13, vocab_size=200
 )
-TOY_ABSTRACTER_CONFIG = AbstracterConfig(
+TOY_ABSTRACTER_CONFIG = RunConfig(
     epochs=170, lr=3e-3, dropout=0.1, batch_size=8, seed=13
 )
 

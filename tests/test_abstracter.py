@@ -161,8 +161,8 @@ class TestLoss:
         assert _sequence_nll(model, sample).item() < 1e-6
 
     def test_matches_independent_recomputation(self):
-        config = AbstracterConfig(embed_dim=6, hidden_dim=6, dropout=0.0, dtype="float64")
-        model = AbstracterModel(10, config, np.random.default_rng(9))
+        config = AbstracterConfig(embed_dim=6, hidden_dim=6, dropout=0.0)
+        model = AbstracterModel(10, config, np.random.default_rng(9), dtype=np.float64)
         sample = make_sample()
         loss = _sequence_nll(model, sample).item()
         dists = step_distributions(model, sample)

@@ -1,20 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from eacs.abstracter import AbstracterConfig, AbstracterModel
-from eacs.checkpoint import (
-    load_abstracter,
-    load_checkpoint,
-    load_extractor,
-    save_abstracter,
-    save_checkpoint,
-    save_extractor,
-)
+from eacs.abstracter import AbstracterModel
+from eacs.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
+from eacs.config import RunConfig
 from eacs.corpus import RESERVED_TOKENS, Vocabulary
 from eacs.errors import CorruptCheckpoint, IoError, VersionError
-from eacs.extractor import ExtractorConfig, ExtractorModel
+from eacs.extractor import ExtractorModel
 
 
 @pytest.fixture()
@@ -24,15 +19,15 @@ def vocab():
 
 @pytest.fixture()
 def ex_model(vocab):
-    config = ExtractorConfig(embed_dim=6, hidden_dim=6)
+    config = RunConfig(embed_dim=6, hidden_dim=6)
     return ExtractorModel(len(vocab), config, np.random.default_rng(4))
 
 
 class TestRoundTrip:
     def test_extractor_arrays_bit_identical(self, tmp_path, vocab, ex_model):
         path = str(tmp_path / "ex.ckpt")
-        save_extractor(ex_model, vocab, path)
-        loaded, loaded_vocab = load_extractor(path)
+        save_model(ex_model, vocab, path)
+        loaded, loaded_vocab = load_model(path, "extractor")
         assert loaded_vocab == vocab
         for orig, new in zip(ex_model.parameters(), loaded.parameters()):
             assert orig.data.astype("<f4").tobytes() == new.data.astype("<f4").tobytes()
@@ -40,16 +35,16 @@ class TestRoundTrip:
     def test_save_load_save_bytes_identical(self, tmp_path, vocab, ex_model):
         one = tmp_path / "a.ckpt"
         two = tmp_path / "b.ckpt"
-        save_extractor(ex_model, vocab, str(one))
+        save_model(ex_model, vocab, str(one))
         save_checkpoint(load_checkpoint(str(one)), str(two))
         assert one.read_bytes() == two.read_bytes()
 
     def test_abstracter_roundtrip_fusion_preserved(self, tmp_path, vocab):
-        config = AbstracterConfig(embed_dim=6, hidden_dim=6, fusion="exab")
+        config = RunConfig(embed_dim=6, hidden_dim=6, fusion="exab")
         model = AbstracterModel(len(vocab), config, np.random.default_rng(2))
         path = str(tmp_path / "ab.ckpt")
-        save_abstracter(model, vocab, path)
-        loaded, _ = load_abstracter(path)
+        save_model(model, vocab, path)
+        loaded, _ = load_model(path, "abstracter")
         assert loaded.config.fusion == "exab"
         sample = np.array([4, 5, 6])
         assert np.allclose(
@@ -58,8 +53,8 @@ class TestRoundTrip:
 
     def test_loaded_predictions_match(self, tmp_path, vocab, ex_model):
         path = str(tmp_path / "ex.ckpt")
-        save_extractor(ex_model, vocab, path)
-        loaded, _ = load_extractor(path)
+        save_model(ex_model, vocab, path)
+        loaded, _ = load_model(path, "extractor")
         ids = [np.array([4, 5]), np.array([6])]
         assert np.allclose(
             ex_model.statement_probs(ids).data, loaded.statement_probs(ids).data
@@ -69,7 +64,7 @@ class TestRoundTrip:
 class TestCorruption:
     def test_version_mismatch(self, tmp_path, vocab, ex_model):
         path = tmp_path / "ex.ckpt"
-        save_extractor(ex_model, vocab, str(path))
+        save_model(ex_model, vocab, str(path))
         blob = path.read_bytes()
         header, rest = blob.split(b"\n", 1)
         doc = json.loads(header)
@@ -81,7 +76,7 @@ class TestCorruption:
 
     def test_truncated_mid_array(self, tmp_path, vocab, ex_model):
         path = tmp_path / "ex.ckpt"
-        save_extractor(ex_model, vocab, str(path))
+        save_model(ex_model, vocab, str(path))
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 7])
         with pytest.raises(CorruptCheckpoint):
@@ -95,9 +90,9 @@ class TestCorruption:
 
     def test_wrong_kind(self, tmp_path, vocab, ex_model):
         path = str(tmp_path / "ex.ckpt")
-        save_extractor(ex_model, vocab, path)
+        save_model(ex_model, vocab, path)
         with pytest.raises(CorruptCheckpoint):
-            load_abstracter(path)
+            load_model(path, "abstracter")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
@@ -112,3 +107,62 @@ class TestCorruption:
         path.write_bytes(json.dumps(header).encode() + b"\n")
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(str(path))
+
+
+def _edit_header(**changes):
+    def edit(header, params):
+        hp = header["hyperparameters"]
+        for key, value in changes.items():
+            if key == "hyperparameters":
+                header[key] = value
+            elif value is None:
+                del hp[key]
+            else:
+                hp[key] = value
+        return header, params
+
+    return edit
+
+
+def _edit_first_param_line(line):
+    def edit(header, params):
+        return header, line + b"\n" + params.split(b"\n", 1)[1]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _edit_header(embed_dim=None),
+        _edit_header(hidden_dim="big"),
+        _edit_header(embed_dim=-3),
+        _edit_header(hyperparameters="x"),
+        _edit_first_param_line(b"embedding -5 64"),
+        _edit_first_param_line(b"embedding 99999999999999999999 64"),
+        _edit_header(hidden_dim=1000),
+    ],
+    ids=["missing-embed-dim", "string-dim", "negative-dim", "hyperparameters-not-object",
+         "negative-shape", "huge-shape", "width-disagrees-with-arrays"],
+)
+def test_corrupt_header_exits_one_line(tmp_path, capsys, vocab, ex_model, edit):
+    from eacs.cli import main
+
+    path = tmp_path / "ex.ckpt"
+    save_model(ex_model, vocab, str(path))
+    header, params = path.read_bytes().split(b"\n", 1)
+    header, params = edit(json.loads(header), params)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + params)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptCheckpoint):
+            load_model(str(path), "extractor")
+        # Rejected before a model of the header's width is allocated.
+        assert tracemalloc.get_traced_memory()[1] < 8 * 2**20
+    finally:
+        tracemalloc.stop()
+    code_path = tmp_path / "snippet.java"
+    code_path.write_text("int a = 1; return a;")
+    assert main(["extract", "--ckpt", str(path), "--code", str(code_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("eacs extract: error:") and len(err.strip().splitlines()) == 1

@@ -128,3 +128,38 @@ class TestGradcheck:
         assert code == 0
         assert "FAIL" not in out
         assert "extractor_loss" in out and "abstracter_loss" in out
+
+
+class TestTrainingFailure:
+    def test_non_finite_loss_exits_one_without_checkpoint(self, capsys, tmp_path, toy_corpus_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr = 1e39\n")
+        out_path = tmp_path / "ex.ckpt"
+        code, _, err = run(
+            capsys, "train-extractor", "--corpus", toy_corpus_path, "--config", str(cfg),
+            "--epochs", "2", "--out", str(out_path),
+        )
+        assert code == 1
+        assert err.startswith("eacs train-extractor: error: epoch 0")
+        assert len(err.strip().splitlines()) == 1
+        assert not out_path.exists()
+
+
+class TestNonUtf8:
+    @pytest.mark.parametrize("command", ["label", "evaluate-refs", "evaluate-hyps", "config"])
+    def test_exits_one_with_one_line(self, capsys, tmp_path, toy_corpus_path, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a b\n\xff c\n")
+        good = tmp_path / "good.txt"
+        good.write_text("a b\nc d\n")
+        argv = {
+            "label": ["label", "--corpus", str(bad), "--out", str(tmp_path / "l.jsonl")],
+            "evaluate-refs": ["evaluate", "--refs", str(bad), "--hyps", str(good)],
+            "evaluate-hyps": ["evaluate", "--refs", str(good), "--hyps", str(bad)],
+            "config": ["train-extractor", "--corpus", toy_corpus_path, "--config", str(bad),
+                       "--out", str(tmp_path / "ex.ckpt")],
+        }[command]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert str(bad) in err

@@ -68,3 +68,11 @@ class TestValidation:
     def test_bad_dropout(self):
         with pytest.raises(UsageError):
             make_run_config(overrides={"dropout": 1.5}, env={})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("max_statements", 0), ("max_code_tokens", -1), ("vocab_size", 3), ("val_fraction", 1.0)],
+    )
+    def test_bad_limits(self, key, value):
+        with pytest.raises(UsageError):
+            make_run_config(overrides={key: value}, env={})

@@ -138,13 +138,6 @@ class TestVocabulary:
         vocab = C.build_vocabulary(_pairs({"aa": 2}), min_freq=1, max_size=10)
         assert list(vocab.encode(["nope"])) == [C.UNK]
 
-    def test_text_serialization_roundtrip(self, tmp_path):
-        vocab = C.build_vocabulary(_pairs({"aa": 2, "bb": 3}), min_freq=1, max_size=10)
-        path = tmp_path / "vocab.txt"
-        vocab.save(str(path))
-        assert path.read_text().splitlines()[:4] == list(C.RESERVED_TOKENS)
-        assert C.Vocabulary.load(str(path)) == vocab
-
 
 class TestEncodeAndPad:
     @pytest.fixture()

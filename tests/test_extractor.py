@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from eacs import numcore as nc
+from eacs.config import RunConfig
 from eacs.errors import EmptyCorpus, ShapeError
 from eacs.extractor import (
-    ExtractorConfig,
     ExtractorModel,
     build_extractor_dataset,
     extractor_loss,
@@ -15,7 +15,7 @@ from eacs.extractor import (
     train_extractor,
 )
 
-TINY = ExtractorConfig(embed_dim=8, hidden_dim=8, dropout=0.0, epochs=3, seed=7)
+TINY = RunConfig(embed_dim=8, hidden_dim=8, dropout=0.0, epochs=3, seed=7)
 
 
 @pytest.fixture()
@@ -124,14 +124,14 @@ class TestTraining:
             train_extractor([], TINY)
 
     def test_identical_seeds_identical_parameters(self, toy_corpus):
-        cfg = ExtractorConfig(embed_dim=8, hidden_dim=8, epochs=2, seed=5, vocab_size=100)
+        cfg = RunConfig(embed_dim=8, hidden_dim=8, epochs=2, seed=5, vocab_size=100)
         a = train_extractor(toy_corpus, cfg, language="java")
         b = train_extractor(toy_corpus, cfg, language="java")
         for pa, pb in zip(a.model.parameters(), b.model.parameters()):
             assert pa.data.tobytes() == pb.data.tobytes()
 
     def test_lr_zero_leaves_parameters_at_init(self, toy_corpus):
-        cfg = ExtractorConfig(embed_dim=8, hidden_dim=8, epochs=2, seed=5,
+        cfg = RunConfig(embed_dim=8, hidden_dim=8, epochs=2, seed=5,
                               lr=0.0, weight_decay=0.0, vocab_size=100)
         result = train_extractor(toy_corpus, cfg, language="java")
         fresh = ExtractorModel(
@@ -144,7 +144,7 @@ class TestTraining:
         # Full-batch AdamW on a slice of the corpus: the epoch losses
         # (measured with dropout off) should be near-monotone.
         pairs = list(toy_corpus)[:12]
-        cfg = ExtractorConfig(
+        cfg = RunConfig(
             embed_dim=16, hidden_dim=16, epochs=25, batch_size=12,
             dropout=0.0, seed=3, vocab_size=100,
         )

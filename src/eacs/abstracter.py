@@ -18,8 +18,8 @@ import numpy as np
 
 from . import numcore as nc
 from .config import RunConfig
-from .corpus import BOS, EOS, Corpus, RawPair, Vocabulary, tokenize_comment
-from .errors import EmptyCorpus, EmptyInput, EmptySnippet, ShapeError, VocabMismatch
+from .corpus import BOS, EOS, Batch, Corpus, RawPair, Vocabulary, tokenize_comment
+from .errors import EmptyCorpus, EmptyInput, EmptySnippet, ShapeError, UsageError, VocabMismatch
 from .extractor import ExtractorModel, TrainHistory, fit, predict_important, split_validation
 from .segmenter import SegmentedSnippet, segment
 
@@ -34,7 +34,7 @@ LOGPROB_CLAMP = 1e-9
 AbstracterConfig = RunConfig
 
 
-class AbstracterModel:
+class AbstracterModel(nc.Model):
     KIND = "abstracter"
     # The config fields a checkpoint needs to rebuild this model, besides fusion.
     HYPERPARAMETERS = (
@@ -47,16 +47,10 @@ class AbstracterModel:
         "share_embeddings",
     )
 
-    def __init__(
-        self, vocab_size: int, config: RunConfig, rng: np.random.Generator, dtype=np.float32
-    ):
+    def _bind(self, vocab_size: int, config: RunConfig, params: list[nc.Parameter]) -> None:
         if config.fusion not in FUSION_ORDERS:
             raise ValueError(f"fusion must be one of {FUSION_ORDERS}, got {config.fusion!r}")
-        self.config = config
-        self.vocab_size = vocab_size
-        self._params = nc.init_parameters(self.shapes(vocab_size, config), rng, dtype)
-        for p in self._params:
-            setattr(self, p.name, p)
+        super()._bind(vocab_size, config, params)
         if config.share_embeddings:
             self.embedding_ex = self.embedding_ab = self.embedding_dec = self.embedding
 
@@ -86,8 +80,41 @@ class AbstracterModel:
             "out_b": (vocab_size,),
         }
 
-    def parameters(self) -> list[nc.Parameter]:
-        return list(self._params)
+    def dropout_keeps(
+        self, batches: Sequence[Batch], train: bool, rng: Optional[np.random.Generator]
+    ) -> list[Optional[np.ndarray]]:
+        """Embedding dropout masks for padded token batches, zero past each row.
+
+        Drawn row by row, each row's batches in the given order, which is the
+        order per-sample encoding and decoding draw them in; ``None`` when
+        dropout is off.
+        """
+        p = self.config.dropout
+        if not train or p == 0.0:
+            return [None] * len(batches)
+        e, dtype = self.config.embed_dim, self.embedding_dec.dtype
+        keeps = [np.zeros(batch.indices.shape + (e,), dtype=dtype) for batch in batches]
+        for k in range(len(batches[0].lengths)):
+            for keep, batch in zip(keeps, batches):
+                n = batch.lengths[k]
+                keep[k, :n] = nc.keep_mask(rng, (n, e), p, dtype)
+        return keeps
+
+    def _embed(self, table: nc.Tensor, batch: Batch, keep: Optional[np.ndarray]) -> nc.Tensor:
+        emb = nc.embedding_lookup(table, batch.indices)
+        if keep is not None:
+            emb = nc.dropout(emb, self.config.dropout, None, keep=keep)
+        return emb
+
+    def encode(self, which: str, batch: Batch, keep: Optional[np.ndarray] = None) -> nc.Tensor:
+        """(B, H) final states of the "ex" or "ab" encoder over a padded batch."""
+        emb = self._embed(getattr(self, f"embedding_{which}"), batch, keep)
+        wx, wh, b = (getattr(self, f"{which}_{name}") for name in ("wx", "wh", "b"))
+        return nc.lstm_over(emb, wx, wh, b, lengths=batch.lengths)
+
+    def _encode_one(self, which: str, ids: np.ndarray, train: bool, rng) -> nc.Tensor:
+        batch = Batch.pad([ids])
+        return self.encode(which, batch, self.dropout_keeps([batch], train, rng)[0])
 
     def encode_extractive(
         self,
@@ -98,9 +125,7 @@ class AbstracterModel:
         """Fixed vector for the concatenated important-statement tokens."""
         if len(ids) == 0:
             raise EmptyInput("no important-statement tokens to encode")
-        emb = nc.embedding_lookup(self.embedding_ex, ids)
-        emb = nc.dropout(emb, self.config.dropout, rng, train=train)
-        return nc.lstm_over(emb, self.ex_wx, self.ex_wh, self.ex_b)
+        return self._encode_one("ex", ids, train, rng)
 
     def encode_abstractive(
         self,
@@ -111,9 +136,7 @@ class AbstracterModel:
         """Fixed vector for the whole snippet's token stream."""
         if len(ids) == 0:
             raise EmptyInput("no snippet tokens to encode")
-        emb = nc.embedding_lookup(self.embedding_ab, ids)
-        emb = nc.dropout(emb, self.config.dropout, rng, train=train)
-        return nc.lstm_over(emb, self.ab_wx, self.ab_wh, self.ab_b)
+        return self._encode_one("ab", ids, train, rng)
 
     def init_decoder(self, e_fu: nc.Tensor) -> tuple[nc.Tensor, nc.Tensor, nc.Tensor]:
         """Initial (h, c) plus the per-step fused-context input."""
@@ -121,6 +144,20 @@ class AbstracterModel:
         c0 = nc.Tensor(np.zeros_like(h0.data))
         u = nc.add(nc.matmul(e_fu, self.step_w), self.step_b)
         return h0, c0, u
+
+    def decode_teacher_forced(
+        self, inputs: Batch, e_fu: nc.Tensor, keep: Optional[np.ndarray] = None
+    ) -> nc.Tensor:
+        """(B, T, H) decoder states over padded previous-token ids, as one node."""
+        h0, c0, u = self.init_decoder(e_fu)
+        emb = self._embed(self.embedding_dec, inputs, keep)
+        # Each sequence's u, repeated over its steps.
+        rows = np.broadcast_to(np.arange(len(inputs.lengths))[:, None], inputs.indices.shape)
+        x = nc.concat([emb, nc.embedding_lookup(u, rows)], axis=-1)
+        return nc.lstm_over(
+            x, self.dec_wx, self.dec_wh, self.dec_b,
+            lengths=inputs.lengths, h0=h0, c0=c0, collect=True,
+        )
 
     def decode_step(
         self,
@@ -167,16 +204,7 @@ def _sequence_nll(
     rng: Optional[np.random.Generator] = None,
 ) -> nc.Tensor:
     """Teacher-forced mean negative log-likelihood of one gold comment."""
-    e_ex = model.encode_extractive(sample.important_ids, train=train, rng=rng)
-    e_ab = model.encode_abstractive(sample.code_ids, train=train, rng=rng)
-    h, c, u = model.init_decoder(fuse(e_ex, e_ab, model.config.fusion))
-    terms = []
-    for y_prev, y_t in zip(sample.comment_ids[:-1], sample.comment_ids[1:]):
-        h, c, probs = model.decode_step(int(y_prev), h, c, u, train=train, rng=rng)
-        p_gold = nc.gather_rows(probs, np.array([y_t], dtype=np.int64))
-        terms.append(nc.log(nc.clip(p_gold, LOGPROB_CLAMP, 1.0)))
-    joined = terms[0] if len(terms) == 1 else nc.concat(terms, axis=0)
-    return nc.mul(nc.mean_all(joined), -1.0)
+    return abstracter_loss(model, [sample], train=train, rng=rng)
 
 
 def abstracter_loss(
@@ -185,14 +213,36 @@ def abstracter_loss(
     train: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> nc.Tensor:
-    """Batch loss: per-sequence token mean, then mean over the batch."""
+    """Batch loss: per-sequence token mean, then mean over the batch.
+
+    Both encoders, the decoder and the output projection each run once over
+    the padded batch. Every gold probability is clamped to [1e-9, 1] before
+    the log; token t of sequence b weighs 1 / (len_b * B), padding 0.
+    """
     if not samples:
         raise EmptyInput("abstracter_loss needs at least one sample")
-    total = None
     for s in samples:
-        term = _sequence_nll(model, s, train=train, rng=rng)
-        total = term if total is None else nc.add(total, term)
-    return nc.mul(total, 1.0 / len(samples))
+        if len(s.important_ids) == 0 or len(s.code_ids) == 0:
+            raise EmptyInput(f"sample {s.pair_id}: nothing to encode")
+        if len(s.comment_ids) < 2:
+            raise EmptyInput(f"sample {s.pair_id}: comment has no token to predict")
+    important = Batch.pad([s.important_ids for s in samples])
+    code = Batch.pad([s.code_ids for s in samples])
+    previous = Batch.pad([s.comment_ids[:-1] for s in samples])
+    gold = Batch.pad([s.comment_ids[1:] for s in samples])
+    keep_ex, keep_ab, keep_dec = model.dropout_keeps((important, code, previous), train, rng)
+    e_fu = fuse(
+        model.encode("ex", important, keep_ex),
+        model.encode("ab", code, keep_ab),
+        model.config.fusion,
+    )
+    states = model.decode_teacher_forced(previous, e_fu, keep_dec)
+    flat = nc.reshape(states, (-1, model.config.hidden_dim))
+    probs = nc.softmax(nc.add(nc.matmul(flat, model.out_w), model.out_b), axis=-1)
+    p_gold = nc.gather_rows(probs, gold.indices.reshape(-1))
+    weights = (gold.mask / (gold.lengths[:, None] * len(samples))).reshape(-1)
+    log_p = nc.log(nc.clip(p_gold, LOGPROB_CLAMP, 1.0))
+    return nc.mul(nc.sum_all(nc.mul(log_p, weights)), -1.0)
 
 
 def step_distributions(model: AbstracterModel, sample: AbstracterSample) -> list[np.ndarray]:
@@ -358,7 +408,7 @@ def generate_summary(
     if ex_vocab != ab_vocab:
         raise VocabMismatch("extractor and abstracter checkpoints disagree on vocabulary")
     if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+        raise UsageError(f"max_len must be >= 1, got {max_len}")
     cfg = abstracter.config
     important_ids, code_ids = abstracter_input(segment(code, language), extractor, ab_vocab, cfg)
     e_ex = abstracter.encode_extractive(important_ids)

@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import numcore as nc
 from .abstracter import AbstracterModel
 from .config import FIELD_TYPES, RunConfig
 from .corpus import Vocabulary
@@ -181,7 +182,5 @@ def load_model(path: str, kind: str) -> tuple[ExtractorModel | AbstracterModel, 
             raise CorruptCheckpoint(
                 f"{path}: parameter {name!r}{arr.shape} does not match {want!r}{shape}"
             )
-    model = cls(len(vocab), config, np.random.default_rng(0))
-    for p, (_, arr) in zip(model.parameters(), ckpt.params):
-        p.data = arr.astype(p.data.dtype)
-    return model, vocab
+    params = [nc.Parameter(name, arr.astype(np.float32, copy=False)) for name, arr in ckpt.params]
+    return cls.from_parameters(len(vocab), config, params), vocab

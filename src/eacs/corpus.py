@@ -12,8 +12,8 @@ import json
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -198,11 +198,20 @@ class Batch:
 
     indices: np.ndarray  # (batch, max_len) int64
     mask: np.ndarray  # (batch, max_len) float, 1.0 at non-PAD positions
-    lengths: np.ndarray = field(default=None)  # (batch,) int64
+    lengths: np.ndarray  # (batch,) int64
 
-    def __post_init__(self):
-        if self.lengths is None:
-            self.lengths = self.mask.sum(axis=1).astype(np.int64)
+    @classmethod
+    def pad(cls, seqs: Sequence[Sequence[int]], width: Optional[int] = None) -> "Batch":
+        """Rows of ``seqs`` left-aligned and padded with PAD to ``width``
+        (default: the longest row)."""
+        lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+        if width is None:
+            width = int(lengths.max(initial=0))
+        rows = np.full((len(seqs), width), PAD, dtype=np.int64)
+        for i, seq in enumerate(seqs):
+            rows[i, : len(seq)] = seq
+        mask = (np.arange(width) < lengths[:, None]).astype(np.float64)
+        return cls(indices=rows, mask=mask, lengths=lengths)
 
 
 def encode_and_pad(
@@ -218,14 +227,9 @@ def encode_and_pad(
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    rows = np.full((len(seqs), max_len), PAD, dtype=np.int64)
-    mask = np.zeros((len(seqs), max_len), dtype=np.float64)
-    for i, seq in enumerate(seqs):
-        ids = list(vocab.encode(seq))
-        budget = max_len - (2 if add_bos else 1)
-        ids = ids[: max(budget, 0)]
-        row = ([BOS] if add_bos else []) + ids + [EOS]
-        row = row[:max_len]
-        rows[i, : len(row)] = row
-        mask[i, : len(row)] = 1.0
-    return Batch(indices=rows, mask=mask)
+    budget = max(max_len - (2 if add_bos else 1), 0)
+    rows = [
+        (([BOS] if add_bos else []) + list(vocab.encode(seq[:budget])) + [EOS])[:max_len]
+        for seq in seqs
+    ]
+    return Batch.pad(rows, width=max_len)

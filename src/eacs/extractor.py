@@ -22,7 +22,7 @@ import numpy as np
 
 from . import numcore as nc
 from .config import RunConfig
-from .corpus import Corpus, RawPair, Vocabulary, build_vocabulary, tokenize_comment
+from .corpus import Batch, Corpus, RawPair, Vocabulary, build_vocabulary, tokenize_comment
 from .errors import (
     EmptyCorpus,
     EmptyInput,
@@ -39,7 +39,7 @@ log = logging.getLogger(__name__)
 PROB_CLAMP = 1e-7
 
 
-class ExtractorModel:
+class ExtractorModel(nc.Model):
     """Token LSTM -> statement vectors -> context LSTM -> softmax head."""
 
     KIND = "extractor"
@@ -51,15 +51,6 @@ class ExtractorModel:
         "max_statement_tokens",
         "max_statements",
     )
-
-    def __init__(
-        self, vocab_size: int, config: RunConfig, rng: np.random.Generator, dtype=np.float32
-    ):
-        self.config = config
-        self.vocab_size = vocab_size
-        self._params = nc.init_parameters(self.shapes(vocab_size, config), rng, dtype)
-        for p in self._params:
-            setattr(self, p.name, p)
 
     @staticmethod
     def shapes(vocab_size: int, config: RunConfig) -> dict[str, tuple[int, ...]]:
@@ -77,8 +68,54 @@ class ExtractorModel:
             "cls_b": (2,),
         }
 
-    def parameters(self) -> list[nc.Parameter]:
-        return list(self._params)
+    def encode_batch(
+        self,
+        snippets: Sequence[Sequence[np.ndarray]],
+        train: bool = False,
+        rng: Optional[np.random.Generator] = None,
+    ) -> tuple[nc.Tensor, Batch]:
+        """Contextualized statement embeddings of several snippets at once.
+
+        All statements run through the token LSTM as one padded batch, then
+        each snippet's statement vectors through the context LSTM as a
+        (B, S_max) batch. Returns the (B * S_max, H) rows, snippet-major and
+        padded per snippet, with the statement batch whose ``lengths`` are
+        the statement counts and whose ``mask`` marks the real rows.
+        """
+        tokens = Batch.pad([ids for stmt_ids in snippets for ids in stmt_ids])
+        offsets = np.cumsum([0] + [len(stmt_ids) for stmt_ids in snippets])
+        # Each snippet's rows of the token batch; padding points at row 0.
+        stmts = Batch.pad([np.arange(a, b) for a, b in zip(offsets[:-1], offsets[1:])])
+        tok_keep, ctx_keep = self._dropout_keeps(tokens, stmts, train, rng)
+        emb = nc.embedding_lookup(self.embedding, tokens.indices)
+        if tok_keep is not None:
+            emb = nc.dropout(emb, self.config.dropout, None, keep=tok_keep)
+        vecs = nc.lstm_over(emb, self.tok_wx, self.tok_wh, self.tok_b, lengths=tokens.lengths)
+        mat = nc.embedding_lookup(vecs, stmts.indices)
+        if ctx_keep is not None:
+            mat = nc.dropout(mat, self.config.dropout, None, keep=ctx_keep)
+        ctx = nc.lstm_over(
+            mat, self.ctx_wx, self.ctx_wh, self.ctx_b, lengths=stmts.lengths, collect=True
+        )
+        return nc.reshape(ctx, (-1, self.config.hidden_dim)), stmts
+
+    def _dropout_keeps(self, tokens: Batch, stmts: Batch, train: bool, rng):
+        """Masks for the token and statement batches, drawn in the order
+        per-snippet calls draw them: each statement's tokens, then the
+        snippet's statement vectors."""
+        p = self.config.dropout
+        if not train or p == 0.0:
+            return None, None
+        e, h = self.config.embed_dim, self.config.hidden_dim
+        dtype = self.embedding.dtype
+        tok_keep = np.zeros(tokens.indices.shape + (e,), dtype=dtype)
+        ctx_keep = np.zeros(stmts.indices.shape + (h,), dtype=dtype)
+        for k, n_stmts in enumerate(stmts.lengths):
+            for row in stmts.indices[k, :n_stmts]:
+                n = tokens.lengths[row]
+                tok_keep[row, :n] = nc.keep_mask(rng, (n, e), p, dtype)
+            ctx_keep[k, :n_stmts] = nc.keep_mask(rng, (n_stmts, h), p, dtype)
+        return tok_keep, ctx_keep
 
     def encode_statements(
         self,
@@ -87,15 +124,7 @@ class ExtractorModel:
         rng: Optional[np.random.Generator] = None,
     ) -> nc.Tensor:
         """Contextualized statement embedding matrix, one row per statement."""
-        p = self.config.dropout
-        rows = []
-        for ids in stmt_ids:
-            emb = nc.embedding_lookup(self.embedding, ids)
-            emb = nc.dropout(emb, p, rng, train=train)
-            rows.append(nc.lstm_over(emb, self.tok_wx, self.tok_wh, self.tok_b))
-        mat = nc.concat(rows, axis=0) if len(rows) > 1 else rows[0]
-        mat = nc.dropout(mat, p, rng, train=train)
-        return nc.lstm_over(mat, self.ctx_wx, self.ctx_wh, self.ctx_b, collect=True)
+        return self.encode_batch([stmt_ids], train=train, rng=rng)[0]
 
     def classify_statements(self, embeddings: nc.Tensor) -> nc.Tensor:
         """Per-statement probability pairs; each row sums to 1."""
@@ -115,11 +144,14 @@ class ExtractorModel:
         return self.classify_statements(self.encode_statements(stmt_ids, train=train, rng=rng))
 
 
-def extractor_loss(probs: nc.Tensor, gold: np.ndarray) -> nc.Tensor:
-    """Mean binary cross entropy of P(label=1) against 0/1 gold labels.
+def extractor_loss(
+    probs: nc.Tensor, gold: np.ndarray, weights: Optional[np.ndarray] = None
+) -> nc.Tensor:
+    """Binary cross entropy of P(label=1) against 0/1 gold labels.
 
-    Probabilities are clamped to [1e-7, 1 - 1e-7] so a fully wrong statement
-    costs about 16.1 rather than infinity.
+    The mean over statements, or the ``weights``-weighted sum. Probabilities
+    are clamped to [1e-7, 1 - 1e-7] so a fully wrong statement costs about
+    16.1 rather than infinity.
     """
     gold = np.asarray(gold, dtype=np.float64).reshape(-1, 1)
     if probs.data.ndim != 2 or probs.shape[1] != 2 or probs.shape[0] != gold.shape[0]:
@@ -127,7 +159,10 @@ def extractor_loss(probs: nc.Tensor, gold: np.ndarray) -> nc.Tensor:
     p1 = nc.clip(nc.slice_axis(probs, 1, 2, axis=-1), PROB_CLAMP, 1.0 - PROB_CLAMP)
     pos = nc.mul(nc.log(p1), gold)
     neg = nc.mul(nc.log(nc.sub(1.0, p1)), 1.0 - gold)
-    return nc.mul(nc.mean_all(nc.add(pos, neg)), -1.0)
+    terms = nc.add(pos, neg)
+    if weights is None:
+        return nc.mul(nc.mean_all(terms), -1.0)
+    return nc.mul(nc.sum_all(nc.mul(terms, weights.reshape(-1, 1))), -1.0)
 
 
 def extractor_batch_loss(
@@ -139,11 +174,10 @@ def extractor_batch_loss(
     """Batch loss: per-snippet mean cross entropy, then mean over the batch."""
     if not samples:
         raise EmptyInput("extractor_batch_loss needs at least one sample")
-    total = None
-    for s in samples:
-        term = extractor_loss(model.statement_probs(s.stmt_ids, train=train, rng=rng), s.labels)
-        total = term if total is None else nc.add(total, term)
-    return nc.mul(total, 1.0 / len(samples))
+    emb, stmts = model.encode_batch([s.stmt_ids for s in samples], train=train, rng=rng)
+    gold = Batch.pad([s.labels for s in samples]).indices.reshape(-1)
+    weights = stmts.mask / (stmts.lengths[:, None] * len(samples))
+    return extractor_loss(model.classify_statements(emb), gold, weights.reshape(-1))
 
 
 @dataclass
@@ -228,9 +262,15 @@ def split_validation(samples: list, val_fraction: float) -> tuple[list, list]:
     return samples[: len(samples) - n_val], samples[len(samples) - n_val :]
 
 
-def dataset_loss(model, batch_loss: Callable[..., nc.Tensor], samples: Sequence) -> float:
-    """Mean per-sample loss with dropout off."""
-    return sum(batch_loss(model, [s]).item() for s in samples) / len(samples)
+def dataset_loss(
+    model, batch_loss: Callable[..., nc.Tensor], samples: Sequence, batch_size: int
+) -> float:
+    """Mean per-sample loss with dropout off, in batches of ``batch_size``."""
+    total = 0.0
+    for start in range(0, len(samples), batch_size):
+        chunk = samples[start : start + batch_size]
+        total += batch_loss(model, chunk).item() * len(chunk)
+    return total / len(samples)
 
 
 def _check_finite(loss: float, where: str) -> None:
@@ -272,9 +312,11 @@ def fit(
                     _check_finite(loss.item(), f"epoch {epoch}, batch {batch_no}")
                     tape.backward(loss, params=params)
                 opt.step()
-            train_loss = dataset_loss(model, batch_loss, train_set)
+            train_loss = dataset_loss(model, batch_loss, train_set, config.batch_size)
             val_loss = (
-                train_loss if val_set is train_set else dataset_loss(model, batch_loss, val_set)
+                train_loss
+                if val_set is train_set
+                else dataset_loss(model, batch_loss, val_set, config.batch_size)
             )
             _check_finite(train_loss, f"epoch {epoch}, training set")
             _check_finite(val_loss, f"epoch {epoch}, validation set")

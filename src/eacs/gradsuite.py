@@ -13,10 +13,10 @@ from typing import Callable
 import numpy as np
 
 from . import numcore as nc
-from .abstracter import AbstracterModel, AbstracterSample, _sequence_nll
+from .abstracter import AbstracterModel, AbstracterSample, abstracter_loss
 from .config import RunConfig
 from .corpus import BOS, EOS
-from .extractor import ExtractorModel, extractor_loss
+from .extractor import ExtractorModel, ExtractorSample, extractor_batch_loss
 
 TOLERANCE = 1e-4
 
@@ -50,8 +50,14 @@ def op_checks(seed: int = 0) -> list[tuple[str, Callable[[], nc.Tensor], list[nc
     wx = _param(rng, (3, 16))
     wh = _param(rng, (4, 16))
     lb = _param(rng, (16,))
-    seq = _param(rng, (5, 3))
+    seqs = _param(rng, (3, 5, 3))
+    lengths = np.array([5, 2, 4])  # ragged: two sequences carry their state past their end
+    s_h0 = _param(rng, (3, 4))
+    s_c0 = _param(rng, (3, 4))
+    step_weights = rng.normal(0.0, 1.0, (3, 5, 4))
+    seq_args = (seqs, wx, wh, lb, lengths, s_h0, s_c0)
     sm_const = rng.normal(0.0, 1.0, (3, 5))
+    flat_const = rng.normal(0.0, 1.0, (2, 6))
 
     def drop_loss():
         # Fresh generator per call keeps the mask identical across FD evals.
@@ -81,14 +87,22 @@ def op_checks(seed: int = 0) -> list[tuple[str, Callable[[], nc.Tensor], list[nc
         ),
         ("dropout", drop_loss, [a]),
         (
+            "reshape",
+            lambda: nc.mean_all(nc.mul(nc.reshape(nc.mul(a, b), (2, 6)), flat_const)),
+            [a, b],
+        ),
+        (
             "lstm_cell",
             lambda: nc.mean_all(nc.mul(*nc.lstm_cell(x, h0, c0, wx, wh, lb))),
             [x, h0, c0, wx, wh, lb],
         ),
         (
             "lstm_over",
-            lambda: nc.mean_all(nc.lstm_over(seq, wx, wh, lb, collect=True)),
-            [seq, wx, wh, lb],
+            lambda: nc.add(
+                nc.mean_all(nc.mul(nc.lstm_over(*seq_args, collect=True), step_weights)),
+                nc.mean_all(nc.lstm_over(*seq_args)),
+            ),
+            [seqs, wx, wh, lb, s_h0, s_c0],
         ),
     ]
 
@@ -97,11 +111,17 @@ def extractor_loss_check(seed: int = 1) -> tuple[str, Callable[[], nc.Tensor], l
     rng = np.random.default_rng(seed)
     config = RunConfig(embed_dim=4, hidden_dim=4, dropout=0.0)
     model = ExtractorModel(12, config, rng, dtype=np.float64)
-    stmt_ids = [np.array([1, 5, 7]), np.array([4, 9])]
-    gold = np.array([1, 0])
+    # Two snippets of different statement counts and statement lengths.
+    samples = [
+        ExtractorSample(0, None, [np.array([1, 5, 7]), np.array([4, 9])], np.array([1, 0]), []),
+        ExtractorSample(
+            1, None, [np.array([8]), np.array([2, 3, 6, 5]), np.array([11, 4])], np.array([0, 0, 1]),
+            [],
+        ),
+    ]
 
     def loss_fn():
-        return extractor_loss(model.statement_probs(stmt_ids), gold)
+        return extractor_batch_loss(model, samples)
 
     return "extractor_loss", loss_fn, model.parameters()
 
@@ -110,16 +130,26 @@ def abstracter_loss_check(seed: int = 2) -> tuple[str, Callable[[], nc.Tensor], 
     rng = np.random.default_rng(seed)
     config = RunConfig(embed_dim=4, hidden_dim=4, dropout=0.0)
     model = AbstracterModel(8, config, rng, dtype=np.float64)
-    sample = AbstracterSample(
-        pair_id=0,
-        code_ids=np.array([4, 5, 6, 7]),
-        important_ids=np.array([5, 6]),
-        comment_ids=np.array([BOS, 4, 6, 5, EOS]),
-        comment_tokens=["three", "token", "pair"],
-    )
+    # Two samples whose encoder inputs and comments differ in length.
+    samples = [
+        AbstracterSample(
+            pair_id=0,
+            code_ids=np.array([4, 5, 6, 7]),
+            important_ids=np.array([5, 6]),
+            comment_ids=np.array([BOS, 4, 6, 5, EOS]),
+            comment_tokens=["three", "token", "pair"],
+        ),
+        AbstracterSample(
+            pair_id=1,
+            code_ids=np.array([7, 4]),
+            important_ids=np.array([6, 5, 7]),
+            comment_ids=np.array([BOS, 7, EOS]),
+            comment_tokens=["one"],
+        ),
+    ]
 
     def loss_fn():
-        return _sequence_nll(model, sample)
+        return abstracter_loss(model, samples)
 
     return "abstracter_loss", loss_fn, model.parameters()
 

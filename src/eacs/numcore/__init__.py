@@ -16,12 +16,14 @@ from .ops import (
     dropout,
     embedding_lookup,
     gather_rows,
+    keep_mask,
     log,
     lstm_cell,
     lstm_over,
     matmul,
     mean_all,
     mul,
+    reshape,
     sigmoid,
     slice_axis,
     softmax,
@@ -55,8 +57,38 @@ def init_parameters(
     return params
 
 
+class Model:
+    """Named parameters, declared once by ``shapes``, bound as attributes.
+
+    Subclasses set ``KIND``, ``HYPERPARAMETERS`` and ``shapes(vocab_size,
+    config)``. The constructor draws initial weights from ``rng``;
+    :meth:`from_parameters` wraps existing arrays and draws nothing.
+    """
+
+    def __init__(self, vocab_size: int, config, rng: np.random.Generator, dtype=np.float32):
+        self._bind(vocab_size, config, init_parameters(self.shapes(vocab_size, config), rng, dtype))
+
+    @classmethod
+    def from_parameters(cls, vocab_size: int, config, params: list[Parameter]):
+        """A model over ``params``, which must follow ``shapes`` in order and shape."""
+        model = cls.__new__(cls)
+        model._bind(vocab_size, config, params)
+        return model
+
+    def _bind(self, vocab_size: int, config, params: list[Parameter]) -> None:
+        self.config = config
+        self.vocab_size = vocab_size
+        self._params = params
+        for p in params:
+            setattr(self, p.name, p)
+
+    def parameters(self) -> list[Parameter]:
+        return list(self._params)
+
+
 __all__ = [
     "AdamW",
+    "Model",
     "Parameter",
     "Tape",
     "Tensor",
@@ -69,12 +101,14 @@ __all__ = [
     "finite_difference_check",
     "gather_rows",
     "init_parameters",
+    "keep_mask",
     "log",
     "lstm_cell",
     "lstm_over",
     "matmul",
     "mean_all",
     "mul",
+    "reshape",
     "rng_streams",
     "sigmoid",
     "slice_axis",

@@ -7,7 +7,8 @@ constants and 1-D bias vectors against 2-D activations.
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -135,12 +136,8 @@ def tanh(x) -> Tensor:
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    pos = v >= 0
-    out = np.empty_like(v)
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    """sigmoid(v) = 0.5 * (1 + tanh(v / 2)): one ufunc, no masks, no overflow."""
+    return np.tanh(v * 0.5) * 0.5 + 0.5
 
 
 def sigmoid(x) -> Tensor:
@@ -197,19 +194,29 @@ def mean_all(x) -> Tensor:
     return out
 
 
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    x = as_tensor(x)
+    try:
+        out = Tensor(x.data.reshape(shape))
+    except ValueError as exc:
+        raise ShapeError(f"reshape: {x.shape} to {shape}") from exc
+    record((x,), (out,), lambda gs: (gs[0].reshape(x.data.shape),))
+    return out
+
+
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Rows of an embedding table; backward scatter-adds into the table."""
+    """Rows of a 2-D table for an id array of any shape; backward scatter-adds."""
     table = as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeError(f"embedding ids must be 1-D, got {ids.shape}")
+    if table.data.ndim != 2:
+        raise ShapeError(f"embedding table must be 2-D, got {table.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError("embedding id out of range")
     out = Tensor(table.data[ids])
 
     def backward(gs):
         g = np.zeros_like(table.data)
-        np.add.at(g, ids, gs[0])
+        np.add.at(g, ids.reshape(-1), gs[0].reshape(-1, table.shape[1]))
         return (g,)
 
     record((table,), (out,), backward)
@@ -234,17 +241,82 @@ def gather_rows(x: Tensor, ids: np.ndarray) -> Tensor:
     return out
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool = True) -> Tensor:
-    """Inverted dropout: training keeps E[out] = x, inference is the identity."""
+def keep_mask(rng: np.random.Generator, shape: tuple[int, ...], p: float, dtype) -> np.ndarray:
+    """Inverted-dropout multipliers: 0 with probability p, else 1 / (1 - p).
+
+    Draws ``rng.random(shape)``, so one (n, E) mask holds the same numbers as
+    n consecutive (1, E) masks.
+    """
+    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+
+
+def dropout(
+    x: Tensor,
+    p: float,
+    rng: Optional[np.random.Generator],
+    train: bool = True,
+    keep: Optional[np.ndarray] = None,
+) -> Tensor:
+    """Inverted dropout: training keeps E[out] = x, inference is the identity.
+
+    ``keep`` supplies a mask drawn earlier by :func:`keep_mask` instead of
+    drawing one from ``rng``.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     x = as_tensor(x)
     if not train or p == 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    if keep is None:
+        keep = keep_mask(rng, x.data.shape, p, x.data.dtype)
+    elif keep.shape != x.data.shape:
+        raise ShapeError(f"dropout: mask {keep.shape} for input {x.shape}")
     out = Tensor(x.data * keep)
     record((x,), (out,), lambda gs: (gs[0] * keep,))
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _gate_constants(hidden: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(scale, shift, slope) over the 4H gate columns, in gate order i, f, g, o.
+
+    With a = tanh(z * scale), a gate is a * scale + shift: sigmoid(z) =
+    0.5 * (1 + tanh(z / 2)) for i, f, o and tanh(z) for g. Its derivative
+    with respect to z is (1 - a^2) * slope, where slope = scale^2.
+    """
+    scale = np.full(4 * hidden, 0.5, dtype=dtype)
+    scale[2 * hidden : 3 * hidden] = 1.0
+    shift = np.full(4 * hidden, 0.5, dtype=dtype)
+    shift[2 * hidden : 3 * hidden] = 0.0
+    return scale, shift, scale * scale
+
+
+def _cell_forward(z: np.ndarray, c_prev: np.ndarray):
+    """One LSTM step from pre-activations z (N, 4H) and the cell state (N, H).
+
+    Returns (a, gates, c, tanh(c), h); ``a`` is the raw tanh the backward needs.
+    """
+    hidden = c_prev.shape[1]
+    scale, shift, _ = _gate_constants(hidden, z.dtype)
+    a = np.tanh(z * scale)
+    gates = a * scale + shift
+    i, f, g, o = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    return a, gates, c, tc, o * tc
+
+
+def _cell_backward(dh, dc, a, gates, c_prev, tc):
+    """Gradients of one step: (dz over the 4H pre-activations, dc_prev)."""
+    hidden = c_prev.shape[1]
+    i, f, g, o = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
+    dc = dc + dh * o * (1.0 - tc * tc)
+    dgates = np.empty_like(gates)
+    dgates[:, :hidden] = dc * g
+    dgates[:, hidden : 2 * hidden] = dc * c_prev
+    dgates[:, 2 * hidden : 3 * hidden] = dc * i
+    dgates[:, 3 * hidden :] = dh * tc
+    return dgates * (1.0 - a * a) * _gate_constants(hidden, a.dtype)[2], dc * f
 
 
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, wx: Tensor, wh: Tensor, b: Tensor):
@@ -270,32 +342,12 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, wx: Tensor, wh: Tensor,
             f"wx{wx.shape} wh{wh.shape} b{b.shape}"
         )
     z = x.data @ wx.data + h_prev.data @ wh.data + b.data
-    i = _sigmoid(z[:, :hidden])
-    f = _sigmoid(z[:, hidden : 2 * hidden])
-    g = np.tanh(z[:, 2 * hidden : 3 * hidden])
-    o = _sigmoid(z[:, 3 * hidden :])
-    c = f * c_prev.data + i * g
-    tc = np.tanh(c)
-    h_out = Tensor(o * tc)
+    a, gates, c, tc, h = _cell_forward(z, c_prev.data)
+    h_out = Tensor(h)
     c_out = Tensor(c)
 
     def backward(gs):
-        gh, gc_out = gs
-        do = gh * tc
-        dc = gc_out + gh * o * (1.0 - tc**2)
-        df = dc * c_prev.data
-        di = dc * g
-        dg = dc * i
-        dc_prev = dc * f
-        dz = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g**2),
-                do * o * (1.0 - o),
-            ],
-            axis=1,
-        )
+        dz, dc_prev = _cell_backward(gs[0], gs[1], a, gates, c_prev.data, tc)
         return (
             dz @ wx.data.T,
             dz @ wh.data.T,
@@ -309,24 +361,94 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, wx: Tensor, wh: Tensor,
     return h_out, c_out
 
 
-def lstm_over(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, collect: bool = False):
-    """Run an LSTM over the rows of a (T, D) sequence from a zero state.
+def lstm_over(
+    x: Tensor,
+    wx: Tensor,
+    wh: Tensor,
+    b: Tensor,
+    lengths: Optional[np.ndarray] = None,
+    h0: Optional[Tensor] = None,
+    c0: Optional[Tensor] = None,
+    collect: bool = False,
+) -> Tensor:
+    """Run an LSTM over a padded batch of sequences as one tape node.
 
-    Returns the final hidden state (1, H), or the stacked per-step hidden
-    states (T, H) when ``collect`` is set.
+    ``x`` is (B, T, D); sequence k has ``lengths[k]`` steps (default T), and
+    its h and c carry unchanged past them. The state starts at (h0, c0), each
+    (B, H), or at zeros. Returns every sequence's final hidden state (B, H),
+    or the hidden state after every step (B, T, H) when ``collect`` is set.
+
+    The input GEMM covers all B*T steps at once. Backward runs BPTT in one
+    loop, collecting dz as (B*T, 4H), then forms dx, dWx, dWh and db with one
+    GEMM or reduction each (Appleyard et al., arXiv 1604.01946).
     """
-    x = as_tensor(x)
-    if x.data.ndim != 2 or x.shape[0] < 1:
-        raise ShapeError(f"lstm_over expects a non-empty (T, D) input, got {x.shape}")
-    hidden = wx.shape[1] // 4
-    h = Tensor(np.zeros((1, hidden), dtype=x.dtype))
-    c = Tensor(np.zeros((1, hidden), dtype=x.dtype))
-    outputs = []
-    for t in range(x.shape[0]):
-        step = slice_axis(x, t, t + 1, axis=0)
-        h, c = lstm_cell(step, h, c, wx, wh, b)
-        if collect:
-            outputs.append(h)
-    if collect:
-        return concat(outputs, axis=0)
-    return h
+    x, wx, wh, b = as_tensor(x), as_tensor(wx), as_tensor(wh), as_tensor(b)
+    if x.data.ndim != 3 or x.shape[1] < 1:
+        raise ShapeError(f"lstm_over expects a (B, T, D) input with T >= 1, got {x.shape}")
+    n, steps, width = x.shape
+    hidden = wh.shape[0]
+    lengths = np.full(n, steps) if lengths is None else np.asarray(lengths, dtype=np.int64)
+    h0 = Tensor(np.zeros((n, hidden), dtype=x.dtype)) if h0 is None else as_tensor(h0)
+    c0 = Tensor(np.zeros((n, hidden), dtype=x.dtype)) if c0 is None else as_tensor(c0)
+    if (
+        wx.shape != (width, 4 * hidden)
+        or wh.shape != (hidden, 4 * hidden)
+        or b.shape != (4 * hidden,)
+        or h0.shape != (n, hidden)
+        or c0.shape != (n, hidden)
+        or lengths.shape != (n,)
+    ):
+        raise ShapeError(
+            f"lstm_over shapes: x{x.shape} wx{wx.shape} wh{wh.shape} b{b.shape} "
+            f"h0{h0.shape} c0{c0.shape} lengths{lengths.shape}"
+        )
+    if n and (lengths.min() < 1 or lengths.max() > steps):
+        raise ShapeError(f"lstm_over lengths must lie in [1, {steps}], got {lengths.tolist()}")
+    # Rows still inside their sequence at each step; None when no row is padded.
+    live = None
+    if lengths.min(initial=steps) < steps:
+        live = (np.arange(steps)[:, None] < lengths)[:, :, None]
+
+    xw = (x.data.reshape(n * steps, width) @ wx.data + b.data).reshape(n, steps, 4 * hidden)
+    hs = np.empty((n, steps + 1, hidden), dtype=xw.dtype)
+    cs = np.empty_like(hs)
+    hs[:, 0], cs[:, 0] = h0.data, c0.data
+    saved = []  # per step: (a, gates, tanh(c))
+    for t in range(steps):
+        a, gates, c, tc, h = _cell_forward(xw[:, t] + hs[:, t] @ wh.data, cs[:, t])
+        if live is not None:
+            h = np.where(live[t], h, hs[:, t])
+            c = np.where(live[t], c, cs[:, t])
+        hs[:, t + 1], cs[:, t + 1] = h, c
+        saved.append((a, gates, tc))
+    out = Tensor(hs[:, 1:] if collect else hs[:, steps].copy())
+
+    def backward(gs):
+        dz = np.empty((n, steps, 4 * hidden), dtype=xw.dtype)
+        dh = np.zeros((n, hidden), dtype=xw.dtype) if collect else gs[0]
+        dc = np.zeros((n, hidden), dtype=xw.dtype)
+        for t in reversed(range(steps)):
+            if collect:
+                dh = dh + gs[0][:, t]
+            a, gates, tc = saved[t]
+            dz_t, dc_prev = _cell_backward(dh, dc, a, gates, cs[:, t], tc)
+            if live is not None:
+                dz_t *= live[t]
+            dh_prev = dz_t @ wh.data.T
+            if live is not None:
+                dh_prev = np.where(live[t], dh_prev, dh)
+                dc_prev = np.where(live[t], dc_prev, dc)
+            dz[:, t] = dz_t
+            dh, dc = dh_prev, dc_prev
+        dz = dz.reshape(n * steps, 4 * hidden)
+        return (
+            (dz @ wx.data.T).reshape(n, steps, width),
+            x.data.reshape(n * steps, width).T @ dz,
+            hs[:, :steps].reshape(n * steps, hidden).T @ dz,
+            dz.sum(axis=0),
+            dh,
+            dc,
+        )
+
+    record((x, wx, wh, b, h0, c0), (out,), backward)
+    return out

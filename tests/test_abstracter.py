@@ -9,6 +9,7 @@ from eacs.abstracter import (
     AbstracterModel,
     AbstracterSample,
     _sequence_nll,
+    abstracter_loss,
     build_abstracter_dataset,
     fuse,
     generate_summary,
@@ -169,6 +170,83 @@ class TestLoss:
         targets = sample.comment_ids[1:]
         recomputed = -np.mean([math.log(d[t]) for d, t in zip(dists, targets)])
         assert loss == pytest.approx(recomputed, abs=1e-12)
+
+
+def _grads(model, loss_fn):
+    params = model.parameters()
+    for p in params:
+        p.grad = None
+    with nc.Tape() as tape:
+        loss = loss_fn()
+        tape.backward(loss, params=params)
+    return loss.item(), [p.grad.copy() for p in params]
+
+
+class TestBatchedLoss:
+    """The padded-batch loss against per-sample and step-by-step recomputation."""
+
+    RAGGED = (
+        dict(code=(4, 5, 6, 7, 8), important=(5,), comment=(4, 6, 5, 9)),
+        dict(code=(9, 4), important=(6, 7, 8), comment=(7,)),
+        dict(code=(6, 6, 5), important=(4, 9), comment=(8, 5)),
+    )
+
+    def _model(self, **overrides):
+        config = AbstracterConfig(**{"embed_dim": 6, "hidden_dim": 5, "dropout": 0.0, **overrides})
+        return AbstracterModel(10, config, np.random.default_rng(21), dtype=np.float64)
+
+    def test_ragged_batch_matches_stepwise_decoding(self):
+        model = self._model(share_embeddings=False)
+        samples = [make_sample(**kw) for kw in self.RAGGED]
+        loss = abstracter_loss(model, samples).item()
+        per_sample = []
+        for sample in samples:
+            dists = step_distributions(model, sample)
+            targets = sample.comment_ids[1:]
+            per_sample.append(-np.mean([math.log(d[t]) for d, t in zip(dists, targets)]))
+        assert loss == pytest.approx(np.mean(per_sample), abs=1e-12)
+
+    def test_ragged_batch_gradients_match_per_sample(self):
+        model = self._model()
+        samples = [make_sample(**kw) for kw in self.RAGGED]
+        loss, batched = _grads(model, lambda: abstracter_loss(model, samples))
+        singles = [_grads(model, lambda s=s: _sequence_nll(model, s)) for s in samples]
+        assert loss == pytest.approx(np.mean([l for l, _ in singles]), abs=1e-12)
+        for k, g in enumerate(batched):
+            mean = sum(grads[k] for _, grads in singles) / len(samples)
+            assert np.abs(g - mean).max() < 1e-12
+
+    def test_dropout_stream_matches_per_sample_calls(self):
+        model = self._model(dropout=0.3)
+        samples = [make_sample(**kw) for kw in self.RAGGED]
+        batched = abstracter_loss(model, samples, train=True, rng=np.random.default_rng(5)).item()
+        rng = np.random.default_rng(5)
+        singles = [_sequence_nll(model, s, train=True, rng=rng).item() for s in samples]
+        assert batched == pytest.approx(np.mean(singles), abs=1e-12)
+
+    def test_clamped_gold_probabilities_pass_no_gradient(self):
+        # Gold probability exactly 1.0 in one sample and about 1e-35 in the
+        # other: the clamp caps the second at -log(1e-9), and neither passes
+        # a gradient, exactly as for 1e-9 < p < 1 only.
+        model = self._model()
+        model.out_w.data[:] = 0.0
+        model.out_b.data[:] = -40.0
+        model.out_b.data[4] = 40.0
+        sure = make_sample(comment=(4, 4, 4))
+        sure.comment_ids = np.array([BOS, 4, 4, 4], dtype=np.int64)
+        hopeless = make_sample(comment=(5, 5))
+        hopeless.comment_ids = np.array([BOS, 5, 5], dtype=np.int64)
+        assert step_distributions(model, sure)[0][4] == 1.0
+        assert step_distributions(model, hopeless)[0][5] < 1e-9
+        loss, grads = _grads(model, lambda: abstracter_loss(model, [sure, hopeless]))
+        assert loss == pytest.approx(-0.5 * math.log(1e-9), rel=1e-12)
+        assert not any(g.any() for g in grads)
+
+    def test_comment_without_target_rejected(self):
+        sample = make_sample()
+        sample.comment_ids = np.array([BOS], dtype=np.int64)
+        with pytest.raises(EmptyInput):
+            abstracter_loss(self._model(), [sample])
 
 
 class TestTraining:

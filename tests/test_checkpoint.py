@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eacs import numcore as nc
 from eacs.abstracter import AbstracterModel
 from eacs.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
 from eacs.config import RunConfig
@@ -59,6 +60,24 @@ class TestRoundTrip:
         assert np.allclose(
             ex_model.statement_probs(ids).data, loaded.statement_probs(ids).data
         )
+
+
+    def test_load_draws_no_initial_weights(self, tmp_path, vocab, ex_model, monkeypatch):
+        config = RunConfig(embed_dim=6, hidden_dim=6)
+        ab_model = AbstracterModel(len(vocab), config, np.random.default_rng(5))
+        paths = {"extractor": str(tmp_path / "ex.ckpt"), "abstracter": str(tmp_path / "ab.ckpt")}
+        save_model(ex_model, vocab, paths["extractor"])
+        save_model(ab_model, vocab, paths["abstracter"])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("load_model drew initial weights it would discard")
+
+        monkeypatch.setattr(nc, "xavier_uniform", forbidden)
+        for (kind, path), model in zip(paths.items(), (ex_model, ab_model)):
+            loaded, _ = load_model(path, kind)
+            for a, b in zip(model.parameters(), loaded.parameters()):
+                assert a.name == b.name and a.data.tobytes() == b.data.tobytes()
+        assert loaded.embedding_dec is loaded.embedding
 
 
 class TestCorruption:

@@ -1,8 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
+from eacs.abstracter import AbstracterModel
+from eacs.checkpoint import save_model
 from eacs.cli import main
+from eacs.config import RunConfig
+from eacs.corpus import RESERVED_TOKENS, Vocabulary
+from eacs.extractor import ExtractorModel
 
 
 def run(capsys, *argv):
@@ -143,6 +149,28 @@ class TestTrainingFailure:
         assert err.startswith("eacs train-extractor: error: epoch 0")
         assert len(err.strip().splitlines()) == 1
         assert not out_path.exists()
+
+
+class TestSummarize:
+    @pytest.fixture()
+    def checkpoints(self, tmp_path):
+        vocab = Vocabulary(list(RESERVED_TOKENS) + ["int", "a", "=", "1", ";"])
+        config = RunConfig(embed_dim=4, hidden_dim=4)
+        ex, ab = str(tmp_path / "ex.ckpt"), str(tmp_path / "ab.ckpt")
+        save_model(ExtractorModel(len(vocab), config, np.random.default_rng(0)), vocab, ex)
+        save_model(AbstracterModel(len(vocab), config, np.random.default_rng(1)), vocab, ab)
+        code = tmp_path / "snippet.java"
+        code.write_text("int a = 1;")
+        return ex, ab, str(code)
+
+    def test_zero_max_len_exits_two_with_one_line(self, capsys, checkpoints):
+        ex, ab, code = checkpoints
+        argv = ["summarize", "--extractor", ex, "--abstracter", ab, "--code", code]
+        assert run(capsys, *argv)[0] == 0
+        status, out, err = run(capsys, *argv, "--max-len", "0")
+        assert status == 2 and out == ""
+        assert err.startswith("eacs summarize: ") and "max_len" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestNonUtf8:

@@ -8,7 +8,10 @@ from eacs.config import RunConfig
 from eacs.errors import EmptyCorpus, ShapeError
 from eacs.extractor import (
     ExtractorModel,
+    ExtractorSample,
     build_extractor_dataset,
+    dataset_loss,
+    extractor_batch_loss,
     extractor_loss,
     label_accuracy,
     predict_important,
@@ -81,6 +84,72 @@ class TestLoss:
             probs = nc.Tensor(np.hstack([1 - p1, p1]))
             gold = rng.integers(0, 2, 5)
             assert extractor_loss(probs, gold).item() >= 0.0
+
+
+def _grads(model, loss_fn):
+    params = model.parameters()
+    for p in params:
+        p.grad = None
+    with nc.Tape() as tape:
+        loss = loss_fn()
+        tape.backward(loss, params=params)
+    return loss.item(), [p.grad.copy() for p in params]
+
+
+class TestBatchedLoss:
+    """The padded-batch loss against per-snippet extractor_loss."""
+
+    @staticmethod
+    def _samples():
+        snippets = [
+            ([np.array([4, 5, 6]), np.array([7])], [1, 0]),
+            (
+                [np.array([8]), np.array([9, 4, 5, 6, 7]), np.array([10, 11]), np.array([5])],
+                [0, 1, 1, 0],
+            ),
+            ([np.array([12, 13])], [1]),
+        ]
+        return [
+            ExtractorSample(k, None, stmt_ids, np.array(labels), [])
+            for k, (stmt_ids, labels) in enumerate(snippets)
+        ]
+
+    @staticmethod
+    def _model(dropout=0.0):
+        config = RunConfig(embed_dim=6, hidden_dim=5, dropout=dropout)
+        return ExtractorModel(20, config, np.random.default_rng(8), dtype=np.float64)
+
+    def test_ragged_batch_matches_per_snippet_loss_and_gradients(self):
+        model = self._model()
+        samples = self._samples()
+        loss, batched = _grads(model, lambda: extractor_batch_loss(model, samples))
+        singles = [
+            _grads(model, lambda s=s: extractor_loss(model.statement_probs(s.stmt_ids), s.labels))
+            for s in samples
+        ]
+        assert loss == pytest.approx(np.mean([l for l, _ in singles]), abs=1e-12)
+        for k, g in enumerate(batched):
+            mean = sum(grads[k] for _, grads in singles) / len(samples)
+            assert np.abs(g - mean).max() < 1e-12
+
+    def test_dropout_stream_matches_per_snippet_calls(self):
+        model = self._model(dropout=0.3)
+        samples = self._samples()
+        batched = extractor_batch_loss(model, samples, train=True, rng=np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        singles = [
+            extractor_loss(model.statement_probs(s.stmt_ids, train=True, rng=rng), s.labels).item()
+            for s in samples
+        ]
+        assert batched.item() == pytest.approx(np.mean(singles), abs=1e-12)
+
+    def test_dataset_loss_is_the_per_sample_mean(self):
+        model = self._model()
+        samples = self._samples()
+        per_sample = np.mean([extractor_batch_loss(model, [s]).item() for s in samples])
+        for batch_size in (1, 2, 8):
+            got = dataset_loss(model, extractor_batch_loss, samples, batch_size)
+            assert got == pytest.approx(per_sample, abs=1e-12)
 
 
 class TestPredict:

@@ -41,6 +41,27 @@ class TestOps:
         x = nc.Tensor(np.ones((3, 3)))
         assert nc.dropout(x, 0.5, np.random.default_rng(0), train=False) is x
 
+    def test_sigmoid_saturates_without_warnings(self):
+        with np.errstate(all="raise"):
+            out = nc.sigmoid(nc.Tensor(np.array([-1e4, -30.0, 0.0, 30.0, 1e4]))).data
+        assert out[0] == 0.0 and out[2] == 0.5 and out[4] == 1.0
+        assert np.all(np.diff(out) >= 0)
+
+    def test_dropout_mask_stream_is_row_consecutive(self):
+        one = nc.keep_mask(np.random.default_rng(8), (3, 5), 0.3, np.float32)
+        rng = np.random.default_rng(8)
+        rows = [nc.keep_mask(rng, (1, 5), 0.3, np.float32) for _ in range(3)]
+        assert np.array_equal(one, np.concatenate(rows))
+
+    def test_embedding_lookup_nd_ids_scatter_adds(self):
+        table = nc.Parameter("t", np.arange(8.0).reshape(4, 2))
+        ids = np.array([[1, 3, 1], [0, 1, 1]])
+        with nc.Tape() as tape:
+            out = nc.embedding_lookup(table, ids)
+            tape.backward(nc.sum_all(out))
+        assert out.shape == (2, 3, 2)
+        assert table.grad[:, 0].tolist() == [1.0, 4.0, 0.0, 1.0]
+
     def test_dropout_preserves_expectation(self):
         rng = np.random.default_rng(17)
         x = nc.Tensor(np.full((100, 1000), 2.0))
@@ -68,6 +89,64 @@ class TestLstmCell:
         z = lambda s: nc.Tensor(np.zeros(s))
         with pytest.raises(ShapeError):
             nc.lstm_cell(z((1, 3)), z((1, 4)), z((1, 4)), z((3, 12)), z((4, 16)), z((16,)))
+
+
+class TestLstmOver:
+    """The sequence op against step-by-step lstm_cell, per sequence."""
+
+    def _weights(self, rng, d=3, h=4):
+        return [nc.Tensor(rng.normal(0, 0.6, s)) for s in ((d, 4 * h), (h, 4 * h), (4 * h,))]
+
+    def test_ragged_batch_matches_cells(self):
+        rng = np.random.default_rng(3)
+        wx, wh, b = self._weights(rng)
+        x = rng.normal(0, 1, (3, 5, 3))
+        h0, c0 = rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (3, 4))
+        lengths = np.array([5, 1, 3])
+        final = nc.lstm_over(nc.Tensor(x), wx, wh, b, lengths, nc.Tensor(h0), nc.Tensor(c0))
+        states = nc.lstm_over(
+            nc.Tensor(x), wx, wh, b, lengths, nc.Tensor(h0), nc.Tensor(c0), collect=True
+        )
+        assert final.shape == (3, 4) and states.shape == (3, 5, 4)
+        for k, n in enumerate(lengths):
+            h, c = nc.Tensor(h0[k : k + 1]), nc.Tensor(c0[k : k + 1])
+            for t in range(n):
+                h, c = nc.lstm_cell(nc.Tensor(x[k, t : t + 1]), h, c, wx, wh, b)
+                assert np.abs(states.data[k, t] - h.data[0]).max() < 1e-14
+            assert np.abs(final.data[k] - h.data[0]).max() < 1e-14
+            # Past its length a sequence carries its last state.
+            assert (states.data[k, n:] == states.data[k, n - 1]).all()
+
+    def test_padding_values_do_not_leak(self):
+        rng = np.random.default_rng(4)
+        wx, wh, b = self._weights(rng)
+        x = rng.normal(0, 1, (2, 4, 3))
+        noisy = x.copy()
+        noisy[0, 2:] = 99.0
+        lengths = np.array([2, 4])
+        a = nc.lstm_over(nc.Tensor(x), wx, wh, b, lengths).data
+        assert np.array_equal(a, nc.lstm_over(nc.Tensor(noisy), wx, wh, b, lengths).data)
+
+    def test_gradient_past_length_is_zero(self):
+        rng = np.random.default_rng(5)
+        wx, wh, b = self._weights(rng)
+        x = nc.Parameter("x", rng.normal(0, 1, (2, 4, 3)))
+        with nc.Tape() as tape:
+            out = nc.lstm_over(x, wx, wh, b, np.array([2, 4]), collect=True)
+            tape.backward(nc.sum_all(out))
+        assert not x.grad[0, 2:].any() and x.grad[0, :2].all() and x.grad[1].all()
+
+    def test_shape_validation(self):
+        z = lambda s: nc.Tensor(np.zeros(s))
+        weights = (z((3, 16)), z((4, 16)), z((16,)))
+        with pytest.raises(ShapeError):
+            nc.lstm_over(z((5, 3)), *weights)
+        with pytest.raises(ShapeError):
+            nc.lstm_over(z((2, 5, 3)), *weights, lengths=np.array([5, 0]))
+        with pytest.raises(ShapeError):
+            nc.lstm_over(z((2, 5, 3)), *weights, lengths=np.array([6, 1]))
+        with pytest.raises(ShapeError):
+            nc.lstm_over(z((2, 5, 3)), *weights, h0=z((1, 4)))
 
 
 class TestBackward:

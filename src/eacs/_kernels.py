@@ -1,54 +1,35 @@
 """Hot numeric kernels.
 
-The longest-common-subsequence table fill is the one genuinely hot inner loop
-in this package: the labeling oracle evaluates it O(n^2) times per snippet and
-corpus evaluation once per sample. It is compiled with numba when available;
-``EACS_NO_NUMBA=1`` (or a missing numba install) selects the pure NumPy loop
-instead. ``benchmarks/kernel_bench.py`` compares the two paths.
+The longest-common-subsequence length is the one genuinely hot inner loop in
+this package: the labeling oracle evaluates it O(n^2) times per snippet and
+corpus evaluation once per sample. It runs bit-parallel over Python ints
+(L. Allison & T. I. Dix, "A bit-string longest-common-subsequence
+algorithm", IPL 1986; H. Hyyro, "Bit-parallel LCS-length computation
+revisited", AWOCA 2004): one row of the LCS table is one integer, so each
+token of ``b`` costs a handful of big-int operations instead of ``len(a)``
+table cells.
 """
 
-import os
+from typing import Hashable, Sequence
 
-import numpy as np
-
-
-def _lcs_len_impl(a, b):
-    n = a.shape[0]
-    m = b.shape[0]
-    if n == 0 or m == 0:
-        return 0
-    prev = np.zeros(m + 1, dtype=np.int64)
-    curr = np.zeros(m + 1, dtype=np.int64)
-    for i in range(n):
-        ai = a[i]
-        for j in range(m):
-            if ai == b[j]:
-                curr[j + 1] = prev[j] + 1
-            elif prev[j + 1] >= curr[j]:
-                curr[j + 1] = prev[j + 1]
-            else:
-                curr[j + 1] = curr[j]
-        prev, curr = curr, prev
-    return int(prev[m])
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("EACS_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-
+# Kept as a constant because benchmark records report it; there is no JIT path.
 USING_NUMBA = False
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        _lcs_len_jit = njit(cache=True)(_lcs_len_impl)
-        USING_NUMBA = True
-    except ImportError:
-        pass
 
 
-def lcs_len_ids(a: np.ndarray, b: np.ndarray) -> int:
-    """LCS length of two int64 id arrays."""
-    if USING_NUMBA:
-        return int(_lcs_len_jit(a, b))
-    return _lcs_len_impl(a, b)
+def lcs_len_ids(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    """LCS length of two token sequences (strings, ids, anything hashable)."""
+    masks: dict = {}
+    bit = 1
+    for tok in a:
+        masks[tok] = masks.get(tok, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    # Each zero bit of v is one step of the LCS row over a; their count is the length.
+    v = full
+    for tok in b:
+        mask = masks.get(tok)
+        # A token absent from a leaves v unchanged, as most statement tokens are.
+        if mask:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()

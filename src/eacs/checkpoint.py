@@ -26,6 +26,7 @@ from .config import FIELD_TYPES, RunConfig
 from .corpus import Vocabulary
 from .errors import CorruptCheckpoint, IoError, UsageError, VersionError
 from .extractor import ExtractorModel
+from .fileio import replace_on_success
 
 FORMAT_VERSION = 1
 MODELS = {cls.KIND: cls for cls in (ExtractorModel, AbstracterModel)}
@@ -52,7 +53,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     }
     header_line = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     try:
-        with open(path, "wb") as fh:
+        with replace_on_success(path, "wb") as fh:
             fh.write(header_line.encode("utf-8") + b"\n")
             for name, arr in ckpt.params:
                 if " " in name:
@@ -182,5 +183,7 @@ def load_model(path: str, kind: str) -> tuple[ExtractorModel | AbstracterModel, 
             raise CorruptCheckpoint(
                 f"{path}: parameter {name!r}{arr.shape} does not match {want!r}{shape}"
             )
+        if not np.isfinite(arr).all():
+            raise CorruptCheckpoint(f"{path}: parameter {name!r} holds a NaN or infinite value")
     params = [nc.Parameter(name, arr.astype(np.float32, copy=False)) for name, arr in ckpt.params]
     return cls.from_parameters(len(vocab), config, params), vocab

@@ -49,6 +49,8 @@ class RunConfig:
         limits = ("max_statement_tokens", "max_statements", "max_code_tokens", "max_comment_tokens")
         if any(getattr(self, name) < 1 for name in limits):
             raise UsageError(f"{', '.join(limits)} must be >= 1")
+        if self.max_comment_tokens < 3:
+            raise UsageError("max_comment_tokens must be >= 3: it counts BOS and EOS")
         if self.vocab_size < 4:
             raise UsageError("vocab_size must leave room for the 4 reserved tokens")
         if not 0.0 <= self.val_fraction < 1.0:

@@ -26,25 +26,11 @@ CODE_LINE_EDGES = (10, 20, 30, 40)
 COMMENT_TOKEN_EDGES = (5, 10, 15, 20, 25)
 
 
-def _to_ids(r: TokenSeq, g: TokenSeq) -> tuple[np.ndarray, np.ndarray]:
-    table: dict[str, int] = {}
-    for tok in r:
-        if tok not in table:
-            table[tok] = len(table)
-    for tok in g:
-        if tok not in table:
-            table[tok] = len(table)
-    a = np.fromiter((table[t] for t in r), dtype=np.int64, count=len(r))
-    b = np.fromiter((table[t] for t in g), dtype=np.int64, count=len(g))
-    return a, b
-
-
 def lcs_length(r: TokenSeq, g: TokenSeq) -> int:
     """Length of a longest common subsequence of two token sequences."""
     if not r or not g:
         return 0
-    a, b = _to_ids(r, g)
-    return lcs_len_ids(a, b)
+    return lcs_len_ids(r, g)
 
 
 def rouge_l(r: TokenSeq, g: TokenSeq, beta: float = 1.2) -> float:

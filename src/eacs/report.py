@@ -7,6 +7,7 @@ import sys
 from typing import Optional, TextIO
 
 from .errors import IoError
+from .fileio import replace_on_success
 from .metrics import PERCENTILES, MetricReport, SignificanceResult
 
 METRIC_LABELS = (("bleu", "BLEU-4"), ("meteor", "METEOR"), ("rouge_l", "ROUGE-L"))
@@ -67,7 +68,7 @@ def emit_report(
                 for key, res in compare.items()
             }
         try:
-            with open(path, "w", encoding="utf-8") as fh:
+            with replace_on_success(path, "w", encoding="utf-8") as fh:
                 json.dump(record, fh, indent=2, sort_keys=True)
                 fh.write("\n")
         except OSError as exc:

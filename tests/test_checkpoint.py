@@ -6,7 +6,7 @@ import pytest
 
 from eacs import numcore as nc
 from eacs.abstracter import AbstracterModel
-from eacs.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
+from eacs.checkpoint import Checkpoint, load_checkpoint, load_model, save_checkpoint, save_model
 from eacs.config import RunConfig
 from eacs.corpus import RESERVED_TOKENS, Vocabulary
 from eacs.errors import CorruptCheckpoint, IoError, VersionError
@@ -80,6 +80,19 @@ class TestRoundTrip:
         assert loaded.embedding_dec is loaded.embedding
 
 
+class TestAtomicSave:
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "w.ckpt"
+        weights = np.arange(6, dtype=np.float32).reshape(2, 3)
+        save_checkpoint(Checkpoint("extractor", {}, None, [], [("w", weights)]), str(path))
+        before = path.read_bytes()
+        bad = Checkpoint("extractor", {}, None, [], [("bad name", weights)])
+        with pytest.raises(ValueError):
+            save_checkpoint(bad, str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["w.ckpt"]
+
+
 class TestCorruption:
     def test_version_mismatch(self, tmp_path, vocab, ex_model):
         path = tmp_path / "ex.ckpt"
@@ -150,6 +163,14 @@ def _edit_first_param_line(line):
     return edit
 
 
+def _edit_first_value(value):
+    def edit(header, params):
+        line, values = params.split(b"\n", 1)
+        return header, line + b"\n" + np.array([value], dtype="<f4").tobytes() + values[4:]
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -160,9 +181,12 @@ def _edit_first_param_line(line):
         _edit_first_param_line(b"embedding -5 64"),
         _edit_first_param_line(b"embedding 99999999999999999999 64"),
         _edit_header(hidden_dim=1000),
+        _edit_first_value(np.nan),
+        _edit_first_value(-np.inf),
     ],
     ids=["missing-embed-dim", "string-dim", "negative-dim", "hyperparameters-not-object",
-         "negative-shape", "huge-shape", "width-disagrees-with-arrays"],
+         "negative-shape", "huge-shape", "width-disagrees-with-arrays", "nan-value",
+         "infinite-value"],
 )
 def test_corrupt_header_exits_one_line(tmp_path, capsys, vocab, ex_model, edit):
     from eacs.cli import main

@@ -71,7 +71,10 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("max_statements", 0), ("max_code_tokens", -1), ("vocab_size", 3), ("val_fraction", 1.0)],
+        [
+            ("max_statements", 0), ("max_code_tokens", -1), ("vocab_size", 3), ("val_fraction", 1.0),
+            ("max_comment_tokens", 1), ("max_comment_tokens", 2),
+        ],
     )
     def test_bad_limits(self, key, value):
         with pytest.raises(UsageError):

@@ -5,7 +5,8 @@ whole snippet are encoded separately into fixed vectors, concatenated in a
 configurable order, and the fused vector drives the decoder twice: projected
 once into the initial hidden state and once into a per-step input alongside
 the previous token's embedding. Training is teacher-forced negative
-log-likelihood; generation is greedy by default with optional beam search.
+log-likelihood. Generation is one beam search whose steps run all live
+hypotheses through the decoder as one batch; greedy decoding is width 1.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ class AbstracterModel(nc.Model):
     ) -> list[Optional[np.ndarray]]:
         """Embedding dropout masks for padded token batches, zero past each row.
 
-        Drawn row by row, each row's batches in the given order, which is the
-        order per-sample encoding and decoding draw them in; ``None`` when
+        Drawn row by row, each row's batches in the given order, so a sample's
+        masks do not depend on how the samples are batched; ``None`` when
         dropout is off.
         """
         p = self.config.dropout
@@ -112,31 +113,17 @@ class AbstracterModel(nc.Model):
         wx, wh, b = (getattr(self, f"{which}_{name}") for name in ("wx", "wh", "b"))
         return nc.lstm_over(emb, wx, wh, b, lengths=batch.lengths)
 
-    def _encode_one(self, which: str, ids: np.ndarray, train: bool, rng) -> nc.Tensor:
-        batch = Batch.pad([ids])
-        return self.encode(which, batch, self.dropout_keeps([batch], train, rng)[0])
-
-    def encode_extractive(
-        self,
-        ids: np.ndarray,
-        train: bool = False,
-        rng: Optional[np.random.Generator] = None,
-    ) -> nc.Tensor:
+    def encode_extractive(self, ids: np.ndarray) -> nc.Tensor:
         """Fixed vector for the concatenated important-statement tokens."""
         if len(ids) == 0:
             raise EmptyInput("no important-statement tokens to encode")
-        return self._encode_one("ex", ids, train, rng)
+        return self.encode("ex", Batch.pad([ids]))
 
-    def encode_abstractive(
-        self,
-        ids: np.ndarray,
-        train: bool = False,
-        rng: Optional[np.random.Generator] = None,
-    ) -> nc.Tensor:
+    def encode_abstractive(self, ids: np.ndarray) -> nc.Tensor:
         """Fixed vector for the whole snippet's token stream."""
         if len(ids) == 0:
             raise EmptyInput("no snippet tokens to encode")
-        return self._encode_one("ab", ids, train, rng)
+        return self.encode("ab", Batch.pad([ids]))
 
     def init_decoder(self, e_fu: nc.Tensor) -> tuple[nc.Tensor, nc.Tensor, nc.Tensor]:
         """Initial (h, c) plus the per-step fused-context input."""
@@ -160,18 +147,15 @@ class AbstracterModel(nc.Model):
         )
 
     def decode_step(
-        self,
-        y_prev: int,
-        h_prev: nc.Tensor,
-        c_prev: nc.Tensor,
-        u: nc.Tensor,
-        train: bool = False,
-        rng: Optional[np.random.Generator] = None,
+        self, y_prev: np.ndarray, h_prev: nc.Tensor, c_prev: nc.Tensor, u: nc.Tensor
     ) -> tuple[nc.Tensor, nc.Tensor, nc.Tensor]:
-        """One decoder step; returns (h, c, distribution over the vocabulary)."""
-        emb = nc.embedding_lookup(self.embedding_dec, np.array([y_prev], dtype=np.int64))
-        emb = nc.dropout(emb, self.config.dropout, rng, train=train)
-        inp = nc.concat([emb, u], axis=-1)
+        """One decoder step over k hypotheses: previous ids (k,), h and c (k, H)
+        and the fused context u (1, H), shared by every row.
+
+        Returns (h, c, distributions over the vocabulary), each with k rows.
+        """
+        emb = nc.embedding_lookup(self.embedding_dec, y_prev)
+        inp = nc.concat([emb, nc.embedding_lookup(u, np.zeros(len(y_prev), np.int64))], axis=-1)
         h, c = nc.lstm_cell(inp, h_prev, c_prev, self.dec_wx, self.dec_wh, self.dec_b)
         logits = nc.add(nc.matmul(h, self.out_w), self.out_b)
         return h, c, nc.softmax(logits, axis=-1)
@@ -195,16 +179,6 @@ class AbstracterSample:
     important_ids: np.ndarray
     comment_ids: np.ndarray  # BOS ... EOS
     comment_tokens: list[str]
-
-
-def _sequence_nll(
-    model: AbstracterModel,
-    sample: AbstracterSample,
-    train: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> nc.Tensor:
-    """Teacher-forced mean negative log-likelihood of one gold comment."""
-    return abstracter_loss(model, [sample], train=train, rng=rng)
 
 
 def abstracter_loss(
@@ -243,21 +217,6 @@ def abstracter_loss(
     weights = (gold.mask / (gold.lengths[:, None] * len(samples))).reshape(-1)
     log_p = nc.log(nc.clip(p_gold, LOGPROB_CLAMP, 1.0))
     return nc.mul(nc.sum_all(nc.mul(log_p, weights)), -1.0)
-
-
-def step_distributions(model: AbstracterModel, sample: AbstracterSample) -> list[np.ndarray]:
-    """Inference-mode per-step distributions under teacher forcing.
-
-    Lets tests recompute the loss independently from the distributions.
-    """
-    e_ex = model.encode_extractive(sample.important_ids)
-    e_ab = model.encode_abstractive(sample.code_ids)
-    h, c, u = model.init_decoder(fuse(e_ex, e_ab, model.config.fusion))
-    out = []
-    for y_prev in sample.comment_ids[:-1]:
-        h, c, probs = model.decode_step(int(y_prev), h, c, u)
-        out.append(probs.data[0].copy())
-    return out
 
 
 def abstracter_input(
@@ -340,58 +299,43 @@ class DecodeResult:
         return float(sum(self.step_log_probs))
 
 
-def _greedy_decode(model: AbstracterModel, e_fu: nc.Tensor, vocab: Vocabulary, max_len: int) -> DecodeResult:
-    h, c, u = model.init_decoder(e_fu)
-    y = BOS
-    tokens: list[str] = []
-    log_probs: list[float] = []
-    for _ in range(max_len):
-        h, c, probs = model.decode_step(y, h, c, u)
-        dist = probs.data[0]
-        y = int(np.argmax(dist))
-        log_probs.append(float(np.log(max(dist[y], LOGPROB_CLAMP))))
-        if y == EOS:
-            break
-        tokens.append(vocab.index_to_token[y])
-    return DecodeResult(tokens=tokens, step_log_probs=log_probs)
-
-
-def _beam_decode(
+def beam_decode(
     model: AbstracterModel, e_fu: nc.Tensor, vocab: Vocabulary, max_len: int, width: int
 ) -> DecodeResult:
-    h0, c0, u = model.init_decoder(e_fu)
-    # hypothesis: (ids, step log-probs, total, h, c, finished)
-    beams = [((), (), 0.0, h0, c0, False)]
+    """Beam search from one fused vector; width 1 is greedy decoding.
+
+    Each step runs the k live hypotheses through one batched decode_step.
+    Every live row proposes its ``width`` most likely next tokens, finished
+    hypotheses carry over unchanged, and the ``width`` candidates with the
+    highest total log-prob survive, ties going to the lower token ids.
+    Probabilities are clamped at 1e-9 before the log.
+    """
+    if width < 1:
+        raise UsageError(f"beam width must be >= 1, got {width}")
+    h, c, u = model.init_decoder(e_fu)
+    # hypothesis: (ids, step log-probs, total, finished, row of h and c)
+    beams = [((), (), 0.0, False, 0)]
     for _ in range(max_len):
-        if all(b[5] for b in beams):
+        live = [b for b in beams if not b[3]]
+        if not live:
             break
-        candidates = []
-        for ids, lps, total, h, c, finished in beams:
-            if finished:
-                candidates.append((ids, lps, total, h, c, True))
-                continue
-            y_prev = ids[-1] if ids else BOS
-            h2, c2, probs = model.decode_step(int(y_prev), h, c, u)
-            dist = np.log(np.maximum(probs.data[0], LOGPROB_CLAMP))
-            top = np.argsort(-dist, kind="stable")[:width]
-            for tok in top:
-                tok = int(tok)
-                candidates.append(
-                    (
-                        ids + (tok,),
-                        lps + (float(dist[tok]),),
-                        total + float(dist[tok]),
-                        h2,
-                        c2,
-                        tok == EOS,
-                    )
-                )
+        rows = [b[4] for b in live]
+        y_prev = np.array([b[0][-1] if b[0] else BOS for b in live], dtype=np.int64)
+        h, c, probs = model.decode_step(
+            y_prev, nc.Tensor(h.data[rows]), nc.Tensor(c.data[rows]), u
+        )
+        dist = np.log(np.maximum(probs.data, LOGPROB_CLAMP))
+        top = np.argsort(-dist, axis=-1, kind="stable")[:, :width]
+        candidates = [b for b in beams if b[3]]
+        for row, (ids, lps, total, _, _) in enumerate(live):
+            for tok in top[row].tolist():
+                lp = float(dist[row, tok])
+                candidates.append((ids + (tok,), lps + (lp,), total + lp, tok == EOS, row))
         # Highest total log-prob first; ties prefer the lower token indices.
         candidates.sort(key=lambda b: (-b[2], b[0]))
         beams = candidates[:width]
-    best = min(beams, key=lambda b: (-b[2], b[0]))
-    ids = [i for i in best[0] if i != EOS]
-    return DecodeResult(tokens=vocab.decode(ids), step_log_probs=list(best[1]))
+    ids, lps = beams[0][:2]
+    return DecodeResult(tokens=vocab.decode(ids), step_log_probs=list(lps))
 
 
 def generate_summary(
@@ -414,6 +358,4 @@ def generate_summary(
     e_ex = abstracter.encode_extractive(important_ids)
     e_ab = abstracter.encode_abstractive(code_ids)
     e_fu = fuse(e_ex, e_ab, cfg.fusion)
-    if beam_width <= 1:
-        return _greedy_decode(abstracter, e_fu, ab_vocab, max_len)
-    return _beam_decode(abstracter, e_fu, ab_vocab, max_len, beam_width)
+    return beam_decode(abstracter, e_fu, ab_vocab, max_len, beam_width)

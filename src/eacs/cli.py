@@ -20,6 +20,7 @@ from .config import RunConfig, make_run_config
 from .corpus import load_corpus, tokenize_comment
 from .errors import EacsError, EmptySnippet, IoError, UsageError
 from .extractor import predict_important, train_extractor
+from .fileio import replace_on_success
 from .metrics import BucketSpec, evaluate_corpus, mann_whitney_u_test
 from .oracle import label_statements
 from .report import emit_report
@@ -67,7 +68,7 @@ def _cmd_label(args) -> int:
     corpus = load_corpus(args.corpus)
     written = 0
     skipped = corpus.skipped
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with replace_on_success(args.out, "w", encoding="utf-8") as fh:
         for pair in corpus:
             try:
                 snippet = segment(pair.code, args.lang)

@@ -213,23 +213,3 @@ class Batch:
         mask = (np.arange(width) < lengths[:, None]).astype(np.float64)
         return cls(indices=rows, mask=mask, lengths=lengths)
 
-
-def encode_and_pad(
-    seqs: Sequence[Sequence[str]],
-    vocab: Vocabulary,
-    max_len: int,
-    add_bos: bool = False,
-) -> Batch:
-    """Encode token sequences into a fixed-width index matrix.
-
-    Each sequence is truncated to fit, terminated with EOS, optionally
-    prefixed with BOS (comment side), then padded with PAD to ``max_len``.
-    """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    budget = max(max_len - (2 if add_bos else 1), 0)
-    rows = [
-        (([BOS] if add_bos else []) + list(vocab.encode(seq[:budget])) + [EOS])[:max_len]
-        for seq in seqs
-    ]
-    return Batch.pad(rows, width=max_len)

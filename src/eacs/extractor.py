@@ -117,15 +117,6 @@ class ExtractorModel(nc.Model):
             ctx_keep[k, :n_stmts] = nc.keep_mask(rng, (n_stmts, h), p, dtype)
         return tok_keep, ctx_keep
 
-    def encode_statements(
-        self,
-        stmt_ids: Sequence[np.ndarray],
-        train: bool = False,
-        rng: Optional[np.random.Generator] = None,
-    ) -> nc.Tensor:
-        """Contextualized statement embedding matrix, one row per statement."""
-        return self.encode_batch([stmt_ids], train=train, rng=rng)[0]
-
     def classify_statements(self, embeddings: nc.Tensor) -> nc.Tensor:
         """Per-statement probability pairs; each row sums to 1."""
         if embeddings.shape[-1] != self.config.hidden_dim:
@@ -134,14 +125,6 @@ class ExtractorModel(nc.Model):
             )
         logits = nc.add(nc.matmul(embeddings, self.cls_w), self.cls_b)
         return nc.softmax(logits, axis=-1)
-
-    def statement_probs(
-        self,
-        stmt_ids: Sequence[np.ndarray],
-        train: bool = False,
-        rng: Optional[np.random.Generator] = None,
-    ) -> nc.Tensor:
-        return self.classify_statements(self.encode_statements(stmt_ids, train=train, rng=rng))
 
 
 def extractor_loss(
@@ -343,7 +326,7 @@ def label_accuracy(model: ExtractorModel, samples: Sequence[ExtractorSample]) ->
     hit = 0
     total = 0
     for s in samples:
-        probs = model.statement_probs(s.stmt_ids, train=False).data
+        probs = model.classify_statements(model.encode_batch([s.stmt_ids])[0]).data
         pred = (probs[:, 1] > probs[:, 0]).astype(np.int64)
         hit += int((pred == s.labels).sum())
         total += len(s.labels)
@@ -387,7 +370,7 @@ def predict_important(
     if isinstance(code, str):
         code = segment(code, language)
     snippet, stmt_ids = extractor_input(code, vocab, model.config)
-    probs = model.statement_probs(stmt_ids, train=False).data
+    probs = model.classify_statements(model.encode_batch([stmt_ids])[0]).data
     indices = [i for i in range(len(snippet.statements)) if probs[i, 1] > probs[i, 0]]
     if not indices:
         indices = [int(np.argmax(probs[:, 1]))]

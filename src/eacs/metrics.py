@@ -139,6 +139,9 @@ def alignment_stats(r: TokenSeq, g: TokenSeq) -> tuple[int, int]:
         return res
 
     matches, neg_chunks = best(0, -1, 0)
+    # `best` refers to itself through its closure cell; unbinding it breaks
+    # that cycle, so the memo is freed now, not at the next cyclic collection.
+    best = None
     return matches, -neg_chunks
 
 

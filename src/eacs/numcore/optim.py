@@ -46,8 +46,6 @@ class AdamW:
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
         for k, p in enumerate(self.params):
-            if not p.trainable:
-                continue
             grad = p.grad if p.grad is not None else np.zeros_like(p.data)
             if grad.shape != p.data.shape:
                 raise ShapeError(f"grad shape {grad.shape} vs param {p.data.shape}")

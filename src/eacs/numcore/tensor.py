@@ -45,9 +45,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -56,14 +53,13 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named, trainable tensor; declaration order defines checkpoint layout."""
+    """A named tensor the optimizer updates; declaration order is checkpoint layout."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, data, trainable: bool = True):
+    def __init__(self, name: str, data):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.trainable = trainable
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape}, dtype={self.dtype})"

@@ -27,10 +27,6 @@ class LabeledSnippet:
     labels: tuple[int, ...]
     trace: tuple[TraceStep, ...]
 
-    @property
-    def important_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, l in enumerate(self.labels) if l == 1)
-
 
 def informativity(
     selected: Iterable[int], snippet: SegmentedSnippet, comment: Sequence[str]

@@ -3,11 +3,18 @@
 Everything here is written from the metric definitions with no shared code:
 full-table LCS, Counter-based n-gram stats, per-type assignment enumeration
 for the METEOR alignment, and a standalone copy of the greedy labeling rule.
+The decoder references drive a model's own ``decode_step`` one hypothesis at
+a time, so they check the batched search and loss, not the model.
 """
 
 import itertools
 import math
 from collections import Counter
+
+import numpy as np
+
+from eacs.abstracter import LOGPROB_CLAMP, DecodeResult, fuse
+from eacs.corpus import BOS, EOS
 
 
 def lcs_brute(r, g):
@@ -157,3 +164,42 @@ def best_subset_informativity(statement_tokens, comment):
                 merged.extend(statement_tokens[i])
         best = max(best, recall_brute(comment, merged))
     return best
+
+
+def step_distributions(model, sample):
+    """Inference-mode per-step distributions under teacher forcing, one step at a time."""
+    e_ex = model.encode_extractive(sample.important_ids)
+    e_ab = model.encode_abstractive(sample.code_ids)
+    h, c, u = model.init_decoder(fuse(e_ex, e_ab, model.config.fusion))
+    out = []
+    for y_prev in sample.comment_ids[:-1]:
+        h, c, probs = model.decode_step(np.array([y_prev]), h, c, u)
+        out.append(probs.data[0].copy())
+    return out
+
+
+def beam_reference(model, e_fu, vocab, max_len, width):
+    """Beam search that runs ``decode_step`` on one hypothesis at a time."""
+    h0, c0, u = model.init_decoder(e_fu)
+    # hypothesis: (ids, step log-probs, total, h, c, finished)
+    beams = [((), (), 0.0, h0, c0, False)]
+    for _ in range(max_len):
+        if all(b[5] for b in beams):
+            break
+        candidates = []
+        for ids, lps, total, h, c, finished in beams:
+            if finished:
+                candidates.append((ids, lps, total, h, c, True))
+                continue
+            y_prev = ids[-1] if ids else BOS
+            h2, c2, probs = model.decode_step(np.array([y_prev]), h, c, u)
+            dist = np.log(np.maximum(probs.data[0], LOGPROB_CLAMP))
+            for tok in np.argsort(-dist, kind="stable")[:width]:
+                tok = int(tok)
+                lp = float(dist[tok])
+                candidates.append((ids + (tok,), lps + (lp,), total + lp, h2, c2, tok == EOS))
+        candidates.sort(key=lambda b: (-b[2], b[0]))
+        beams = candidates[:width]
+    best = min(beams, key=lambda b: (-b[2], b[0]))
+    ids = [i for i in best[0] if i != EOS]
+    return DecodeResult(tokens=vocab.decode(ids), step_log_probs=list(best[1]))

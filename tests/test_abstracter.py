@@ -2,22 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eacs import numcore as nc
 from eacs.abstracter import (
     AbstracterConfig,
     AbstracterModel,
     AbstracterSample,
-    _sequence_nll,
     abstracter_loss,
+    beam_decode,
     build_abstracter_dataset,
     fuse,
     generate_summary,
-    step_distributions,
     train_abstracter,
 )
 from eacs.corpus import BOS, EOS, Vocabulary, RESERVED_TOKENS
 from eacs.errors import EmptyInput, ShapeError, VocabMismatch
+
+from .oracles import beam_reference, step_distributions
 
 TINY = AbstracterConfig(embed_dim=8, hidden_dim=8, dropout=0.0, epochs=3, seed=7)
 
@@ -106,7 +109,7 @@ class TestDecodeStep:
             "abex",
         )
         h, c, u = tiny_model.init_decoder(e_fu)
-        h, c, probs = tiny_model.decode_step(BOS, h, c, u)
+        h, c, probs = tiny_model.decode_step(np.array([BOS]), h, c, u)
         assert abs(probs.data.sum() - 1.0) < 1e-6
 
     def test_zero_output_projection_is_uniform(self, tiny_model):
@@ -118,7 +121,7 @@ class TestDecodeStep:
             "abex",
         )
         h, c, u = tiny_model.init_decoder(e_fu)
-        _, _, probs = tiny_model.decode_step(BOS, h, c, u)
+        _, _, probs = tiny_model.decode_step(np.array([BOS]), h, c, u)
         assert np.allclose(probs.data, 1.0 / 10)
 
     def test_repeat_call_is_deterministic(self, tiny_model):
@@ -128,8 +131,8 @@ class TestDecodeStep:
             "abex",
         )
         h, c, u = tiny_model.init_decoder(e_fu)
-        one = tiny_model.decode_step(4, h, c, u)[2].data
-        two = tiny_model.decode_step(4, h, c, u)[2].data
+        one = tiny_model.decode_step(np.array([4]), h, c, u)[2].data
+        two = tiny_model.decode_step(np.array([4]), h, c, u)[2].data
         assert np.array_equal(one, two)
 
     def test_invalid_token_index(self, tiny_model):
@@ -140,7 +143,7 @@ class TestDecodeStep:
         )
         h, c, u = tiny_model.init_decoder(e_fu)
         with pytest.raises(IndexError):
-            tiny_model.decode_step(99, h, c, u)
+            tiny_model.decode_step(np.array([99]), h, c, u)
 
 
 class TestLoss:
@@ -148,7 +151,7 @@ class TestLoss:
         model = AbstracterModel(10, TINY, np.random.default_rng(3))
         for p in model.parameters():
             p.data[:] = 0.0
-        loss = _sequence_nll(model, make_sample()).item()
+        loss = abstracter_loss(model, [make_sample()]).item()
         assert loss == pytest.approx(math.log(10.0), abs=1e-6)
 
     def test_confident_model_costs_about_zero(self):
@@ -159,13 +162,13 @@ class TestLoss:
         model.out_b.data[target] = 40.0
         sample = make_sample(comment=(target, target, target))
         sample.comment_ids = np.array([BOS, target, target, target], dtype=np.int64)
-        assert _sequence_nll(model, sample).item() < 1e-6
+        assert abstracter_loss(model, [sample]).item() < 1e-6
 
     def test_matches_independent_recomputation(self):
         config = AbstracterConfig(embed_dim=6, hidden_dim=6, dropout=0.0)
         model = AbstracterModel(10, config, np.random.default_rng(9), dtype=np.float64)
         sample = make_sample()
-        loss = _sequence_nll(model, sample).item()
+        loss = abstracter_loss(model, [sample]).item()
         dists = step_distributions(model, sample)
         targets = sample.comment_ids[1:]
         recomputed = -np.mean([math.log(d[t]) for d, t in zip(dists, targets)])
@@ -210,7 +213,7 @@ class TestBatchedLoss:
         model = self._model()
         samples = [make_sample(**kw) for kw in self.RAGGED]
         loss, batched = _grads(model, lambda: abstracter_loss(model, samples))
-        singles = [_grads(model, lambda s=s: _sequence_nll(model, s)) for s in samples]
+        singles = [_grads(model, lambda s=s: abstracter_loss(model, [s])) for s in samples]
         assert loss == pytest.approx(np.mean([l for l, _ in singles]), abs=1e-12)
         for k, g in enumerate(batched):
             mean = sum(grads[k] for _, grads in singles) / len(samples)
@@ -221,7 +224,7 @@ class TestBatchedLoss:
         samples = [make_sample(**kw) for kw in self.RAGGED]
         batched = abstracter_loss(model, samples, train=True, rng=np.random.default_rng(5)).item()
         rng = np.random.default_rng(5)
-        singles = [_sequence_nll(model, s, train=True, rng=rng).item() for s in samples]
+        singles = [abstracter_loss(model, [s], train=True, rng=rng).item() for s in samples]
         assert batched == pytest.approx(np.mean(singles), abs=1e-12)
 
     def test_clamped_gold_probabilities_pass_no_gradient(self):
@@ -284,9 +287,7 @@ class TestGeneration:
             model.encode_abstractive(np.array([5])),
             "abex",
         )
-        from eacs.abstracter import _greedy_decode
-
-        result = _greedy_decode(model, e_fu, vocab, max_len=10)
+        result = beam_decode(model, e_fu, vocab, max_len=10, width=1)
         assert result.tokens == []
         assert len(result.step_log_probs) == 1
 
@@ -301,9 +302,7 @@ class TestGeneration:
             model.encode_abstractive(np.array([5])),
             "abex",
         )
-        from eacs.abstracter import _greedy_decode
-
-        result = _greedy_decode(model, e_fu, vocab, max_len=7)
+        result = beam_decode(model, e_fu, vocab, max_len=7, width=1)
         assert len(result.tokens) == 7
 
     def test_total_log_prob_sums_steps(self):
@@ -313,12 +312,27 @@ class TestGeneration:
             model.encode_abstractive(np.array([5])),
             "abex",
         )
-        from eacs.abstracter import _beam_decode, _greedy_decode
-
-        greedy = _greedy_decode(model, e_fu, vocab, max_len=6)
+        greedy = beam_decode(model, e_fu, vocab, max_len=6, width=1)
         assert greedy.total_log_prob == pytest.approx(sum(greedy.step_log_probs))
-        beam = _beam_decode(model, e_fu, vocab, max_len=6, width=3)
+        beam = beam_decode(model, e_fu, vocab, max_len=6, width=3)
         assert beam.total_log_prob == pytest.approx(sum(beam.step_log_probs))
+
+    def test_special_token_argmax_prints_nothing(self):
+        # The likeliest token is always <bos>, which is never printed, and
+        # the search runs to max_len because <eos> never wins.
+        vocab, model = self._uniform_setup()
+        model.out_w.data[:] = 0.0
+        model.out_b.data[:] = -40.0
+        model.out_b.data[BOS] = 40.0
+        e_fu = fuse(
+            model.encode_extractive(np.array([4])),
+            model.encode_abstractive(np.array([5])),
+            "abex",
+        )
+        for width in (1, 3):
+            result = beam_decode(model, e_fu, vocab, max_len=5, width=width)
+            assert result.tokens == []
+            assert len(result.step_log_probs) == 5
 
     def test_vocab_mismatch_rejected(self, overfit_run, toy_corpus):
         ex = overfit_run.extractor
@@ -328,6 +342,45 @@ class TestGeneration:
             generate_summary(
                 toy_corpus[0].code, ex.model, ex.vocab, ab.model, other, "java"
             )
+
+
+class _RecordingVocabulary(Vocabulary):
+    """Remembers the ids of the last decode, without the <eos>."""
+
+    def decode(self, ids, keep_special=False):
+        self.ids = [int(i) for i in ids if i != EOS]
+        return super().decode(ids, keep_special)
+
+
+class TestBatchedBeam:
+    """One batched decode_step per beam step against one call per hypothesis."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        vocab_size=st.integers(5, 12),
+        sharpness=st.floats(0.5, 8.0),
+        max_len=st.integers(1, 8),
+        width=st.integers(1, 4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_one_hypothesis_at_a_time(self, seed, vocab_size, sharpness, max_len, width):
+        config = AbstracterConfig(embed_dim=5, hidden_dim=4, dropout=0.0)
+        model = AbstracterModel(vocab_size, config, np.random.default_rng(seed), dtype=np.float64)
+        model.out_w.data *= sharpness
+        model.out_b.data[:] = np.random.default_rng(seed + 1).normal(0.0, sharpness, vocab_size)
+        words = list(RESERVED_TOKENS) + [f"w{i}" for i in range(vocab_size - 4)]
+        batched_vocab, reference_vocab = _RecordingVocabulary(words), _RecordingVocabulary(words)
+        e_fu = fuse(
+            model.encode_extractive(np.array([4])),
+            model.encode_abstractive(np.array([vocab_size - 1, 4])),
+            "abex",
+        )
+        got = beam_decode(model, e_fu, batched_vocab, max_len, width)
+        want = beam_reference(model, e_fu, reference_vocab, max_len, width)
+        assert batched_vocab.ids == reference_vocab.ids
+        assert got.tokens == want.tokens
+        assert len(got.step_log_probs) == len(want.step_log_probs)
+        assert np.abs(np.subtract(got.step_log_probs, want.step_log_probs)).max() < 1e-9
 
 
 class TestOverfitGeneration:

@@ -273,7 +273,7 @@ def test_criterion_9_loss_anchors():
         gold = np.array([1, 0, 1, 1, 0, 0])
         assert extractor_loss(probs, gold).item() == pytest.approx(math.log(2.0), abs=1e-6)
 
-        from eacs.abstracter import AbstracterConfig, AbstracterModel, AbstracterSample, _sequence_nll
+        from eacs.abstracter import AbstracterConfig, AbstracterModel, AbstracterSample, abstracter_loss
         from eacs.corpus import BOS, EOS
 
         vocab_size = 64
@@ -291,5 +291,5 @@ def test_criterion_9_loss_anchors():
             comment_ids=np.array([BOS, 7, 8, 9, EOS]),
             comment_tokens=["x", "y", "z"],
         )
-        loss = _sequence_nll(model, sample).item()
+        loss = abstracter_loss(model, [sample]).item()
         assert loss == pytest.approx(math.log(vocab_size), abs=1e-6)

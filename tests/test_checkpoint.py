@@ -58,7 +58,8 @@ class TestRoundTrip:
         loaded, _ = load_model(path, "extractor")
         ids = [np.array([4, 5]), np.array([6])]
         assert np.allclose(
-            ex_model.statement_probs(ids).data, loaded.statement_probs(ids).data
+            ex_model.classify_statements(ex_model.encode_batch([ids])[0]).data,
+            loaded.classify_statements(loaded.encode_batch([ids])[0]).data,
         )
 
 

@@ -8,7 +8,9 @@ from eacs.checkpoint import save_model
 from eacs.cli import main
 from eacs.config import RunConfig
 from eacs.corpus import RESERVED_TOKENS, Vocabulary
+from eacs.errors import IoError
 from eacs.extractor import ExtractorModel
+from eacs.oracle import label_statements
 
 
 def run(capsys, *argv):
@@ -62,6 +64,28 @@ class TestLabel:
         assert set(first) == {"id", "statements", "labels", "trace"}
         assert len(first["labels"]) == len(first["statements"])
         assert sum(first["labels"]) >= 1
+
+    def test_failed_run_keeps_previous_output(
+        self, capsys, tmp_path, toy_corpus_path, monkeypatch
+    ):
+        out_path = tmp_path / "labels.jsonl"
+        out_path.write_bytes(b"previous run\n")
+        calls = []
+
+        def fail_on_second(snippet, comment):
+            calls.append(1)
+            if len(calls) == 2:
+                raise IoError("labeling failed")
+            return label_statements(snippet, comment)
+
+        monkeypatch.setattr("eacs.cli.label_statements", fail_on_second)
+        code, _, err = run(
+            capsys, "label", "--corpus", toy_corpus_path, "--lang", "java",
+            "--out", str(out_path),
+        )
+        assert code == 1 and len(err.strip().splitlines()) == 1
+        assert out_path.read_bytes() == b"previous run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["labels.jsonl"]
 
 
 class TestEvaluate:
@@ -167,10 +191,15 @@ class TestSummarize:
         ex, ab, code = checkpoints
         argv = ["summarize", "--extractor", ex, "--abstracter", ab, "--code", code]
         assert run(capsys, *argv)[0] == 0
-        status, out, err = run(capsys, *argv, "--max-len", "0")
-        assert status == 2 and out == ""
-        assert err.startswith("eacs summarize: ") and "max_len" in err
-        assert len(err.strip().splitlines()) == 1
+        for flags, name in (
+            (("--max-len", "0"), "max_len"),
+            (("--beam", "0"), "beam width"),
+            (("--beam", "-1"), "beam width"),
+        ):
+            status, out, err = run(capsys, *argv, *flags)
+            assert status == 2 and out == ""
+            assert err.startswith("eacs summarize: ") and name in err
+            assert len(err.strip().splitlines()) == 1
 
 
 class TestNonUtf8:

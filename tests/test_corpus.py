@@ -140,32 +140,6 @@ class TestVocabulary:
 
 
 class TestEncodeAndPad:
-    @pytest.fixture()
-    def vocab(self):
-        return C.Vocabulary(list(C.RESERVED_TOKENS) + ["a", "b", "c"])
-
-    def test_single_token_row(self, vocab):
-        batch = C.encode_and_pad([["a"]], vocab, max_len=4)
-        assert list(batch.indices[0]) == [vocab.token_to_index["a"], C.EOS, C.PAD, C.PAD]
-        assert list(batch.mask[0]) == [1, 1, 0, 0]
-        assert batch.lengths[0] == 2
-
-    def test_truncation(self, vocab):
-        batch = C.encode_and_pad([["a"] * 10], vocab, max_len=4)
-        row = list(batch.indices[0])
-        assert row == [vocab.token_to_index["a"]] * 3 + [C.EOS]
-
-    def test_bos_side(self, vocab):
-        batch = C.encode_and_pad([["a", "b"]], vocab, max_len=5, add_bos=True)
-        assert list(batch.indices[0][:4]) == [
-            C.BOS, vocab.token_to_index["a"], vocab.token_to_index["b"], C.EOS,
-        ]
-
-    def test_cells_are_valid_and_mask_matches_lengths(self, vocab):
-        batch = C.encode_and_pad([["a", "zz"], ["b"] * 9], vocab, max_len=6)
-        assert batch.indices.max() < len(vocab)
-        assert (batch.mask.sum(axis=1) == batch.lengths).all()
-
     def test_pad_ragged_ids(self):
         batch = C.Batch.pad([[5, 6, 7], [], [8]])
         assert batch.indices.tolist() == [[5, 6, 7], [C.PAD] * 3, [8, C.PAD, C.PAD]]
@@ -176,5 +150,4 @@ class TestEncodeAndPad:
     @settings(max_examples=60, deadline=None)
     def test_roundtrip(self, seq):
         vocab = C.Vocabulary(list(C.RESERVED_TOKENS) + ["a", "b", "c"])
-        batch = C.encode_and_pad([seq], vocab, max_len=8)
-        assert vocab.decode(batch.indices[0]) == list(seq)
+        assert vocab.decode(vocab.encode(seq)) == list(seq)

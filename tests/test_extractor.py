@@ -26,22 +26,31 @@ def tiny_model():
     return ExtractorModel(vocab_size=20, config=TINY, rng=np.random.default_rng(0))
 
 
+def encode(model, stmt_ids, **dropout):
+    """Contextualized statement rows of one snippet."""
+    return model.encode_batch([stmt_ids], **dropout)[0]
+
+
+def statement_probs(model, stmt_ids, **dropout):
+    return model.classify_statements(encode(model, stmt_ids, **dropout))
+
+
 class TestForward:
     def test_embedding_matrix_shape(self, tiny_model):
         ids = [np.array([4, 5, 6]), np.array([7]), np.array([8, 9])]
-        enc = tiny_model.encode_statements(ids)
+        enc = encode(tiny_model, ids)
         assert enc.shape == (3, 8)
 
     def test_single_statement(self, tiny_model):
-        assert tiny_model.encode_statements([np.array([4])]).shape == (1, 8)
+        assert encode(tiny_model, [np.array([4])]).shape == (1, 8)
 
     def test_token_order_matters(self, tiny_model):
-        a = tiny_model.encode_statements([np.array([4, 5, 6])]).data
-        b = tiny_model.encode_statements([np.array([6, 5, 4])]).data
+        a = encode(tiny_model, [np.array([4, 5, 6])]).data
+        b = encode(tiny_model, [np.array([6, 5, 4])]).data
         assert not np.allclose(a, b)
 
     def test_rows_are_distributions(self, tiny_model):
-        probs = tiny_model.statement_probs([np.array([4, 5]), np.array([6])])
+        probs = statement_probs(tiny_model, [np.array([4, 5]), np.array([6])])
         assert probs.data.shape == (2, 2)
         assert np.abs(probs.data.sum(axis=1) - 1.0).max() < 1e-6
         assert (probs.data >= 0).all()
@@ -49,7 +58,7 @@ class TestForward:
     def test_zero_projection_gives_half(self, tiny_model):
         tiny_model.cls_w.data[:] = 0.0
         tiny_model.cls_b.data[:] = 0.0
-        probs = tiny_model.statement_probs([np.array([4]), np.array([5, 6])])
+        probs = statement_probs(tiny_model, [np.array([4]), np.array([5, 6])])
         assert np.allclose(probs.data, 0.5)
 
     def test_classify_shape_error(self, tiny_model):
@@ -124,7 +133,7 @@ class TestBatchedLoss:
         samples = self._samples()
         loss, batched = _grads(model, lambda: extractor_batch_loss(model, samples))
         singles = [
-            _grads(model, lambda s=s: extractor_loss(model.statement_probs(s.stmt_ids), s.labels))
+            _grads(model, lambda s=s: extractor_loss(statement_probs(model, s.stmt_ids), s.labels))
             for s in samples
         ]
         assert loss == pytest.approx(np.mean([l for l, _ in singles]), abs=1e-12)
@@ -138,7 +147,9 @@ class TestBatchedLoss:
         batched = extractor_batch_loss(model, samples, train=True, rng=np.random.default_rng(6))
         rng = np.random.default_rng(6)
         singles = [
-            extractor_loss(model.statement_probs(s.stmt_ids, train=True, rng=rng), s.labels).item()
+            extractor_loss(
+                statement_probs(model, s.stmt_ids, train=True, rng=rng), s.labels
+            ).item()
             for s in samples
         ]
         assert batched.item() == pytest.approx(np.mean(singles), abs=1e-12)

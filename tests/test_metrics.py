@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +114,20 @@ class TestMeteor:
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
             M.meteor([], ["a"])
+
+    def test_alignment_leaves_no_garbage(self):
+        # With the cyclic collector off, whatever one call leaves behind
+        # stays allocated; the search's memo for ["the"] * 10 is ~5 MB.
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert M.alignment_stats(["the"] * 10, ["the"] * 10) == (10, 1)
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert left < 1_000_000
 
 
 class TestBruteForceEquivalence:

@@ -101,48 +101,154 @@ def alignment_stats(r: TokenSeq, g: TokenSeq) -> tuple[int, int]:
 
     Among all alignments with the maximum number of exact unigram matches,
     picks one with the fewest chunks, where a chunk is a maximal run of
-    matches contiguous and in order in both sequences. Solved exactly by a
-    memoized search with a bitmask over the shorter side; comment-scale
-    sequences keep the state space small.
+    matches contiguous and in order in both sequences.
+
+    The match count m is the sum over token types of the smaller count. A
+    *link* is a pair of aligned matches (i, j) and (i+1, j+1); chunks =
+    m - L, where L is the most links any one-to-one alignment holds (a link
+    set extends to a maximum alignment, as it takes the same tokens from
+    both sides). L is found in three steps:
+
+    - bound: L <= UB = min(m - 1, sum over bigrams of the smaller count);
+    - certificate: a greedy packing of the longest common blocks among
+      unused positions gives links that reach UB on most comment pairs;
+    - search: otherwise an exact search over bigram links alone, pruned by
+      the per-bigram count of the links that remain, decides each target
+      from UB down to one above the packing.
+
+    Minimising chunks is a minimum common string partition, which is
+    NP-hard, so the search stays exponential in the worst case (repetitive
+    strings over two or three tokens, 25 or more long).
     """
     if not r or not g:
         return 0, 0
-    # Mask the shorter side; matches and chunk adjacency are symmetric.
-    if len(r) <= len(g):
-        scan, pool = list(g), list(r)
-    else:
-        scan, pool = list(r), list(g)
+    g_counts = Counter(g)
+    m = sum(min(c, g_counts[t]) for t, c in Counter(r).items())
+    if m == 0:
+        return 0, 0
+    g_bigrams = Counter(zip(g, g[1:]))
+    shared = sum(min(c, g_bigrams[b]) for b, c in Counter(zip(r, r[1:])).items())
+    upper = min(m - 1, shared)
+    if upper == 0:
+        return m, m
+    lower = _packed_links(r, g, upper)
+    if lower < upper:
+        lower = _max_links(r, g, lower, upper)
+    return m, m - lower
+
+
+def _packed_links(r: TokenSeq, g: TokenSeq, upper: int) -> int:
+    """Links of a greedy packing: the longest common block among unused
+    positions first, the leftmost (in r, then g) on ties; stops at ``upper``."""
     positions: dict[str, list[int]] = {}
-    for j, tok in enumerate(pool):
+    for j, tok in enumerate(g):
         positions.setdefault(tok, []).append(j)
-
-    memo: dict[tuple[int, int, int], tuple[int, int]] = {}
-
-    def best(i: int, prev_j: int, mask: int) -> tuple[int, int]:
-        # Returns (matches, -chunks) for scan[i:], maximized lexicographically.
-        if i == len(scan):
-            return 0, 0
-        key = (i, prev_j, mask)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        res = best(i + 1, -1, mask)
-        for j in positions.get(scan[i], ()):
-            if mask & (1 << j):
+    used_r = [False] * len(r)
+    used_g = [False] * len(g)
+    links = 0
+    while links < upper:
+        size, at_r, at_g = 1, 0, 0
+        for i, tok in enumerate(r):
+            if used_r[i]:
                 continue
-            extends = j == prev_j + 1 and prev_j >= 0
-            m2, negc2 = best(i + 1, j, mask | (1 << j))
-            cand = (m2 + 1, negc2 - (0 if extends else 1))
-            if cand > res:
-                res = cand
-        memo[key] = res
-        return res
+            for j in positions.get(tok, ()):
+                if used_g[j]:
+                    continue
+                if i and j and not used_r[i - 1] and not used_g[j - 1] and r[i - 1] == g[j - 1]:
+                    continue  # inside a block that starts further left
+                k = 1
+                while (i + k < len(r) and j + k < len(g) and not used_r[i + k]
+                       and not used_g[j + k] and r[i + k] == g[j + k]):
+                    k += 1
+                if k > size:
+                    size, at_r, at_g = k, i, j
+        if size == 1:
+            break
+        for k in range(size):
+            used_r[at_r + k] = used_g[at_g + k] = True
+        links += size - 1
+    return links
 
-    matches, neg_chunks = best(0, -1, 0)
-    # `best` refers to itself through its closure cell; unbinding it breaks
-    # that cycle, so the memo is freed now, not at the next cyclic collection.
-    best = None
-    return matches, -neg_chunks
+
+def _max_links(r: TokenSeq, g: TokenSeq, lower: int, upper: int) -> int:
+    """The most links an alignment holds if above ``lower`` (else ``lower``),
+    knowing it is at most ``upper``.
+
+    Walks r left to right. A state is (i, p, mask): r[:i] is decided; p is
+    the g position r[i] is already linked to, or -1 if r[i] is free; mask
+    holds the g positions links use. Each target from ``upper`` down is a
+    depth-first search on an explicit stack, and a state that fails a need
+    of k links is remembered, as it fails any larger need too.
+    """
+    n, n_g = len(r), len(g)
+    starts: dict[tuple, list[int]] = {}  # g positions q of each bigram (g[q], g[q+1])
+    for q in range(n_g - 1):
+        starts.setdefault((g[q], g[q + 1]), []).append(q)
+    bigram = [(r[i], r[i + 1]) if (r[i], r[i + 1]) in starts else None for i in range(n - 1)]
+    bigram.append(None)
+    # Every new link sets one bit of ends[b], the q+1 positions of its bigram.
+    ends = {b: sum(1 << (q + 1) for q in qs) for b, qs in starts.items()}
+    spans = {b: bits | bits >> 1 for b, bits in ends.items()}
+    # From r position i on: the next link start, the shared bigrams still to
+    # come with their counts, and the g positions any of them could use.
+    after = [n] * (n + 1)
+    remaining: list[tuple] = [()] * (n + 1)
+    live = [0] * (n + 1)
+    counts: Counter = Counter()
+    for i in range(n - 1, -1, -1):
+        b = bigram[i]
+        after[i] = i if b is not None else after[i + 1]
+        live[i] = live[i + 1]
+        if b is not None:
+            counts[b] += 1
+            live[i] |= spans[b]
+        remaining[i] = tuple(counts.items())
+    fail: dict[tuple[int, int, int], int] = {}
+
+    def linked(i: int, q: int, mask: int, need: int) -> tuple[int, int, int, int]:
+        # r[i] now aligned to g[q]; keep the chain only if it can grow.
+        if i + 1 < n and q + 1 < n_g and not mask >> (q + 1) & 1 and g[q + 1] == r[i + 1]:
+            return i, q, mask, need
+        return after[i + 1], -1, mask, need
+
+    def enter(i: int, p: int, mask: int, need: int):
+        # True if the need is met, False if it cannot be, else a stack
+        # frame (key, need, moves) to search.
+        if need <= 0:
+            return True
+        if i >= n - 1:
+            return False
+        mask &= live[i]
+        key = (i, p, mask)
+        known = fail.get(key)
+        if known is None:  # first visit: the per-bigram bound caps the links to come
+            known = fail[key] = 1 + sum(min(c, (ends[b] & ~mask).bit_count()) for b, c in remaining[i])
+        if known <= need:
+            return False
+        if p >= 0:
+            moves = [linked(i + 1, p + 1, mask | 1 << (p + 1), need - 1)]
+        else:
+            moves = [linked(i + 1, q + 1, mask | 3 << q, need - 1)
+                     for q in starts[bigram[i]] if not mask >> q & 3]
+        moves.append((after[i + 1], -1, mask, need))
+        return key, need, iter(moves)
+
+    for target in range(upper, lower, -1):
+        root = enter(after[0], -1, 0, target)
+        stack = [root] if root else []
+        while stack:
+            key, need, moves = stack[-1]
+            move = next(moves, None)
+            if move is None:
+                fail[key] = need
+                stack.pop()
+                continue
+            frame = enter(*move)
+            if frame is True:
+                return target
+            if frame:
+                stack.append(frame)
+    return lower
 
 
 def meteor(

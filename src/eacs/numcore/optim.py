@@ -36,25 +36,41 @@ class AdamW:
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        self._largest: dict = {}  # dtype -> size of its largest parameter
+        for p in self.params:
+            self._largest[p.data.dtype] = max(self._largest.get(p.data.dtype, 0), p.data.size)
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
     def step(self) -> None:
+        # Every temporary of the update goes into two scratch buffers per
+        # dtype, allocated once per step (kept between steps, they would add
+        # to the peak memory of the forward and backward passes). The ops and
+        # their order are those of the plain update, so results are
+        # bit-identical.
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
+        scratch = {dt: (np.empty(n, dt), np.empty(n, dt)) for dt, n in self._largest.items()}
         for k, p in enumerate(self.params):
             grad = p.grad if p.grad is not None else np.zeros_like(p.data)
             if grad.shape != p.data.shape:
                 raise ShapeError(f"grad shape {grad.shape} vs param {p.data.shape}")
             m = self._m[k]
             v = self._v[k]
+            a, b = (buf[: p.data.size].reshape(p.data.shape) for buf in scratch[p.data.dtype])
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += np.multiply(grad, 1.0 - self.beta1, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p.data -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data)
+            np.multiply(grad, 1.0 - self.beta2, out=a)
+            v += np.multiply(a, grad, out=a)
+            np.divide(m, bc1, out=a)  # m_hat
+            np.divide(v, bc2, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            a += np.multiply(p.data, self.weight_decay, out=b)
+            a *= self.lr
+            p.data -= a

@@ -5,6 +5,8 @@ full-table LCS, Counter-based n-gram stats, per-type assignment enumeration
 for the METEOR alignment, and a standalone copy of the greedy labeling rule.
 The decoder references drive a model's own ``decode_step`` one hypothesis at
 a time, so they check the batched search and loss, not the model.
+``alignment_reference`` and ``adamw_reference`` are the earlier, plainer
+implementations that the faster ones must match exactly.
 """
 
 import itertools
@@ -105,6 +107,41 @@ def meteor_alignment_brute(r, g):
     return m, best
 
 
+def alignment_reference(r, g):
+    """(matches, min chunks) by a memoized search over every position.
+
+    The previous ``metrics.alignment_stats``: exact, and exponential in
+    repeated matched tokens. It scans the longer side with a bitmask over
+    the shorter one and maximizes (matches, -chunks).
+    """
+    if not r or not g:
+        return 0, 0
+    if len(r) <= len(g):
+        scan, pool = list(g), list(r)
+    else:
+        scan, pool = list(r), list(g)
+    positions = {}
+    for j, tok in enumerate(pool):
+        positions.setdefault(tok, []).append(j)
+    memo = {}
+
+    def best(i, prev_j, mask):
+        if i == len(scan):
+            return 0, 0
+        key = (i, prev_j, mask)
+        if key not in memo:
+            res = best(i + 1, -1, mask)
+            for j in positions.get(scan[i], ()):
+                if not mask & (1 << j):
+                    m2, negc2 = best(i + 1, j, mask | (1 << j))
+                    res = max(res, (m2 + 1, negc2 - (0 if j == prev_j + 1 and prev_j >= 0 else 1)))
+            memo[key] = res
+        return memo[key]
+
+    matches, neg_chunks = best(0, -1, 0)
+    return matches, -neg_chunks
+
+
 def meteor_brute(r, g, alpha=0.9, beta=3.0, gamma=0.5):
     m, chunks = meteor_alignment_brute(r, g)
     if m == 0:
@@ -203,3 +240,29 @@ def beam_reference(model, e_fu, vocab, max_len, width):
     best = min(beams, key=lambda b: (-b[2], b[0]))
     ids = [i for i in best[0] if i != EOS]
     return DecodeResult(tokens=vocab.decode(ids), step_log_probs=list(best[1]))
+
+
+def adamw_reference(params, grads, steps, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
+    """The AdamW update with fresh temporaries, as first written.
+
+    ``grads[t][k]`` is parameter k's gradient at step t, or None for zero.
+    Updates copies of ``params`` and returns them.
+    """
+    params = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t in range(1, steps + 1):
+        bc1 = 1.0 - beta1**t
+        bc2 = 1.0 - beta2**t
+        for k, p in enumerate(params):
+            grad = grads[t - 1][k]
+            if grad is None:
+                grad = np.zeros_like(p)
+            m[k] *= beta1
+            m[k] += (1.0 - beta1) * grad
+            v[k] *= beta2
+            v[k] += (1.0 - beta2) * grad * grad
+            m_hat = m[k] / bc1
+            v_hat = v[k] / bc2
+            p -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p)
+    return params

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -141,6 +142,25 @@ class TestEvaluate:
         )
         assert code == 2
         assert "codes" in err
+
+    def test_degenerate_hypotheses_finish(self, capsys, tmp_path):
+        # A 40-fold repeated token and a 22-token exact copy: both hung the
+        # old exponential METEOR alignment.
+        refs = tmp_path / "refs.txt"
+        refs.write_text(
+            " ".join(["the"] * 40) + "\n"
+            "returns the value of the key in the map or the default value if the key is not in the map .\n"
+        )
+        report_path = tmp_path / "report.json"
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "evaluate", "--refs", str(refs), "--hyps", str(refs),
+            "--out", str(report_path),
+        )
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        assert "METEOR" in out
+        assert json.loads(report_path.read_text())["n_samples"] == 2
 
     def test_mismatched_files_fail(self, capsys, tmp_path):
         refs = tmp_path / "refs.txt"

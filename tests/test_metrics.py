@@ -1,5 +1,6 @@
 import gc
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,9 +11,32 @@ from hypothesis import strategies as st
 from eacs import metrics as M
 from eacs.errors import EmptyInput, ShapeError
 
-from .oracles import bleu4_brute, lcs_brute, meteor_brute, ngram_stats_brute, rouge_l_brute
+from .oracles import (
+    alignment_reference,
+    bleu4_brute,
+    lcs_brute,
+    meteor_alignment_brute,
+    meteor_brute,
+    ngram_stats_brute,
+    rouge_l_brute,
+)
 
 tokens = st.lists(st.sampled_from("abcdefghij"), min_size=1, max_size=15)
+
+
+def repetitive_pairs(alphabets, max_size):
+    """Token-list pairs over one small alphabet: the repetitive, hard case."""
+
+    def over(alphabet):
+        side = st.lists(st.sampled_from(alphabet), min_size=1, max_size=max_size)
+        return st.tuples(side, side)
+
+    return st.sampled_from(alphabets).flatmap(over)
+
+
+COPY_22 = (
+    "returns the value of the key in the map or the default value if the key is not in the map ."
+).split()
 
 
 class TestLcs:
@@ -111,23 +135,63 @@ class TestMeteor:
         # minimum is 2 ([a at r2] plus the [a,b] run).
         assert M.alignment_stats(["a", "b", "a"], ["a", "a", "b"]) == (3, 2)
 
+    def test_packing_off_by_one_chunk(self):
+        # Leftmost-greedy packing takes [a,a] at r0/g1 and leaves 3 chunks;
+        # [b,a] plus [a] at r1 gives 2.
+        assert M.alignment_stats(["a", "a", "b", "a"], ["b", "a", "a", "a"]) == (4, 2)
+
+    def test_bigram_bound_not_reached(self):
+        # Both bigrams are shared (UB = 2), but they overlap in g, so the
+        # search has to show that only one link fits.
+        assert M.alignment_stats(["b", "a", "a", "b"], ["b", "a", "b"]) == (3, 2)
+
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
             M.meteor([], ["a"])
 
+    @pytest.mark.parametrize(
+        "pair",
+        [(["the"] * 30, ["the"] * 30), (COPY_22, COPY_22)],
+        ids=["the-x30", "copy-22"],
+    )
+    def test_degenerate_pairs_are_fast(self, pair):
+        # The memoized search took seconds on the first and ~52 s on the
+        # second; the bound and the greedy packing settle both at once.
+        start = time.perf_counter()
+        score = M.meteor(*pair)
+        assert time.perf_counter() - start < 0.1
+        assert M.alignment_stats(*pair) == (len(pair[0]), 1)
+        assert score == pytest.approx(1.0 - 0.5 / len(pair[0]) ** 3, abs=1e-12)
+
     def test_alignment_leaves_no_garbage(self):
         # With the cyclic collector off, whatever one call leaves behind
-        # stays allocated; the search's memo for ["the"] * 10 is ~5 MB.
-        gc.disable()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            assert M.alignment_stats(["the"] * 10, ["the"] * 10) == (10, 1)
-            left = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-            gc.enable()
-        assert left < 1_000_000
+        # stays allocated (the old search's memo for ["the"] * 10 was ~5 MB).
+        # The second pair runs the exact search.
+        cases = [
+            ((["the"] * 10, ["the"] * 10), (10, 1)),
+            ((["b", "a", "a", "b"], ["b", "a", "b"]), (3, 2)),
+        ]
+        for pair, want in cases:
+            gc.disable()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                assert M.alignment_stats(*pair) == want
+                left = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+            assert left < 1_000_000
+
+    @given(repetitive_pairs(["ab", "abc"], 8))
+    @settings(max_examples=400, deadline=None)
+    def test_alignment_matches_enumeration(self, pair):
+        assert M.alignment_stats(*pair) == meteor_alignment_brute(*pair)
+
+    @given(repetitive_pairs(["ab", "abc", "abcd"], 12))
+    @settings(max_examples=300, deadline=None)
+    def test_alignment_matches_memoized_search(self, pair):
+        assert M.alignment_stats(*pair) == alignment_reference(*pair)
 
 
 class TestBruteForceEquivalence:

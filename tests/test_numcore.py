@@ -4,6 +4,8 @@ import pytest
 from eacs import numcore as nc
 from eacs.errors import ShapeError
 
+from .oracles import adamw_reference
+
 
 class TestOps:
     def test_concat_last_axis(self):
@@ -233,6 +235,33 @@ class TestAdamW:
             seen.append(abs(p.data[0]))
         assert all(b < a for a, b in zip(seen, seen[1:]))
         assert seen[-1] < 0.5
+
+    def test_in_place_update_matches_reference(self):
+        # Float32 parameters of three shapes over several steps, one of them
+        # with a missing (zero) gradient, equal the plain update bit for bit.
+        rng = np.random.default_rng(5)
+        shapes = [(7, 5), (5,), (3, 4, 2)]
+        start = [rng.normal(0, 1, s).astype(np.float32) for s in shapes]
+        steps = 6
+        grads = [[rng.normal(0, 1, s).astype(np.float32) for s in shapes] for _ in range(steps)]
+        grads[2][1] = None
+        params = [nc.Parameter(f"p{k}", x.copy()) for k, x in enumerate(start)]
+        opt = nc.AdamW(params, lr=0.01, weight_decay=0.01)
+        for step_grads in grads:
+            for p, g in zip(params, step_grads):
+                p.grad = g
+            opt.step()
+        want = adamw_reference(start, grads, steps, lr=0.01, weight_decay=0.01)
+        for p, w in zip(params, want):
+            assert p.data.dtype == np.float32
+            assert np.array_equal(p.data, w)
+
+    def test_grad_shape_mismatch(self):
+        p = nc.Parameter("p", np.ones((2, 3), dtype=np.float32))
+        opt = nc.AdamW([p])
+        p.grad = np.ones((3, 2), dtype=np.float32)
+        with pytest.raises(ShapeError):
+            opt.step()
 
     def test_lr_zero_freezes(self):
         p = nc.Parameter("p", np.array([1.0]))

@@ -21,7 +21,7 @@ from . import numcore as nc
 from .config import RunConfig
 from .corpus import BOS, EOS, Batch, Corpus, RawPair, Vocabulary, tokenize_comment
 from .errors import EmptyCorpus, EmptyInput, EmptySnippet, ShapeError, UsageError, VocabMismatch
-from .extractor import ExtractorModel, TrainHistory, fit, predict_important, split_validation
+from .extractor import ExtractorModel, TrainResult, fit, predict_important, split_validation
 from .segmenter import SegmentedSnippet, segment
 
 log = logging.getLogger(__name__)
@@ -104,14 +104,14 @@ class AbstracterModel(nc.Model):
     def _embed(self, table: nc.Tensor, batch: Batch, keep: Optional[np.ndarray]) -> nc.Tensor:
         emb = nc.embedding_lookup(table, batch.indices)
         if keep is not None:
-            emb = nc.dropout(emb, self.config.dropout, None, keep=keep)
+            emb = nc.dropout(emb, keep)
         return emb
 
     def encode(self, which: str, batch: Batch, keep: Optional[np.ndarray] = None) -> nc.Tensor:
         """(B, H) final states of the "ex" or "ab" encoder over a padded batch."""
         emb = self._embed(getattr(self, f"embedding_{which}"), batch, keep)
         wx, wh, b = (getattr(self, f"{which}_{name}") for name in ("wx", "wh", "b"))
-        return nc.lstm_over(emb, wx, wh, b, lengths=batch.lengths)
+        return nc.lstm_over(emb, wx, wh, b, lengths=batch.lengths)[0]
 
     def encode_extractive(self, ids: np.ndarray) -> nc.Tensor:
         """Fixed vector for the concatenated important-statement tokens."""
@@ -144,7 +144,7 @@ class AbstracterModel(nc.Model):
         return nc.lstm_over(
             x, self.dec_wx, self.dec_wh, self.dec_b,
             lengths=inputs.lengths, h0=h0, c0=c0, collect=True,
-        )
+        )[0]
 
     def decode_step(
         self, y_prev: np.ndarray, h_prev: nc.Tensor, c_prev: nc.Tensor, u: nc.Tensor
@@ -257,21 +257,13 @@ def build_abstracter_dataset(
     return samples
 
 
-@dataclass
-class AbstracterTrainResult:
-    model: AbstracterModel
-    vocab: Vocabulary
-    history: TrainHistory
-    best_epoch: int
-
-
 def train_abstracter(
     corpus: Corpus | Sequence[RawPair],
     extractor: ExtractorModel,
     vocab: Vocabulary,
     config: RunConfig,
     language: str = "java",
-) -> AbstracterTrainResult:
+) -> TrainResult:
     """Jointly train both encoders, projections, and the decoder with AdamW.
 
     The extractor stays frozen: its selections are computed once up front and
@@ -286,7 +278,7 @@ def train_abstracter(
     model = AbstracterModel(len(vocab), config, nc.rng_streams(config.seed)[0])
     train_set, val_set = split_validation(samples, config.val_fraction)
     history, best_epoch = fit(model, abstracter_loss, train_set, val_set, config)
-    return AbstracterTrainResult(model=model, vocab=vocab, history=history, best_epoch=best_epoch)
+    return TrainResult(model=model, vocab=vocab, history=history, best_epoch=best_epoch)
 
 
 @dataclass

@@ -13,7 +13,7 @@ import logging
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -160,13 +160,9 @@ class Vocabulary:
             count=len(tokens),
         )
 
-    def decode(self, ids: Sequence[int], keep_special: bool = False) -> list[str]:
-        out = []
-        for i in ids:
-            if not keep_special and i in (PAD, BOS, EOS):
-                continue
-            out.append(self.index_to_token[int(i)])
-        return out
+    def decode(self, ids: Sequence[int]) -> list[str]:
+        """Tokens of ``ids``, dropping <pad>, <bos> and <eos>."""
+        return [self.index_to_token[int(i)] for i in ids if i not in (PAD, BOS, EOS)]
 
 
 def build_vocabulary(pairs: Sequence[RawPair], min_freq: int = 1, max_size: int = 2000) -> Vocabulary:
@@ -201,12 +197,10 @@ class Batch:
     lengths: np.ndarray  # (batch,) int64
 
     @classmethod
-    def pad(cls, seqs: Sequence[Sequence[int]], width: Optional[int] = None) -> "Batch":
-        """Rows of ``seqs`` left-aligned and padded with PAD to ``width``
-        (default: the longest row)."""
+    def pad(cls, seqs: Sequence[Sequence[int]]) -> "Batch":
+        """Rows of ``seqs`` left-aligned and padded with PAD to the longest row."""
         lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-        if width is None:
-            width = int(lengths.max(initial=0))
+        width = int(lengths.max(initial=0))
         rows = np.full((len(seqs), width), PAD, dtype=np.int64)
         for i, seq in enumerate(seqs):
             rows[i, : len(seq)] = seq

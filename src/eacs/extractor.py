@@ -89,12 +89,12 @@ class ExtractorModel(nc.Model):
         tok_keep, ctx_keep = self._dropout_keeps(tokens, stmts, train, rng)
         emb = nc.embedding_lookup(self.embedding, tokens.indices)
         if tok_keep is not None:
-            emb = nc.dropout(emb, self.config.dropout, None, keep=tok_keep)
-        vecs = nc.lstm_over(emb, self.tok_wx, self.tok_wh, self.tok_b, lengths=tokens.lengths)
+            emb = nc.dropout(emb, tok_keep)
+        vecs, _ = nc.lstm_over(emb, self.tok_wx, self.tok_wh, self.tok_b, lengths=tokens.lengths)
         mat = nc.embedding_lookup(vecs, stmts.indices)
         if ctx_keep is not None:
-            mat = nc.dropout(mat, self.config.dropout, None, keep=ctx_keep)
-        ctx = nc.lstm_over(
+            mat = nc.dropout(mat, ctx_keep)
+        ctx, _ = nc.lstm_over(
             mat, self.ctx_wx, self.ctx_wh, self.ctx_b, lengths=stmts.lengths, collect=True
         )
         return nc.reshape(ctx, (-1, self.config.hidden_dim)), stmts
@@ -314,8 +314,10 @@ def fit(
 
 
 @dataclass
-class ExtractorTrainResult:
-    model: ExtractorModel
+class TrainResult:
+    """What :func:`train_extractor` and ``train_abstracter`` return."""
+
+    model: nc.Model
     vocab: Vocabulary
     history: TrainHistory
     best_epoch: int
@@ -338,7 +340,7 @@ def train_extractor(
     config: RunConfig,
     language: str = "java",
     vocab: Optional[Vocabulary] = None,
-) -> ExtractorTrainResult:
+) -> TrainResult:
     """Oracle labeling + minibatch AdamW; returns the best-validation model."""
     pairs = list(corpus)
     if not pairs:
@@ -351,7 +353,7 @@ def train_extractor(
     model = ExtractorModel(len(vocab), config, nc.rng_streams(config.seed)[0])
     train_set, val_set = split_validation(samples, config.val_fraction)
     history, best_epoch = fit(model, extractor_batch_loss, train_set, val_set, config)
-    return ExtractorTrainResult(model=model, vocab=vocab, history=history, best_epoch=best_epoch)
+    return TrainResult(model=model, vocab=vocab, history=history, best_epoch=best_epoch)
 
 
 def predict_important(

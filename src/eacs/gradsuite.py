@@ -59,9 +59,13 @@ def op_checks(seed: int = 0) -> list[tuple[str, Callable[[], nc.Tensor], list[nc
     sm_const = rng.normal(0.0, 1.0, (3, 5))
     flat_const = rng.normal(0.0, 1.0, (2, 6))
 
-    def drop_loss():
-        # Fresh generator per call keeps the mask identical across FD evals.
-        return nc.mean_all(nc.dropout(nc.mul(a, a), 0.4, np.random.default_rng(11), train=True))
+    keep = nc.keep_mask(np.random.default_rng(11), a.shape, 0.4, a.dtype)
+
+    def lstm_over_loss():
+        states, _ = nc.lstm_over(*seq_args, collect=True)
+        h, c = nc.lstm_over(*seq_args)
+        # c enters the loss, so the final cell state's gradient is checked too.
+        return nc.add(nc.mean_all(nc.mul(states, step_weights)), nc.mean_all(nc.mul(h, c)))
 
     return [
         ("add", lambda: nc.mean_all(nc.add(a, b)), [a, b]),
@@ -85,7 +89,7 @@ def op_checks(seed: int = 0) -> list[tuple[str, Callable[[], nc.Tensor], list[nc
             lambda: nc.mean_all(nc.log(nc.gather_rows(nc.softmax(nc.embedding_lookup(table, ids)), pick))),
             [table],
         ),
-        ("dropout", drop_loss, [a]),
+        ("dropout", lambda: nc.mean_all(nc.dropout(nc.mul(a, a), keep)), [a]),
         (
             "reshape",
             lambda: nc.mean_all(nc.mul(nc.reshape(nc.mul(a, b), (2, 6)), flat_const)),
@@ -96,14 +100,7 @@ def op_checks(seed: int = 0) -> list[tuple[str, Callable[[], nc.Tensor], list[nc
             lambda: nc.mean_all(nc.mul(*nc.lstm_cell(x, h0, c0, wx, wh, lb))),
             [x, h0, c0, wx, wh, lb],
         ),
-        (
-            "lstm_over",
-            lambda: nc.add(
-                nc.mean_all(nc.mul(nc.lstm_over(*seq_args, collect=True), step_weights)),
-                nc.mean_all(nc.lstm_over(*seq_args)),
-            ),
-            [seqs, wx, wh, lb, s_h0, s_c0],
-        ),
+        ("lstm_over", lstm_over_loss, [seqs, wx, wh, lb, s_h0, s_c0]),
     ]
 
 

@@ -398,13 +398,7 @@ class BucketSpec:
     """
 
     kind: str
-    edges: tuple[int, ...] = ()
     lengths: Optional[Sequence[int]] = None
-
-    def resolved_edges(self) -> tuple[int, ...]:
-        if self.edges:
-            return self.edges
-        return CODE_LINE_EDGES if self.kind == "code" else COMMENT_TOKEN_EDGES
 
 
 def bucket_label(value: int, edges: tuple[int, ...]) -> str:
@@ -486,18 +480,14 @@ def evaluate_corpus(
             lengths = [len(r) for r in refs]
         if len(lengths) != len(refs):
             raise ShapeError("bucket lengths must align with samples")
-        edges = buckets.resolved_edges()
-        groups: dict[str, list[int]] = {}
+        edges = CODE_LINE_EDGES if buckets.kind == "code" else COMMENT_TOKEN_EDGES
+        # Groups created in edge order, so the buckets come out shortest first.
+        groups = {bucket_label(hi, edges): [] for hi in edges + (edges[-1] + 1,)}
         for i, val in enumerate(lengths):
-            groups.setdefault(bucket_label(int(val), edges), []).append(i)
-        for label in sorted(groups, key=lambda s: _bucket_sort_key(s)):
-            idx = groups[label]
-            report.buckets[f"{buckets.kind} {label}"] = MetricReport(
-                bleu=arr[idx, 0], meteor=arr[idx, 1], rouge_l=arr[idx, 2]
-            )
+            groups[bucket_label(int(val), edges)].append(i)
+        for label, idx in groups.items():
+            if idx:
+                report.buckets[f"{buckets.kind} {label}"] = MetricReport(
+                    bleu=arr[idx, 0], meteor=arr[idx, 1], rouge_l=arr[idx, 2]
+                )
     return report
-
-
-def _bucket_sort_key(label: str) -> int:
-    head = label.lstrip(">").split("-")[0]
-    return int(head)

@@ -247,29 +247,15 @@ def keep_mask(rng: np.random.Generator, shape: tuple[int, ...], p: float, dtype)
     Draws ``rng.random(shape)``, so one (n, E) mask holds the same numbers as
     n consecutive (1, E) masks.
     """
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
 
 
-def dropout(
-    x: Tensor,
-    p: float,
-    rng: Optional[np.random.Generator],
-    train: bool = True,
-    keep: Optional[np.ndarray] = None,
-) -> Tensor:
-    """Inverted dropout: training keeps E[out] = x, inference is the identity.
-
-    ``keep`` supplies a mask drawn earlier by :func:`keep_mask` instead of
-    drawing one from ``rng``.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
+def dropout(x: Tensor, keep: np.ndarray) -> Tensor:
+    """Inverted dropout: ``x`` times a mask drawn by :func:`keep_mask`."""
     x = as_tensor(x)
-    if not train or p == 0.0:
-        return x
-    if keep is None:
-        keep = keep_mask(rng, x.data.shape, p, x.data.dtype)
-    elif keep.shape != x.data.shape:
+    if keep.shape != x.data.shape:
         raise ShapeError(f"dropout: mask {keep.shape} for input {x.shape}")
     out = Tensor(x.data * keep)
     record((x,), (out,), lambda gs: (gs[0] * keep,))
@@ -291,74 +277,13 @@ def _gate_constants(hidden: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarra
     return scale, shift, scale * scale
 
 
-def _cell_forward(z: np.ndarray, c_prev: np.ndarray):
-    """One LSTM step from pre-activations z (N, 4H) and the cell state (N, H).
-
-    Returns (a, gates, c, tanh(c), h); ``a`` is the raw tanh the backward needs.
-    """
-    hidden = c_prev.shape[1]
-    scale, shift, _ = _gate_constants(hidden, z.dtype)
-    a = np.tanh(z * scale)
-    gates = a * scale + shift
-    i, f, g, o = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    return a, gates, c, tc, o * tc
-
-
-def _cell_backward(dh, dc, a, gates, c_prev, tc):
-    """Gradients of one step: (dz over the 4H pre-activations, dc_prev)."""
-    hidden = c_prev.shape[1]
-    i, f, g, o = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
-    dc = dc + dh * o * (1.0 - tc * tc)
-    dgates = np.empty_like(gates)
-    dgates[:, :hidden] = dc * g
-    dgates[:, hidden : 2 * hidden] = dc * c_prev
-    dgates[:, 2 * hidden : 3 * hidden] = dc * i
-    dgates[:, 3 * hidden :] = dh * tc
-    return dgates * (1.0 - a * a) * _gate_constants(hidden, a.dtype)[2], dc * f
-
-
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, wx: Tensor, wh: Tensor, b: Tensor):
-    """One step of a standard LSTM cell (gate order i, f, g, o), fused.
+    """One LSTM step over a (B, D) input from (h_prev, c_prev): returns (h, c).
 
-    i, f, o = sigmoid(x Wx + h Wh + b), g = tanh(...),
-    c = f * c_prev + i * g, h = o * tanh(c).
+    It is :func:`lstm_over` over one time step, so decoding runs the same
+    step code as teacher-forced training.
     """
-    x, h_prev, c_prev = as_tensor(x), as_tensor(h_prev), as_tensor(c_prev)
-    wx, wh, b = as_tensor(wx), as_tensor(wh), as_tensor(b)
-    if x.data.ndim != 2 or h_prev.data.ndim != 2:
-        raise ShapeError("lstm_cell expects 2-D x and h_prev")
-    hidden = h_prev.shape[1]
-    if (
-        wx.shape != (x.shape[1], 4 * hidden)
-        or wh.shape != (hidden, 4 * hidden)
-        or b.shape != (4 * hidden,)
-        or c_prev.shape != h_prev.shape
-        or x.shape[0] != h_prev.shape[0]
-    ):
-        raise ShapeError(
-            f"lstm_cell shapes: x{x.shape} h{h_prev.shape} c{c_prev.shape} "
-            f"wx{wx.shape} wh{wh.shape} b{b.shape}"
-        )
-    z = x.data @ wx.data + h_prev.data @ wh.data + b.data
-    a, gates, c, tc, h = _cell_forward(z, c_prev.data)
-    h_out = Tensor(h)
-    c_out = Tensor(c)
-
-    def backward(gs):
-        dz, dc_prev = _cell_backward(gs[0], gs[1], a, gates, c_prev.data, tc)
-        return (
-            dz @ wx.data.T,
-            dz @ wh.data.T,
-            dc_prev,
-            x.data.T @ dz,
-            h_prev.data.T @ dz,
-            dz.sum(axis=0),
-        )
-
-    record((x, h_prev, c_prev, wx, wh, b), (h_out, c_out), backward)
-    return h_out, c_out
+    return lstm_over(x, wx, wh, b, h0=h_prev, c0=c_prev)
 
 
 def lstm_over(
@@ -370,22 +295,31 @@ def lstm_over(
     h0: Optional[Tensor] = None,
     c0: Optional[Tensor] = None,
     collect: bool = False,
-) -> Tensor:
-    """Run an LSTM over a padded batch of sequences as one tape node.
+) -> tuple[Tensor, Tensor]:
+    """Run a standard LSTM (gate order i, f, g, o) over a padded batch, as one tape node.
 
-    ``x`` is (B, T, D); sequence k has ``lengths[k]`` steps (default T), and
-    its h and c carry unchanged past them. The state starts at (h0, c0), each
-    (B, H), or at zeros. Returns every sequence's final hidden state (B, H),
-    or the hidden state after every step (B, T, H) when ``collect`` is set.
+    i, f, o = sigmoid(x Wx + b + h Wh), g = tanh(...), c = f * c_prev + i * g
+    and h = o * tanh(c). ``x`` is (B, T, D), or (B, D) for one time step;
+    sequence k has ``lengths[k]`` steps (default T), and its h and c carry
+    unchanged past them. The state starts at (h0, c0), each (B, H), or at
+    zeros. Returns (out, c): ``out`` is every sequence's final hidden state
+    (B, H), or the hidden state after every step (B, T, H) when ``collect``
+    is set, and ``c`` is the final cell state (B, H).
 
     The input GEMM covers all B*T steps at once. Backward runs BPTT in one
     loop, collecting dz as (B*T, 4H), then forms dx, dWx, dWh and db with one
     GEMM or reduction each (Appleyard et al., arXiv 1604.01946).
     """
     x, wx, wh, b = as_tensor(x), as_tensor(wx), as_tensor(wh), as_tensor(b)
-    if x.data.ndim != 3 or x.shape[1] < 1:
-        raise ShapeError(f"lstm_over expects a (B, T, D) input with T >= 1, got {x.shape}")
-    n, steps, width = x.shape
+    if x.data.ndim == 2:
+        xs = x.data[:, None]
+    elif x.data.ndim == 3 and x.shape[1] >= 1:
+        xs = x.data
+    else:
+        raise ShapeError(
+            f"lstm_over expects a (B, T, D) input with T >= 1, or (B, D), got {x.shape}"
+        )
+    n, steps, width = xs.shape
     hidden = wh.shape[0]
     lengths = np.full(n, steps) if lengths is None else np.asarray(lengths, dtype=np.int64)
     h0 = Tensor(np.zeros((n, hidden), dtype=x.dtype)) if h0 is None else as_tensor(h0)
@@ -409,29 +343,44 @@ def lstm_over(
     if lengths.min(initial=steps) < steps:
         live = (np.arange(steps)[:, None] < lengths)[:, :, None]
 
-    xw = (x.data.reshape(n * steps, width) @ wx.data + b.data).reshape(n, steps, 4 * hidden)
+    xw = (xs.reshape(n * steps, width) @ wx.data + b.data).reshape(n, steps, 4 * hidden)
+    scale, shift, slope = _gate_constants(hidden, xw.dtype)
     hs = np.empty((n, steps + 1, hidden), dtype=xw.dtype)
     cs = np.empty_like(hs)
     hs[:, 0], cs[:, 0] = h0.data, c0.data
-    saved = []  # per step: (a, gates, tanh(c))
+    saved = []  # per step: (tanh of the scaled pre-activations, gates, tanh(c))
     for t in range(steps):
-        a, gates, c, tc, h = _cell_forward(xw[:, t] + hs[:, t] @ wh.data, cs[:, t])
+        a = np.tanh((xw[:, t] + hs[:, t] @ wh.data) * scale)
+        gates = a * scale + shift
+        i, f, g, o = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
+        c = f * cs[:, t] + i * g
+        tc = np.tanh(c)
+        h = o * tc
         if live is not None:
             h = np.where(live[t], h, hs[:, t])
             c = np.where(live[t], c, cs[:, t])
         hs[:, t + 1], cs[:, t + 1] = h, c
         saved.append((a, gates, tc))
     out = Tensor(hs[:, 1:] if collect else hs[:, steps].copy())
+    c_out = Tensor(cs[:, steps].copy())
 
     def backward(gs):
         dz = np.empty((n, steps, 4 * hidden), dtype=xw.dtype)
         dh = np.zeros((n, hidden), dtype=xw.dtype) if collect else gs[0]
-        dc = np.zeros((n, hidden), dtype=xw.dtype)
+        dc = gs[1]
         for t in reversed(range(steps)):
             if collect:
                 dh = dh + gs[0][:, t]
             a, gates, tc = saved[t]
-            dz_t, dc_prev = _cell_backward(dh, dc, a, gates, cs[:, t], tc)
+            i, f, g, o = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
+            dc_t = dc + dh * o * (1.0 - tc * tc)
+            dgates = np.empty_like(gates)
+            dgates[:, :hidden] = dc_t * g
+            dgates[:, hidden : 2 * hidden] = dc_t * cs[:, t]
+            dgates[:, 2 * hidden : 3 * hidden] = dc_t * i
+            dgates[:, 3 * hidden :] = dh * tc
+            dz_t = dgates * (1.0 - a * a) * slope
+            dc_prev = dc_t * f
             if live is not None:
                 dz_t *= live[t]
             dh_prev = dz_t @ wh.data.T
@@ -442,13 +391,13 @@ def lstm_over(
             dh, dc = dh_prev, dc_prev
         dz = dz.reshape(n * steps, 4 * hidden)
         return (
-            (dz @ wx.data.T).reshape(n, steps, width),
-            x.data.reshape(n * steps, width).T @ dz,
+            (dz @ wx.data.T).reshape(x.data.shape),
+            xs.reshape(n * steps, width).T @ dz,
             hs[:, :steps].reshape(n * steps, hidden).T @ dz,
             dz.sum(axis=0),
             dh,
             dc,
         )
 
-    record((x, wx, wh, b, h0, c0), (out,), backward)
-    return out
+    record((x, wx, wh, b, h0, c0), (out, c_out), backward)
+    return out, c_out

@@ -2,7 +2,7 @@
 
 Ops execute eagerly on NumPy arrays and, while a :class:`Tape` is active,
 append nodes in execution order. Backward replays the tape in reverse, so
-multi-output ops (the LSTM cell) need no special casing. Without an active
+multi-output ops (the LSTM's h and c) need no special casing. Without an active
 tape, ops run in inference mode at plain NumPy cost.
 
 A tape and its tensors belong to a single training run and are mutated
@@ -113,15 +113,26 @@ class Tape:
     def backward(self, loss: Tensor, params: Sequence[Tensor] = ()) -> None:
         """Reverse-accumulate gradients of a scalar loss into leaf tensors.
 
-        Parameters passed in ``params`` that the loss never touched get
-        explicit zero gradients.
+        One pass over the nodes, last first: a node's output gradients are
+        complete when it runs, since every consumer was recorded after it.
+        Leaves are the tensors with ``requires_grad`` that some node consumed
+        and no node on this tape returned. Each gets its gradient in
+        ``.grad``, or added to the ``.grad`` it has. Parameters passed in
+        ``params`` that the loss never touched get explicit zero gradients.
+
+        Gradient arrays are handed over without a copy, so two leaves may
+        share one array (both operands of ``add`` do). Treat ``.grad`` as
+        read-only: accumulate with ``grad + g``, never in place.
         """
         if loss.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        produced = {id(o) for node in self.nodes for o in node.outputs}
+        # id -> (tensor, gradient). The seed names no tensor, so a loss that
+        # no node consumed gets no .grad.
+        grads: dict[int, tuple[Optional[Tensor], np.ndarray]] = {
+            id(loss): (None, np.ones_like(loss.data))
+        }
         for node in reversed(self.nodes):
-            out_grads = [grads.get(id(o)) for o in node.outputs]
+            out_grads = [grads.pop(id(o), (None, None))[1] for o in node.outputs]
             if all(g is None for g in out_grads):
                 continue
             out_grads = [
@@ -133,17 +144,10 @@ class Tape:
                 if g is None or not t.requires_grad:
                     continue
                 seen = grads.get(id(t))
-                grads[id(t)] = g if seen is None else seen + g
-        leaves: dict[int, Tensor] = {}
-        for node in self.nodes:
-            for t in node.inputs:
-                if t.requires_grad and id(t) not in produced:
-                    leaves[id(t)] = t
-        for key, t in leaves.items():
-            g = grads.get(key)
-            if g is None:
-                continue
-            t.grad = g.copy() if t.grad is None else t.grad + g
+                grads[id(t)] = (t, g if seen is None else seen[1] + g)
+        for t, g in grads.values():
+            if t is not None:
+                t.grad = g if t.grad is None else t.grad + g
         for p in params:
             if p.grad is None:
                 p.grad = np.zeros_like(p.data)

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import json
-import sys
-from typing import Optional, TextIO
+from typing import Optional
 
 from .errors import IoError
 from .fileio import replace_on_success
@@ -44,17 +43,15 @@ def emit_report(
     report: MetricReport,
     compare: Optional[dict[str, SignificanceResult]] = None,
     path: Optional[str] = None,
-    stream: Optional[TextIO] = None,
 ) -> None:
     """Print the aligned table (and bucket sub-tables) and write the record file."""
-    stream = stream or sys.stdout
-    print(format_table(report, title="all samples"), file=stream)
+    print(format_table(report, title="all samples"))
     for name, sub in report.buckets.items():
-        print("", file=stream)
-        print(format_table(sub, title=name), file=stream)
+        print()
+        print(format_table(sub, title=name))
     if compare:
-        print("", file=stream)
-        print(format_significance(compare), file=stream)
+        print()
+        print(format_significance(compare))
     if path:
         record = report.to_record()
         if compare:

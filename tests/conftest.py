@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 import pytest
 
-from eacs.abstracter import AbstracterTrainResult, train_abstracter
+from eacs.abstracter import train_abstracter
 from eacs.config import RunConfig
 from eacs.corpus import Corpus, load_corpus
-from eacs.extractor import ExtractorTrainResult, train_extractor
+from eacs.extractor import TrainResult, train_extractor
 
 TYPES = ["int", "long", "float", "double"]
 OPS = [
@@ -76,8 +76,8 @@ TOY_ABSTRACTER_CONFIG = RunConfig(
 
 @dataclass
 class OverfitRun:
-    extractor: ExtractorTrainResult
-    abstracter: AbstracterTrainResult
+    extractor: TrainResult
+    abstracter: TrainResult
     extractor_seconds: float
     abstracter_seconds: float
 

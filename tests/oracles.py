@@ -6,7 +6,8 @@ for the METEOR alignment, and a standalone copy of the greedy labeling rule.
 The decoder references drive a model's own ``decode_step`` one hypothesis at
 a time, so they check the batched search and loss, not the model.
 ``alignment_reference`` and ``adamw_reference`` are the earlier, plainer
-implementations that the faster ones must match exactly.
+implementations that the faster ones must match exactly; ``lstm_reference``
+is a textbook LSTM that shares no code with ``numcore``.
 """
 
 import itertools
@@ -240,6 +241,34 @@ def beam_reference(model, e_fu, vocab, max_len, width):
     best = min(beams, key=lambda b: (-b[2], b[0]))
     ids = [i for i in best[0] if i != EOS]
     return DecodeResult(tokens=vocab.decode(ids), step_log_probs=list(best[1]))
+
+
+def lstm_reference(x, wx, wh, b, lengths, h0, c0):
+    """A float64 LSTM, gates i, f, g, o, with sigmoid(z) = 1 / (1 + e^-z).
+
+    Runs sequence k of ``x`` (B, T, D) for ``lengths[k]`` steps from
+    (h0[k], c0[k]). Returns each sequence's list of step hidden states and
+    the final (h, c), each (B, H).
+    """
+
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    hidden = wh.shape[0]
+    states, final_h, final_c = [], [], []
+    for k, n in enumerate(lengths):
+        h, c = h0[k], c0[k]
+        seq = []
+        for t in range(n):
+            z = x[k, t] @ wx + h @ wh + b
+            i, f, g, o = (z[j * hidden : (j + 1) * hidden] for j in range(4))
+            c = sigmoid(f) * c + sigmoid(i) * np.tanh(g)
+            h = sigmoid(o) * np.tanh(c)
+            seq.append(h)
+        states.append(seq)
+        final_h.append(h)
+        final_c.append(c)
+    return states, np.array(final_h), np.array(final_c)
 
 
 def adamw_reference(params, grads, steps, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):

@@ -347,9 +347,9 @@ class TestGeneration:
 class _RecordingVocabulary(Vocabulary):
     """Remembers the ids of the last decode, without the <eos>."""
 
-    def decode(self, ids, keep_special=False):
+    def decode(self, ids):
         self.ids = [int(i) for i in ids if i != EOS]
-        return super().decode(ids, keep_special)
+        return super().decode(ids)
 
 
 class TestBatchedBeam:

@@ -4,7 +4,7 @@ import pytest
 from eacs import numcore as nc
 from eacs.errors import ShapeError
 
-from .oracles import adamw_reference
+from .oracles import adamw_reference, lstm_reference
 
 
 class TestOps:
@@ -35,14 +35,6 @@ class TestOps:
         assert np.abs(a - b).max() < 1e-6
         assert np.abs(a.sum(axis=-1) - 1.0).max() < 1e-6
 
-    def test_dropout_zero_rate_is_identity(self):
-        x = nc.Tensor(np.ones((3, 3)))
-        assert nc.dropout(x, 0.0, np.random.default_rng(0), train=True) is x
-
-    def test_dropout_inference_is_identity(self):
-        x = nc.Tensor(np.ones((3, 3)))
-        assert nc.dropout(x, 0.5, np.random.default_rng(0), train=False) is x
-
     def test_sigmoid_saturates_without_warnings(self):
         with np.errstate(all="raise"):
             out = nc.sigmoid(nc.Tensor(np.array([-1e4, -30.0, 0.0, 30.0, 1e4]))).data
@@ -54,6 +46,11 @@ class TestOps:
         rng = np.random.default_rng(8)
         rows = [nc.keep_mask(rng, (1, 5), 0.3, np.float32) for _ in range(3)]
         assert np.array_equal(one, np.concatenate(rows))
+
+    def test_keep_mask_rejects_rate_outside_unit_interval(self):
+        for p in (-0.1, 1.0):
+            with pytest.raises(ValueError):
+                nc.keep_mask(np.random.default_rng(0), (2, 2), p, np.float32)
 
     def test_embedding_lookup_nd_ids_scatter_adds(self):
         table = nc.Parameter("t", np.arange(8.0).reshape(4, 2))
@@ -67,7 +64,7 @@ class TestOps:
     def test_dropout_preserves_expectation(self):
         rng = np.random.default_rng(17)
         x = nc.Tensor(np.full((100, 1000), 2.0))
-        out = nc.dropout(x, 0.3, rng, train=True)
+        out = nc.dropout(x, nc.keep_mask(rng, x.shape, 0.3, x.dtype))
         assert abs(out.data.mean() - 2.0) / 2.0 < 0.01
 
 
@@ -94,7 +91,7 @@ class TestLstmCell:
 
 
 class TestLstmOver:
-    """The sequence op against step-by-step lstm_cell, per sequence."""
+    """The sequence op against a plain LSTM run step by step, per sequence."""
 
     def _weights(self, rng, d=3, h=4):
         return [nc.Tensor(rng.normal(0, 0.6, s)) for s in ((d, 4 * h), (h, 4 * h), (4 * h,))]
@@ -105,19 +102,19 @@ class TestLstmOver:
         x = rng.normal(0, 1, (3, 5, 3))
         h0, c0 = rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (3, 4))
         lengths = np.array([5, 1, 3])
-        final = nc.lstm_over(nc.Tensor(x), wx, wh, b, lengths, nc.Tensor(h0), nc.Tensor(c0))
-        states = nc.lstm_over(
+        final, c = nc.lstm_over(nc.Tensor(x), wx, wh, b, lengths, nc.Tensor(h0), nc.Tensor(c0))
+        states, _ = nc.lstm_over(
             nc.Tensor(x), wx, wh, b, lengths, nc.Tensor(h0), nc.Tensor(c0), collect=True
         )
-        assert final.shape == (3, 4) and states.shape == (3, 5, 4)
+        assert final.shape == (3, 4) and c.shape == (3, 4) and states.shape == (3, 5, 4)
+        ref_states, ref_h, ref_c = lstm_reference(x, wx.data, wh.data, b.data, lengths, h0, c0)
         for k, n in enumerate(lengths):
-            h, c = nc.Tensor(h0[k : k + 1]), nc.Tensor(c0[k : k + 1])
             for t in range(n):
-                h, c = nc.lstm_cell(nc.Tensor(x[k, t : t + 1]), h, c, wx, wh, b)
-                assert np.abs(states.data[k, t] - h.data[0]).max() < 1e-14
-            assert np.abs(final.data[k] - h.data[0]).max() < 1e-14
+                assert np.abs(states.data[k, t] - ref_states[k][t]).max() < 1e-12
             # Past its length a sequence carries its last state.
             assert (states.data[k, n:] == states.data[k, n - 1]).all()
+        assert np.abs(final.data - ref_h).max() < 1e-12
+        assert np.abs(c.data - ref_c).max() < 1e-12
 
     def test_padding_values_do_not_leak(self):
         rng = np.random.default_rng(4)
@@ -126,29 +123,38 @@ class TestLstmOver:
         noisy = x.copy()
         noisy[0, 2:] = 99.0
         lengths = np.array([2, 4])
-        a = nc.lstm_over(nc.Tensor(x), wx, wh, b, lengths).data
-        assert np.array_equal(a, nc.lstm_over(nc.Tensor(noisy), wx, wh, b, lengths).data)
+        a = nc.lstm_over(nc.Tensor(x), wx, wh, b, lengths)[0].data
+        assert np.array_equal(a, nc.lstm_over(nc.Tensor(noisy), wx, wh, b, lengths)[0].data)
 
     def test_gradient_past_length_is_zero(self):
         rng = np.random.default_rng(5)
         wx, wh, b = self._weights(rng)
         x = nc.Parameter("x", rng.normal(0, 1, (2, 4, 3)))
         with nc.Tape() as tape:
-            out = nc.lstm_over(x, wx, wh, b, np.array([2, 4]), collect=True)
+            out, _ = nc.lstm_over(x, wx, wh, b, np.array([2, 4]), collect=True)
             tape.backward(nc.sum_all(out))
         assert not x.grad[0, 2:].any() and x.grad[0, :2].all() and x.grad[1].all()
 
     def test_shape_validation(self):
         z = lambda s: nc.Tensor(np.zeros(s))
         weights = (z((3, 16)), z((4, 16)), z((16,)))
-        with pytest.raises(ShapeError):
-            nc.lstm_over(z((5, 3)), *weights)
+        for shape in ((3,), (2, 0, 3), (2, 1, 1, 3)):
+            with pytest.raises(ShapeError):
+                nc.lstm_over(z(shape), *weights)
         with pytest.raises(ShapeError):
             nc.lstm_over(z((2, 5, 3)), *weights, lengths=np.array([5, 0]))
         with pytest.raises(ShapeError):
             nc.lstm_over(z((2, 5, 3)), *weights, lengths=np.array([6, 1]))
         with pytest.raises(ShapeError):
             nc.lstm_over(z((2, 5, 3)), *weights, h0=z((1, 4)))
+        # A (B, D) input is one time step.
+        rng = np.random.default_rng(6)
+        wx, wh, b = self._weights(rng)
+        x = rng.normal(0, 1, (2, 3))
+        h0, c0 = nc.Tensor(rng.normal(0, 1, (2, 4))), nc.Tensor(rng.normal(0, 1, (2, 4)))
+        h, c = nc.lstm_over(nc.Tensor(x), wx, wh, b, h0=h0, c0=c0)
+        h3, c3 = nc.lstm_over(nc.Tensor(x[:, None]), wx, wh, b, h0=h0, c0=c0)
+        assert np.array_equal(h.data, h3.data) and np.array_equal(c.data, c3.data)
 
 
 class TestBackward:
@@ -204,6 +210,20 @@ class TestBackward:
             loss = nc.sum_all(nc.add(nc.mul(x, x), nc.mul(x, 3.0)))  # x^2 + 3x
             tape.backward(loss)
         assert x.grad.tolist() == [7.0]  # 2x + 3
+
+    def test_shared_gradient_array_accumulates_without_aliasing(self):
+        # Both operands of add receive one gradient array; a second backward
+        # without zero_grad must add to each leaf, not write through the share.
+        a = nc.Parameter("a", np.array([1.0, -2.0]))
+        b = nc.Parameter("b", np.array([0.5, 3.0]))
+        start = [a.data.copy(), b.data.copy()]
+        for _ in range(2):
+            with nc.Tape() as tape:
+                tape.backward(nc.sum_all(nc.add(a, b)), params=[a, b])
+        assert a.grad.tolist() == [2.0, 2.0] and b.grad.tolist() == [2.0, 2.0]
+        nc.AdamW([a, b], lr=0.01, weight_decay=0.01).step()
+        want = adamw_reference(start, [[a.grad, b.grad]], 1, lr=0.01, weight_decay=0.01)
+        assert np.array_equal(a.data, want[0]) and np.array_equal(b.data, want[1])
 
 
 class TestAdamW:
@@ -278,7 +298,7 @@ class TestDeterminism:
             x = nc.Tensor(rng.normal(0, 1, (4, 8)).astype(np.float32))
             w = nc.Tensor(nc.xavier_uniform(rng, (8, 8)))
             h = nc.tanh(nc.matmul(x, w))
-            d = nc.dropout(h, 0.2, np.random.default_rng(9), train=True)
+            d = nc.dropout(h, nc.keep_mask(np.random.default_rng(9), h.shape, 0.2, h.dtype))
             return nc.softmax(d).data.tobytes()
 
         assert run() == run()

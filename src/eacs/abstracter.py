@@ -18,15 +18,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import numcore as nc
-from .config import RunConfig
-from .corpus import BOS, EOS, Batch, Corpus, RawPair, Vocabulary, tokenize_comment
-from .errors import EmptyCorpus, EmptyInput, EmptySnippet, ShapeError, UsageError, VocabMismatch
-from .extractor import ExtractorModel, TrainResult, fit, predict_important, split_validation
-from .segmenter import SegmentedSnippet, segment
+from .config import FUSIONS, RunConfig
+from .corpus import BOS, EOS, Batch, RawPair, Vocabulary
+from .errors import EmptyInput, ShapeError, UsageError, VocabMismatch
+from .extractor import ExtractorModel, TrainResult, fit, predict_important
+from .segmenter import SegmentedSnippet, segment, segment_pairs
 
 log = logging.getLogger(__name__)
 
-FUSION_ORDERS = ("abex", "exab")
 LOGPROB_CLAMP = 1e-9
 
 
@@ -49,8 +48,8 @@ class AbstracterModel(nc.Model):
     )
 
     def _bind(self, vocab_size: int, config: RunConfig, params: list[nc.Parameter]) -> None:
-        if config.fusion not in FUSION_ORDERS:
-            raise ValueError(f"fusion must be one of {FUSION_ORDERS}, got {config.fusion!r}")
+        if config.fusion not in FUSIONS:
+            raise ValueError(f"fusion must be one of {FUSIONS}, got {config.fusion!r}")
         super()._bind(vocab_size, config, params)
         if config.share_embeddings:
             self.embedding_ex = self.embedding_ab = self.embedding_dec = self.embedding
@@ -237,12 +236,7 @@ def build_abstracter_dataset(
 ) -> list[AbstracterSample]:
     """Encode pairs; important statements come from the frozen extractor."""
     samples = []
-    for pair in pairs:
-        try:
-            snippet = segment(pair.code, language)
-            comment = tokenize_comment(pair.comment)
-        except EmptySnippet:
-            continue
+    for pair, snippet, comment in segment_pairs(pairs, language):
         important_ids, code_ids = abstracter_input(snippet, extractor, vocab, config)
         comment_core = list(vocab.encode(comment[: config.max_comment_tokens - 2]))
         samples.append(
@@ -258,27 +252,17 @@ def build_abstracter_dataset(
 
 
 def train_abstracter(
-    corpus: Corpus | Sequence[RawPair],
-    extractor: ExtractorModel,
-    vocab: Vocabulary,
-    config: RunConfig,
-    language: str = "java",
+    corpus: Sequence[RawPair], extractor: ExtractorModel, vocab: Vocabulary, config: RunConfig
 ) -> TrainResult:
-    """Jointly train both encoders, projections, and the decoder with AdamW.
+    """Jointly train both encoders, projections, and the decoder with AdamW on
+    the pairs of ``config.language``.
 
     The extractor stays frozen: its selections are computed once up front and
     its parameters are never handed to the optimizer.
     """
-    pairs = list(corpus)
-    if not pairs:
-        raise EmptyCorpus("no pairs to train on")
-    samples = build_abstracter_dataset(pairs, language, vocab, extractor, config)
-    if not samples:
-        raise EmptyCorpus("no usable samples after segmentation")
+    samples = build_abstracter_dataset(corpus, config.language, vocab, extractor, config)
     model = AbstracterModel(len(vocab), config, nc.rng_streams(config.seed)[0])
-    train_set, val_set = split_validation(samples, config.val_fraction)
-    history, best_epoch = fit(model, abstracter_loss, train_set, val_set, config)
-    return TrainResult(model=model, vocab=vocab, history=history, best_epoch=best_epoch)
+    return fit(model, vocab, abstracter_loss, samples, config)
 
 
 @dataclass

@@ -8,6 +8,7 @@ diagnostic naming the failing stage; usage problems exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -16,15 +17,15 @@ from typing import Optional, Sequence
 from . import __version__
 from .abstracter import generate_summary, train_abstracter
 from .checkpoint import load_model, save_model
-from .config import RunConfig, make_run_config
-from .corpus import load_corpus, tokenize_comment
-from .errors import EacsError, EmptySnippet, IoError, UsageError
+from .config import FUSIONS, RunConfig, make_run_config
+from .corpus import load_corpus
+from .errors import EacsError, FormatError, IoError, UsageError
 from .extractor import predict_important, train_extractor
 from .fileio import replace_on_success
 from .metrics import BucketSpec, evaluate_corpus, mann_whitney_u_test
 from .oracle import label_statements
 from .report import emit_report
-from .segmenter import LANGUAGES, segment
+from .segmenter import LANGUAGES, segment, segment_pairs
 
 log = logging.getLogger(__name__)
 
@@ -40,7 +41,9 @@ def _read_text(path: str) -> str:
 
 
 def _read_token_lines(path: str) -> list[list[str]]:
-    return [line.split() for line in _read_text(path).splitlines() if line.strip()]
+    """One token list per line, blank lines included, so line i of every file
+    is pair i."""
+    return [line.split() for line in _read_text(path).splitlines()]
 
 
 def _config_from_args(args) -> RunConfig:
@@ -67,15 +70,8 @@ def _cmd_segment(args) -> int:
 def _cmd_label(args) -> int:
     corpus = load_corpus(args.corpus)
     written = 0
-    skipped = corpus.skipped
     with replace_on_success(args.out, "w", encoding="utf-8") as fh:
-        for pair in corpus:
-            try:
-                snippet = segment(pair.code, args.lang)
-                comment = tokenize_comment(pair.comment)
-            except EmptySnippet:
-                skipped += 1
-                continue
+        for pair, snippet, comment in segment_pairs(corpus, args.lang):
             labeled = label_statements(snippet, comment)
             record = {
                 "id": pair.id,
@@ -85,6 +81,7 @@ def _cmd_label(args) -> int:
             }
             fh.write(json.dumps(record) + "\n")
             written += 1
+    skipped = corpus.skipped + len(corpus) - written
     print(f"labeled {written} pair(s), skipped {skipped}, wrote {args.out}")
     return 0
 
@@ -92,7 +89,7 @@ def _cmd_label(args) -> int:
 def _cmd_train_extractor(args) -> int:
     run = _config_from_args(args)
     corpus = load_corpus(args.corpus)
-    result = train_extractor(corpus, run, language=run.language)
+    result = train_extractor(corpus, run)
     save_model(result.model, result.vocab, args.out)
     best = min(result.history.val_loss) if result.history.val_loss else float("nan")
     print(
@@ -104,7 +101,8 @@ def _cmd_train_extractor(args) -> int:
 
 def _cmd_extract(args) -> int:
     model, vocab = load_model(args.ckpt, "extractor")
-    statements, indices = predict_important(_read_text(args.code), model, vocab, args.lang)
+    snippet = segment(_read_text(args.code), args.lang)
+    statements, indices = predict_important(snippet, model, vocab)
     for idx, st in zip(indices, statements):
         print(f"{idx}\t{' '.join(st.text.split())}")
     return 0
@@ -114,7 +112,7 @@ def _cmd_train_abstracter(args) -> int:
     run = _config_from_args(args)
     corpus = load_corpus(args.corpus)
     ex_model, ex_vocab = load_model(args.extractor, "extractor")
-    result = train_abstracter(corpus, ex_model, ex_vocab, run, language=run.language)
+    result = train_abstracter(corpus, ex_model, ex_vocab, run)
     save_model(result.model, result.vocab, args.out)
     best = min(result.history.val_loss) if result.history.val_loss else float("nan")
     print(
@@ -143,6 +141,9 @@ def _cmd_summarize(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     refs = _read_token_lines(args.refs)
+    for lineno, ref in enumerate(refs, start=1):
+        if not ref:
+            raise FormatError(f"empty reference in {args.refs}", line=lineno)
     hyps = _read_token_lines(args.hyps)
     buckets = None
     if args.buckets == "comment":
@@ -179,7 +180,9 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="eacs",
         description="Extract-then-abstract code summarization pipeline",
@@ -222,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--extractor", required=True, help="extractor checkpoint")
     p.add_argument("--out", required=True)
-    p.add_argument("--fusion", choices=("abex", "exab"))
+    p.add_argument("--fusion", choices=FUSIONS)
     add_train_flags(p)
     p.set_defaults(func=_cmd_train_abstracter)
 

@@ -16,6 +16,10 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import IoError, UsageError
+from .segmenter import LANGUAGES
+
+# The two orders in which the abstracter concatenates its encodings.
+FUSIONS = ("abex", "exab")
 
 
 @dataclass
@@ -55,9 +59,9 @@ class RunConfig:
             raise UsageError("vocab_size must leave room for the 4 reserved tokens")
         if not 0.0 <= self.val_fraction < 1.0:
             raise UsageError("val_fraction must be in [0, 1)")
-        if self.fusion not in ("abex", "exab"):
-            raise UsageError(f"fusion must be abex or exab, got {self.fusion!r}")
-        if self.language not in ("java", "python", "generic"):
+        if self.fusion not in FUSIONS:
+            raise UsageError(f"fusion must be {' or '.join(FUSIONS)}, got {self.fusion!r}")
+        if self.language not in LANGUAGES:
             raise UsageError(f"unknown language {self.language!r}")
 
 

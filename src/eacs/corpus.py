@@ -13,7 +13,7 @@ import logging
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,21 +37,12 @@ class RawPair:
     comment: str
 
 
-class Corpus(Sequence[RawPair]):
+class Corpus(list[RawPair]):
     """Loaded code/comment pairs plus the count of lines skipped in preprocessing."""
 
-    def __init__(self, pairs: list[RawPair], skipped: int = 0):
-        self.pairs = pairs
+    def __init__(self, pairs: Iterable[RawPair], skipped: int):
+        super().__init__(pairs)
         self.skipped = skipped
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __getitem__(self, i):
-        return self.pairs[i]
-
-    def __iter__(self) -> Iterator[RawPair]:
-        return iter(self.pairs)
 
 
 def tokenize_code(text: str) -> list[str]:

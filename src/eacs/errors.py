@@ -14,7 +14,7 @@ class IoError(EacsError):
 
 
 class FormatError(EacsError):
-    """A corpus line is not a well-formed record."""
+    """A line of a corpus or of a reference file is not a well-formed record."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")

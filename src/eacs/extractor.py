@@ -22,17 +22,10 @@ import numpy as np
 
 from . import numcore as nc
 from .config import RunConfig
-from .corpus import Batch, Corpus, RawPair, Vocabulary, build_vocabulary, tokenize_comment
-from .errors import (
-    EmptyCorpus,
-    EmptyInput,
-    EmptySnippet,
-    NonFiniteLoss,
-    ShapeError,
-    TruncationWarning,
-)
+from .corpus import Batch, RawPair, Vocabulary, build_vocabulary
+from .errors import EmptyCorpus, EmptyInput, NonFiniteLoss, ShapeError, TruncationWarning
 from .oracle import label_statements
-from .segmenter import SegmentedSnippet, Statement, segment
+from .segmenter import SegmentedSnippet, Statement, segment_pairs
 
 log = logging.getLogger(__name__)
 
@@ -204,12 +197,8 @@ def build_extractor_dataset(
     config: RunConfig,
 ) -> list[ExtractorSample]:
     samples = []
-    for pair in pairs:
-        try:
-            snippet, stmt_ids = extractor_input(segment(pair.code, language), vocab, config)
-            comment = tokenize_comment(pair.comment)
-        except EmptySnippet:
-            continue
+    for pair, snippet, comment in segment_pairs(pairs, language):
+        snippet, stmt_ids = extractor_input(snippet, vocab, config)
         labeled = label_statements(snippet, comment)
         samples.append(
             ExtractorSample(
@@ -225,12 +214,10 @@ def build_extractor_dataset(
 
 @dataclass
 class TrainHistory:
-    epochs: list[int] = field(default_factory=list)
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
 
     def log_epoch(self, epoch: int, train: float, val: float) -> None:
-        self.epochs.append(epoch)
         self.train_loss.append(train)
         self.val_loss.append(val)
         log.info("epoch %d: train loss %.6f, val loss %.6f", epoch, train, val)
@@ -261,21 +248,36 @@ def _check_finite(loss: float, where: str) -> None:
         raise NonFiniteLoss(f"{where}: loss is {loss}; lower lr or check the data")
 
 
+@dataclass
+class TrainResult:
+    """What :func:`fit`, and so both trainers, return."""
+
+    model: nc.Model
+    vocab: Vocabulary
+    history: TrainHistory
+    best_epoch: int
+
+
 def fit(
     model,
+    vocab: Vocabulary,
     batch_loss: Callable[..., nc.Tensor],
-    train_set: Sequence,
-    val_set: Sequence,
+    samples: Sequence,
     config: RunConfig,
-) -> tuple[TrainHistory, int]:
-    """Minibatch AdamW on ``train_set``; restores the best-validation weights.
+) -> TrainResult:
+    """The one training run of both models: minibatch AdamW on ``samples``,
+    restoring the best-validation weights.
 
-    ``batch_loss(model, samples, train=..., rng=...)`` is the mean loss of a
-    minibatch. Shuffling and dropout draw from streams 1 and 2 of
-    ``rng_streams(config.seed)``; stream 0 initialises the model. Returns the
-    history and the best epoch; a non-finite loss raises
+    Raises :class:`EmptyCorpus` when there are no samples, then holds out a
+    validation set with :func:`split_validation`. ``batch_loss(model,
+    samples, train=..., rng=...)`` is the mean loss of a minibatch. Shuffling
+    and dropout draw from streams 1 and 2 of ``rng_streams(config.seed)``;
+    stream 0 initialises the model. A non-finite loss raises
     :class:`NonFiniteLoss`.
     """
+    if not samples:
+        raise EmptyCorpus("no usable pairs to train on")
+    train_set, val_set = split_validation(samples, config.val_fraction)
     _, shuffle_rng, drop_rng = nc.rng_streams(config.seed)
     params = model.parameters()
     opt = nc.AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
@@ -310,17 +312,7 @@ def fit(
                 best_state = [p.data.copy() for p in params]
     for p, data in zip(params, best_state):
         p.data = data
-    return history, best_epoch
-
-
-@dataclass
-class TrainResult:
-    """What :func:`train_extractor` and ``train_abstracter`` return."""
-
-    model: nc.Model
-    vocab: Vocabulary
-    history: TrainHistory
-    best_epoch: int
+    return TrainResult(model=model, vocab=vocab, history=history, best_epoch=best_epoch)
 
 
 def label_accuracy(model: ExtractorModel, samples: Sequence[ExtractorSample]) -> float:
@@ -335,43 +327,25 @@ def label_accuracy(model: ExtractorModel, samples: Sequence[ExtractorSample]) ->
     return hit / max(total, 1)
 
 
-def train_extractor(
-    corpus: Corpus | Sequence[RawPair],
-    config: RunConfig,
-    language: str = "java",
-    vocab: Optional[Vocabulary] = None,
-) -> TrainResult:
-    """Oracle labeling + minibatch AdamW; returns the best-validation model."""
-    pairs = list(corpus)
-    if not pairs:
-        raise EmptyCorpus("no pairs to train on")
-    if vocab is None:
-        vocab = build_vocabulary(pairs, min_freq=config.min_freq, max_size=config.vocab_size)
-    samples = build_extractor_dataset(pairs, language, vocab, config)
-    if not samples:
-        raise EmptyCorpus("no usable samples after segmentation")
+def train_extractor(corpus: Sequence[RawPair], config: RunConfig) -> TrainResult:
+    """Oracle labeling + minibatch AdamW on the pairs of ``config.language``;
+    returns the best-validation model."""
+    vocab = build_vocabulary(corpus, min_freq=config.min_freq, max_size=config.vocab_size)
+    samples = build_extractor_dataset(corpus, config.language, vocab, config)
     model = ExtractorModel(len(vocab), config, nc.rng_streams(config.seed)[0])
-    train_set, val_set = split_validation(samples, config.val_fraction)
-    history, best_epoch = fit(model, extractor_batch_loss, train_set, val_set, config)
-    return TrainResult(model=model, vocab=vocab, history=history, best_epoch=best_epoch)
+    return fit(model, vocab, extractor_batch_loss, samples, config)
 
 
 def predict_important(
-    code: str | SegmentedSnippet,
-    model: ExtractorModel,
-    vocab: Vocabulary,
-    language: str = "java",
+    snippet: SegmentedSnippet, model: ExtractorModel, vocab: Vocabulary
 ) -> tuple[list[Statement], list[int]]:
-    """Statements predicted important, in source order.
+    """Statements of a segmented snippet predicted important, in source order.
 
-    ``code`` is source text in ``language`` or an already segmented snippet.
     A tie at exactly P=0.5 resolves to label 0; when nothing is labeled 1 the
     single highest-P(1) statement is returned so downstream encoders always
     receive input.
     """
-    if isinstance(code, str):
-        code = segment(code, language)
-    snippet, stmt_ids = extractor_input(code, vocab, model.config)
+    snippet, stmt_ids = extractor_input(snippet, vocab, model.config)
     probs = model.classify_statements(model.encode_batch([stmt_ids])[0]).data
     indices = [i for i in range(len(snippet.statements)) if probs[i, 1] > probs[i, 0]]
     if not indices:

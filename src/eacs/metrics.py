@@ -21,6 +21,11 @@ TokenSeq = Sequence[str]
 
 PERCENTILES = (5, 25, 50, 75, 95)
 
+# ROUGE-L's recall weight; METEOR's precision/recall weight, fragmentation
+# exponent and fragmentation weight.
+ROUGE_BETA = 1.2
+METEOR_ALPHA, METEOR_BETA, METEOR_GAMMA = 0.9, 3.0, 0.5
+
 # Default bucket edges: code length in physical lines, comment length in tokens.
 CODE_LINE_EDGES = (10, 20, 30, 40)
 COMMENT_TOKEN_EDGES = (5, 10, 15, 20, 25)
@@ -33,11 +38,11 @@ def lcs_length(r: TokenSeq, g: TokenSeq) -> int:
     return lcs_len_ids(r, g)
 
 
-def rouge_l(r: TokenSeq, g: TokenSeq, beta: float = 1.2) -> float:
+def rouge_l(r: TokenSeq, g: TokenSeq) -> float:
     """LCS-based F-measure of generated tokens ``g`` against reference ``r``.
 
-    Recall weighting ``beta`` defaults to 1.2. Returns 0 when the sequences
-    share no common subsequence.
+    Recall is weighted by beta = 1.2. Returns 0 when the sequences share no
+    common subsequence.
     """
     if not r or not g:
         raise EmptyInput("rouge_l requires non-empty reference and hypothesis")
@@ -46,7 +51,7 @@ def rouge_l(r: TokenSeq, g: TokenSeq, beta: float = 1.2) -> float:
         return 0.0
     r_lcs = lcs / len(r)
     p_lcs = lcs / len(g)
-    b2 = beta * beta
+    b2 = ROUGE_BETA * ROUGE_BETA
     return (1.0 + b2) * r_lcs * p_lcs / (r_lcs + b2 * p_lcs)
 
 
@@ -251,17 +256,11 @@ def _max_links(r: TokenSeq, g: TokenSeq, lower: int, upper: int) -> int:
     return lower
 
 
-def meteor(
-    r: TokenSeq,
-    g: TokenSeq,
-    alpha: float = 0.9,
-    beta: float = 3.0,
-    gamma: float = 0.5,
-) -> float:
+def meteor(r: TokenSeq, g: TokenSeq) -> float:
     """Unigram-alignment metric with a fragmentation penalty.
 
-    Exact-token alignment only (no stemming or synonym stages); parameters
-    default to alpha=0.9, beta=3.0, gamma=0.5.
+    Exact-token alignment only (no stemming or synonym stages), with
+    alpha=0.9, beta=3.0, gamma=0.5.
     """
     if not r or not g:
         raise EmptyInput("meteor requires non-empty reference and hypothesis")
@@ -270,9 +269,9 @@ def meteor(
         return 0.0
     p_unig = m / len(g)
     r_unig = m / len(r)
-    fmean = p_unig * r_unig / (alpha * p_unig + (1.0 - alpha) * r_unig)
+    fmean = p_unig * r_unig / (METEOR_ALPHA * p_unig + (1.0 - METEOR_ALPHA) * r_unig)
     frag = chunks / m
-    return (1.0 - gamma * frag**beta) * fmean
+    return (1.0 - METEOR_GAMMA * frag**METEOR_BETA) * fmean
 
 
 @dataclass(frozen=True)
@@ -451,6 +450,10 @@ class MetricReport:
 
 
 def score_pair(r: TokenSeq, g: TokenSeq) -> tuple[float, float, float]:
+    """BLEU-4, METEOR and ROUGE-L of one pair; an empty hypothesis scores 0
+    on all three (an empty reference still raises :class:`EmptyInput`)."""
+    if r and not g:
+        return 0.0, 0.0, 0.0
     return bleu4(r, g), meteor(r, g), rouge_l(r, g)
 
 

@@ -35,9 +35,9 @@ from .optim import AdamW
 from .tensor import Parameter, Tape, Tensor, as_tensor
 
 
-def rng_streams(seed: int, n: int = 3) -> list[np.random.Generator]:
-    """Independent child generators (init, shuffle, dropout) from one seed."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
+def rng_streams(seed: int) -> list[np.random.Generator]:
+    """Three independent child generators (init, shuffle, dropout) from one seed."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
 
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:

@@ -6,29 +6,30 @@ well below the 1e-4 relative tolerance the checks assert.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .tensor import Parameter, Tape, Tensor
 
+EPS = 1e-5
+FLOOR = 1e-3
+
 
 def finite_difference_check(
     loss_fn: Callable[[], Tensor],
     params: Sequence[Parameter],
-    eps: float = 1e-5,
     max_coords_per_tensor: int = 64,
-    rng: Optional[np.random.Generator] = None,
-    floor: float = 1e-3,
 ) -> float:
     """Max relative error between tape gradients and central differences.
 
     ``loss_fn`` rebuilds the forward pass from current parameter values and
     must be deterministic. Coordinates are subsampled on tensors larger than
-    ``max_coords_per_tensor``. The denominator is floored at ``floor``:
-    central differences on an O(1) loss carry ~1e-9 cancellation noise at
-    eps=1e-5, so errors on near-zero gradient coordinates are measured
-    against the floor rather than the coordinate itself.
+    ``max_coords_per_tensor``, drawn from a generator seeded with 0. The
+    denominator is floored at ``FLOOR`` = 1e-3: central differences on an
+    O(1) loss carry ~1e-9 cancellation noise at ``EPS`` = 1e-5, so errors on
+    near-zero gradient coordinates are measured against the floor rather
+    than the coordinate itself.
     """
     saved = [p.grad for p in params]
     for p in params:
@@ -40,8 +41,7 @@ def finite_difference_check(
     for p, g in zip(params, saved):
         p.grad = g
 
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     max_rel = 0.0
     for p, an in zip(params, analytic):
         flat = p.data.reshape(-1)
@@ -53,12 +53,12 @@ def finite_difference_check(
             coords = sorted(rng.choice(k, size=max_coords_per_tensor, replace=False))
         for i in coords:
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + EPS
             f_plus = loss_fn().item()
-            flat[i] = orig - eps
+            flat[i] = orig - EPS
             f_minus = loss_fn().item()
             flat[i] = orig
-            fd = (f_plus - f_minus) / (2.0 * eps)
-            scale = max(abs(fd), abs(an_flat[i]), floor)
+            fd = (f_plus - f_minus) / (2.0 * EPS)
+            scale = max(abs(fd), abs(an_flat[i]), FLOOR)
             max_rel = max(max_rel, abs(fd - an_flat[i]) / scale)
     return max_rel

@@ -13,25 +13,16 @@ from .tensor import Parameter
 class AdamW:
     """theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta).
 
-    Defaults follow the training setup: lr 0.0003, beta1 0.9, beta2 0.999,
-    eps 1e-8, weight decay 0.01. A missing gradient counts as zero, so weight
-    decay still applies to untouched parameters.
+    Defaults follow the training setup: lr 0.0003 and weight decay 0.01;
+    beta1 0.9, beta2 0.999 and eps 1e-8 are fixed. A missing gradient counts
+    as zero, so weight decay still applies to untouched parameters.
     """
 
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 3e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-    ):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: Sequence[Parameter], lr: float = 3e-4, weight_decay: float = 0.01):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
@@ -51,8 +42,8 @@ class AdamW:
         # their order are those of the plain update, so results are
         # bit-identical.
         self.step_count += 1
-        bc1 = 1.0 - self.beta1**self.step_count
-        bc2 = 1.0 - self.beta2**self.step_count
+        bc1 = 1.0 - self.BETA1**self.step_count
+        bc2 = 1.0 - self.BETA2**self.step_count
         scratch = {dt: (np.empty(n, dt), np.empty(n, dt)) for dt, n in self._largest.items()}
         for k, p in enumerate(self.params):
             grad = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -61,15 +52,15 @@ class AdamW:
             m = self._m[k]
             v = self._v[k]
             a, b = (buf[: p.data.size].reshape(p.data.shape) for buf in scratch[p.data.dtype])
-            m *= self.beta1
-            m += np.multiply(grad, 1.0 - self.beta1, out=a)
-            v *= self.beta2
-            np.multiply(grad, 1.0 - self.beta2, out=a)
+            m *= self.BETA1
+            m += np.multiply(grad, 1.0 - self.BETA1, out=a)
+            v *= self.BETA2
+            np.multiply(grad, 1.0 - self.BETA2, out=a)
             v += np.multiply(a, grad, out=a)
             np.divide(m, bc1, out=a)  # m_hat
             np.divide(v, bc2, out=b)  # v_hat
             np.sqrt(b, out=b)
-            b += self.eps
+            b += self.EPS
             a /= b
             a += np.multiply(p.data, self.weight_decay, out=b)
             a *= self.lr

@@ -9,8 +9,9 @@ a trailing backslash continues, and generic falls back to physical lines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
-from .corpus import tokenize_code
+from .corpus import RawPair, tokenize_code, tokenize_comment
 from .errors import EmptySnippet
 
 LANGUAGES = ("java", "python", "generic")
@@ -148,3 +149,20 @@ def segment(code: str, language: str = "generic") -> SegmentedSnippet:
         statements=tuple(statements),
         full_tokens=tuple(tokenize_code(code)),
     )
+
+
+def segment_pairs(
+    pairs: Sequence[RawPair], language: str
+) -> Iterator[tuple[RawPair, SegmentedSnippet, list[str]]]:
+    """Each pair with its segmented snippet and comment tokens, in order.
+
+    The one pair filter of the pipeline: pairs whose code segments to no
+    statement (:class:`EmptySnippet`) are skipped; their count is ``len(pairs)``
+    minus the number of tuples yielded.
+    """
+    for pair in pairs:
+        try:
+            snippet = segment(pair.code, language)
+        except EmptySnippet:
+            continue
+        yield pair, snippet, tokenize_comment(pair.comment)

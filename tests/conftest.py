@@ -66,6 +66,20 @@ def toy_corpus(toy_corpus_path) -> Corpus:
     return load_corpus(toy_corpus_path)
 
 
+@pytest.fixture(scope="session")
+def unsegmentable_corpus_path(tmp_path_factory) -> str:
+    """The toy corpus plus a blank-code line, which load_corpus skips, and
+    pair 1, whose code ``___`` loads but segments to no statement."""
+    pairs = toy_pairs()
+    pairs.insert(1, {"code": "___", "comment": "does nothing."})
+    pairs.insert(3, {"code": "  ", "comment": "blank code."})
+    path = tmp_path_factory.mktemp("corpus") / "unsegmentable.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for pair in pairs:
+            fh.write(json.dumps(pair) + "\n")
+    return str(path)
+
+
 TOY_EXTRACTOR_CONFIG = RunConfig(
     epochs=80, lr=3e-3, dropout=0.1, batch_size=8, seed=13, vocab_size=200
 )
@@ -86,9 +100,9 @@ class OverfitRun:
 def overfit_run(toy_corpus) -> OverfitRun:
     """Train both models once on the toy corpus; several tests assert on it."""
     t0 = time.time()
-    ex = train_extractor(toy_corpus, TOY_EXTRACTOR_CONFIG, language="java")
+    ex = train_extractor(toy_corpus, TOY_EXTRACTOR_CONFIG)
     t1 = time.time()
-    ab = train_abstracter(toy_corpus, ex.model, ex.vocab, TOY_ABSTRACTER_CONFIG, language="java")
+    ab = train_abstracter(toy_corpus, ex.model, ex.vocab, TOY_ABSTRACTER_CONFIG)
     t2 = time.time()
     return OverfitRun(
         extractor=ex,

@@ -17,7 +17,7 @@ from eacs.abstracter import (
     generate_summary,
     train_abstracter,
 )
-from eacs.corpus import BOS, EOS, Vocabulary, RESERVED_TOKENS
+from eacs.corpus import BOS, EOS, RESERVED_TOKENS, Vocabulary, load_corpus
 from eacs.errors import EmptyInput, ShapeError, VocabMismatch
 
 from .oracles import beam_reference, step_distributions
@@ -257,7 +257,7 @@ class TestTraining:
         ex = overfit_run.extractor
         before = [p.data.copy() for p in ex.model.parameters()]
         cfg = AbstracterConfig(embed_dim=8, hidden_dim=8, epochs=1, seed=3)
-        train_abstracter(list(toy_corpus)[:6], ex.model, ex.vocab, cfg, language="java")
+        train_abstracter(list(toy_corpus)[:6], ex.model, ex.vocab, cfg)
         for prev, p in zip(before, ex.model.parameters()):
             assert prev.tobytes() == p.data.tobytes()
 
@@ -265,8 +265,8 @@ class TestTraining:
         ex = overfit_run.extractor
         cfg = AbstracterConfig(embed_dim=8, hidden_dim=8, epochs=2, seed=11)
         pairs = list(toy_corpus)[:8]
-        a = train_abstracter(pairs, ex.model, ex.vocab, cfg, language="java")
-        b = train_abstracter(pairs, ex.model, ex.vocab, cfg, language="java")
+        a = train_abstracter(pairs, ex.model, ex.vocab, cfg)
+        b = train_abstracter(pairs, ex.model, ex.vocab, cfg)
         for pa, pb in zip(a.model.parameters(), b.model.parameters()):
             assert pa.data.tobytes() == pb.data.tobytes()
 
@@ -381,6 +381,14 @@ class TestBatchedBeam:
         assert got.tokens == want.tokens
         assert len(got.step_log_probs) == len(want.step_log_probs)
         assert np.abs(np.subtract(got.step_log_probs, want.step_log_probs)).max() < 1e-9
+
+
+def test_dataset_drops_unsegmentable_pair(overfit_run, unsegmentable_corpus_path):
+    ex = overfit_run.extractor
+    corpus = load_corpus(unsegmentable_corpus_path)
+    samples = build_abstracter_dataset(corpus, "java", ex.vocab, ex.model, TINY)
+    assert corpus[1].code == "___"
+    assert [s.pair_id for s in samples] == [0] + list(range(2, len(corpus)))
 
 
 class TestOverfitGeneration:

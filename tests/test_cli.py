@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import eacs
 from eacs.abstracter import AbstracterModel
 from eacs.checkpoint import save_model
-from eacs.cli import main
+from eacs.cli import build_parser, main
 from eacs.config import RunConfig
 from eacs.corpus import RESERVED_TOKENS, Vocabulary
 from eacs.errors import IoError
@@ -65,6 +69,18 @@ class TestLabel:
         assert set(first) == {"id", "statements", "labels", "trace"}
         assert len(first["labels"]) == len(first["statements"])
         assert sum(first["labels"]) >= 1
+
+    def test_unsegmentable_pair_is_skipped(self, capsys, tmp_path, unsegmentable_corpus_path):
+        out_path = tmp_path / "labels.jsonl"
+        code, out, _ = run(
+            capsys, "label", "--corpus", unsegmentable_corpus_path, "--lang", "java",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        # One blank-code line skipped at load, plus the unsegmentable pair.
+        assert out.startswith("labeled 32 pair(s), skipped 2,")
+        records = [json.loads(l) for l in out_path.read_text().splitlines()]
+        assert [r["id"] for r in records] == [0] + list(range(2, 33))
 
     def test_failed_run_keeps_previous_output(
         self, capsys, tmp_path, toy_corpus_path, monkeypatch
@@ -170,6 +186,68 @@ class TestEvaluate:
         code, _, err = run(capsys, "evaluate", "--refs", str(refs), "--hyps", str(hyps))
         assert code == 1
         assert "eacs evaluate" in err
+
+
+    def test_blank_reference_line_is_an_error(self, capsys, tmp_path):
+        # Dropping the blank line would score "d e f" against "x y".
+        refs = tmp_path / "refs.txt"
+        refs.write_text("a b c\n\nd e f\ng h\n")
+        hyps = tmp_path / "hyps.txt"
+        hyps.write_text("a b c\nx y\n\ng h\n")
+        report_path = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "evaluate", "--refs", str(refs), "--hyps", str(hyps),
+            "--out", str(report_path),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("eacs evaluate: error: line 2: empty reference")
+        assert len(err.strip().splitlines()) == 1
+        assert not report_path.exists()
+
+    def test_empty_hypothesis_scores_zero(self, capsys, tmp_path):
+        refs = tmp_path / "refs.txt"
+        refs.write_text("a b c d\np q r s\nx y z w\n")
+        hyps = tmp_path / "hyps.txt"
+        hyps.write_text("a b c d\n\nx y z w\n")
+        other = tmp_path / "other.txt"
+        other.write_text("\np q r s\n  \n")
+        report_path = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "evaluate", "--refs", str(refs), "--hyps", str(hyps),
+            "--compare", str(other), "--out", str(report_path),
+        )
+        assert code == 0
+        record = json.loads(report_path.read_text())
+        assert record["n_samples"] == 3
+        for name in ("bleu", "meteor", "rouge_l"):
+            first, empty, last = record["samples"][name]
+            assert empty == 0.0 and first == last > 0.99
+        assert set(record["significance"]) == {"bleu", "meteor", "rouge_l"}
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_commands_back_to_back_match_standalone_runs(self, capsys, tmp_path):
+        # segment defaults to --lang generic and extract to java; a parser
+        # shared between calls must not carry one command's values into the next.
+        src = tmp_path / "snippet.java"
+        src.write_text("int a = 1; a++;\nreturn a;")
+        vocab = Vocabulary(list(RESERVED_TOKENS) + ["int", "a", "=", "1", ";"])
+        ckpt = str(tmp_path / "ex.ckpt")
+        save_model(ExtractorModel(len(vocab), RunConfig(embed_dim=4, hidden_dim=4),
+                                  np.random.default_rng(0)), vocab, ckpt)
+        commands = [["segment", "--code", str(src)], ["extract", "--ckpt", ckpt, "--code", str(src)]]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eacs.__file__)))
+        standalone = [
+            subprocess.run([sys.executable, "-m", "eacs", *argv], capture_output=True,
+                           text=True, check=True, env=env).stdout
+            for argv in commands
+        ]
+        assert standalone[0] != standalone[1]
+        for argv, want in zip(commands + commands, standalone + standalone):
+            assert run(capsys, *argv) == (0, want, "")
 
 
 class TestGradcheck:

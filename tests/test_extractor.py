@@ -5,6 +5,7 @@ import pytest
 
 from eacs import numcore as nc
 from eacs.config import RunConfig
+from eacs.corpus import load_corpus
 from eacs.errors import EmptyCorpus, ShapeError
 from eacs.extractor import (
     ExtractorModel,
@@ -17,6 +18,7 @@ from eacs.extractor import (
     predict_important,
     train_extractor,
 )
+from eacs.segmenter import segment
 
 TINY = RunConfig(embed_dim=8, hidden_dim=8, dropout=0.0, epochs=3, seed=7)
 
@@ -177,7 +179,7 @@ class TestPredict:
 
         vocab = build_vocabulary(toy_corpus, max_size=40)
         model = self._forced([-5.0, 5.0])
-        statements, indices = predict_important(self.CODE, model, vocab, "java")
+        statements, indices = predict_important(segment(self.CODE, "java"), model, vocab)
         assert len(statements) == 3
         assert indices == sorted(indices)
 
@@ -186,7 +188,7 @@ class TestPredict:
 
         vocab = build_vocabulary(toy_corpus, max_size=40)
         model = self._forced([5.0, -5.0])
-        statements, indices = predict_important(self.CODE, model, vocab, "java")
+        statements, indices = predict_important(segment(self.CODE, "java"), model, vocab)
         assert len(statements) == 1
 
     def test_exact_tie_resolves_to_label_zero(self, toy_corpus):
@@ -194,7 +196,7 @@ class TestPredict:
 
         vocab = build_vocabulary(toy_corpus, max_size=40)
         model = self._forced([0.0, 0.0])  # every row is exactly [0.5, 0.5]
-        _, indices = predict_important(self.CODE, model, vocab, "java")
+        _, indices = predict_important(segment(self.CODE, "java"), model, vocab)
         assert len(indices) == 1  # fallback, not all three
 
 
@@ -205,15 +207,15 @@ class TestTraining:
 
     def test_identical_seeds_identical_parameters(self, toy_corpus):
         cfg = RunConfig(embed_dim=8, hidden_dim=8, epochs=2, seed=5, vocab_size=100)
-        a = train_extractor(toy_corpus, cfg, language="java")
-        b = train_extractor(toy_corpus, cfg, language="java")
+        a = train_extractor(toy_corpus, cfg)
+        b = train_extractor(toy_corpus, cfg)
         for pa, pb in zip(a.model.parameters(), b.model.parameters()):
             assert pa.data.tobytes() == pb.data.tobytes()
 
     def test_lr_zero_leaves_parameters_at_init(self, toy_corpus):
         cfg = RunConfig(embed_dim=8, hidden_dim=8, epochs=2, seed=5,
                               lr=0.0, weight_decay=0.0, vocab_size=100)
-        result = train_extractor(toy_corpus, cfg, language="java")
+        result = train_extractor(toy_corpus, cfg)
         fresh = ExtractorModel(
             len(result.vocab), cfg, nc.rng_streams(cfg.seed)[0]
         )
@@ -228,12 +230,20 @@ class TestTraining:
             embed_dim=16, hidden_dim=16, epochs=25, batch_size=12,
             dropout=0.0, seed=3, vocab_size=100,
         )
-        result = train_extractor(pairs, cfg, language="java")
+        result = train_extractor(pairs, cfg)
         losses = result.history.train_loss
         regressions = [b - a for a, b in zip(losses, losses[1:]) if b > a]
         assert len(regressions) <= max(1, int(0.05 * len(losses)))
         assert all(r < 1e-3 for r in regressions)
         assert losses[-1] < losses[0]
+
+
+def test_dataset_drops_unsegmentable_pair(overfit_run, unsegmentable_corpus_path):
+    ex = overfit_run.extractor
+    corpus = load_corpus(unsegmentable_corpus_path)
+    samples = build_extractor_dataset(corpus, "java", ex.vocab, ex.model.config)
+    assert corpus[1].code == "___"
+    assert [s.pair_id for s in samples] == [0] + list(range(2, len(corpus)))
 
 
 class TestOverfit:
@@ -249,6 +259,6 @@ class TestOverfit:
         samples = build_extractor_dataset(list(toy_corpus), "java", ex.vocab, ex.model.config)
         for s in samples:
             _, indices = predict_important(
-                toy_corpus[s.pair_id].code, ex.model, ex.vocab, "java"
+                segment(toy_corpus[s.pair_id].code, "java"), ex.model, ex.vocab
             )
             assert indices == [i for i, l in enumerate(s.labels) if l == 1]

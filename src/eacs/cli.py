@@ -169,6 +169,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_gradcheck(args) -> int:
     from .gradsuite import TOLERANCE, run_all
 
+    if args.max_coords < 1:
+        raise UsageError(f"--max-coords must be >= 1, got {args.max_coords}")
     failures = 0
     for res in run_all(max_coords=args.max_coords):
         status = "PASS" if res.passed else "FAIL"

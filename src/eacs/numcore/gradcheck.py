@@ -31,6 +31,8 @@ def finite_difference_check(
     near-zero gradient coordinates are measured against the floor rather
     than the coordinate itself.
     """
+    if max_coords_per_tensor < 1:
+        raise ValueError(f"max_coords_per_tensor must be >= 1, got {max_coords_per_tensor}")
     saved = [p.grad for p in params]
     for p in params:
         p.grad = None

@@ -20,7 +20,7 @@ from eacs.abstracter import (
 from eacs.corpus import BOS, EOS, RESERVED_TOKENS, Vocabulary, load_corpus
 from eacs.errors import EmptyInput, ShapeError, VocabMismatch
 
-from .oracles import beam_reference, step_distributions
+from .oracles import adamw_reference, beam_reference, step_distributions
 
 TINY = AbstracterConfig(embed_dim=8, hidden_dim=8, dropout=0.0, epochs=3, seed=7)
 
@@ -269,6 +269,37 @@ class TestTraining:
         b = train_abstracter(pairs, ex.model, ex.vocab, cfg)
         for pa, pb in zip(a.model.parameters(), b.model.parameters()):
             assert pa.data.tobytes() == pb.data.tobytes()
+
+
+class TestPublishedWidthStep:
+    """Two AdamW steps at E = H = 512, where BLAS runs other kernels than at desk width."""
+
+    def _two_steps(self):
+        config = AbstracterConfig(embed_dim=512, hidden_dim=512, dropout=0.1, seed=4)
+        init_rng, _, drop_rng = nc.rng_streams(config.seed)
+        model = AbstracterModel(12, config, init_rng)
+        params = model.parameters()
+        start = [p.data.copy() for p in params]
+        optimizer = nc.AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
+        samples = [make_sample(), make_sample(code=(9, 8, 11), important=(10,), comment=(7, 4))]
+        grads = []
+        for _ in range(2):
+            optimizer.zero_grad()
+            with nc.Tape() as tape:
+                loss = abstracter_loss(model, samples, train=True, rng=drop_rng)
+                tape.backward(loss, params=params)
+            grads.append([p.grad.copy() for p in params])
+            optimizer.step()
+        return start, grads, [p.data for p in params], config
+
+    def test_same_seed_same_bytes_and_reference_update(self):
+        start, grads, first, config = self._two_steps()
+        _, _, second, _ = self._two_steps()
+        assert [a.tobytes() for a in first] == [b.tobytes() for b in second]
+        want = adamw_reference(start, grads, 2, lr=config.lr, weight_decay=config.weight_decay)
+        for got, w in zip(first, want):
+            assert got.dtype == np.float32
+            assert np.array_equal(got, w)
 
 
 class TestGeneration:

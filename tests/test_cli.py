@@ -257,6 +257,15 @@ class TestGradcheck:
         assert "FAIL" not in out
         assert "extractor_loss" in out and "abstracter_loss" in out
 
+    @pytest.mark.parametrize("coords", ["0", "-3"])
+    def test_max_coords_below_one_exits_two_with_one_line(self, capsys, coords):
+        # Zero coordinates would compare nothing and pass every check.
+        code, out, err = run(capsys, "gradcheck", "--max-coords", coords)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("eacs gradcheck: --max-coords")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestTrainingFailure:
     def test_non_finite_loss_exits_one_without_checkpoint(self, capsys, tmp_path, toy_corpus_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eacs import numcore as nc
+from eacs.numcore import optim
 from eacs.errors import ShapeError
 
 from .oracles import adamw_reference, lstm_reference
@@ -276,6 +277,32 @@ class TestAdamW:
             assert p.data.dtype == np.float32
             assert np.array_equal(p.data, w)
 
+    def test_blocked_update_matches_reference_across_block_boundaries(self):
+        # Sizes one either side of a block, a 2-D parameter whose rows straddle
+        # block boundaries, and a float64 parameter that uses the second
+        # scratch pair, with one missing and one column-major gradient.
+        block = optim.BLOCK
+        rng = np.random.default_rng(8)
+        shapes = [(block - 1,), (block + 1,), (2 * block + 3,), (7, block // 3 + 5)]
+        start = [rng.normal(0, 1, s).astype(np.float32) for s in shapes]
+        start.append(rng.normal(0, 1, (block // 100 + 3, 101)))
+        steps = 3
+        grads = [[rng.normal(0, 1, x.shape).astype(x.dtype) for x in start] for _ in range(steps)]
+        grads[1][2] = None
+        grads[2][3] = np.asfortranarray(grads[2][3])
+        params = [nc.Parameter(f"p{k}", x.copy()) for k, x in enumerate(start)]
+        arrays = [p.data for p in params]
+        opt = nc.AdamW(params, lr=0.01, weight_decay=0.01)
+        for step_grads in grads:
+            for p, g in zip(params, step_grads):
+                p.grad = g
+            opt.step()
+        want = adamw_reference(start, grads, steps, lr=0.01, weight_decay=0.01)
+        for p, w, array in zip(params, want, arrays):
+            assert p.data is array
+            assert p.data.dtype == w.dtype
+            assert np.array_equal(p.data, w)
+
     def test_grad_shape_mismatch(self):
         p = nc.Parameter("p", np.ones((2, 3), dtype=np.float32))
         opt = nc.AdamW([p])
@@ -317,3 +344,9 @@ class TestFiniteDifference:
             return nc.sum_all(nc.mul(p, p))
 
         assert nc.finite_difference_check(loss_fn, [p]) < 1e-8
+
+    @pytest.mark.parametrize("coords", [0, -3])
+    def test_fewer_than_one_coordinate_rejected(self, coords):
+        p = nc.Parameter("p", np.array([0.3]))
+        with pytest.raises(ValueError, match="max_coords_per_tensor"):
+            nc.finite_difference_check(lambda: nc.sum_all(nc.mul(p, p)), [p], coords)

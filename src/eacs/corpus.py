@@ -24,8 +24,11 @@ log = logging.getLogger(__name__)
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>")
 
-_RUN_RE = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
-_PIECE_RE = re.compile(r"[0-9]+|[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+")
+# One match per subtoken: group 1 is an ASCII word piece with the digits that
+# follow it, a bare "_" splits words, group 2 is any other non-space character.
+_CODE_TOKEN_RE = re.compile(
+    r"([0-9]+|[A-Z]+(?![a-z])[0-9]*|[A-Z][a-z]*[0-9]*|[a-z]+[0-9]*)|_|([^\sA-Za-z0-9_])"
+)
 _COMMENT_TOKEN_RE = re.compile(r"[a-z0-9_]+|[^\sa-z0-9_]")
 _SENTENCE_END_RE = re.compile(r"[.!?]")
 
@@ -46,25 +49,17 @@ class Corpus(list[RawPair]):
 
 
 def tokenize_code(text: str) -> list[str]:
-    """Lowercase subtoken stream of a source fragment."""
-    tokens: list[str] = []
-    for run in _RUN_RE.findall(text):
-        if run[0].isalnum() or run[0] == "_":
-            for word in run.split("_"):
-                if not word:
-                    continue
-                pieces = _PIECE_RE.findall(word)
-                merged: list[str] = []
-                for piece in pieces:
-                    # Digit runs belong to the subtoken before them.
-                    if piece[0].isdigit() and merged:
-                        merged[-1] += piece
-                    else:
-                        merged.append(piece)
-                tokens.extend(p.lower() for p in merged)
-        else:
-            tokens.append(run)
-    return tokens
+    """Lowercase subtoken stream of a source fragment.
+
+    Only ASCII letters and digits form subtokens; a non-ASCII letter or digit
+    is dropped, so ``café`` gives ``["caf"]``. Every other non-space
+    character is its own token.
+    """
+    return [
+        word.lower() if word else ch
+        for word, ch in _CODE_TOKEN_RE.findall(text)
+        if word or (ch and not ch.isalnum())
+    ]
 
 
 def tokenize_comment(text: str) -> list[str]:

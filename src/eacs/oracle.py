@@ -4,6 +4,8 @@ A statement set's informativity is the LCS recall of its concatenated tokens
 against the reference comment. Statements are ranked by individual
 informativity and scanned in rank order; one is accepted exactly when it
 strictly increases the joint informativity of everything accepted so far.
+The scan stops at the first statement that shares no token with the comment:
+it and every later one leave the joint LCS unchanged.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ def label_statements(snippet: SegmentedSnippet, comment: Sequence[str]) -> Label
     best = 0.0
     trace: list[TraceStep] = []
     for i in order:
+        if not individual[i]:
+            # No token shared with the comment, here or in any later statement.
+            break
         joint = informativity(accepted + [i], snippet, comment)
         if joint > best:
             accepted.append(i)

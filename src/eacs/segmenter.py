@@ -3,11 +3,13 @@
 Statements are the unit the extractor classifies. Segmentation is lexical:
 java splits at ';', '{', '}' outside string/char literals and comments,
 python merges physical lines into logical lines while brackets stay open or
-a trailing backslash continues, and generic falls back to physical lines.
+a trailing backslash continues (a '#' comment ends the line for both), and
+generic falls back to physical lines.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -34,53 +36,27 @@ class SegmentedSnippet:
         return len(self.statements)
 
 
+# A string or char literal (backslash escapes; unclosed runs to the end), a
+# line comment, a block comment (its "*/" may reuse the opening "*"; unclosed
+# runs to the end), or a statement break outside all of those.
+_JAVA_SCAN_RE = re.compile(
+    r'"(?:\\[\s\S]?|[^"\\])*"?'
+    r"|'(?:\\[\s\S]?|[^'\\])*'?"
+    r"|//[^\n]*"
+    r"|/(?=\*)[\s\S]*?(?:\*/|\Z)"
+    r"|([;{}])"
+)
+
+
 def _java_fragments(code: str) -> list[str]:
     fragments: list[str] = []
-    buf: list[str] = []
-    state = "code"  # code | string | char | line_comment | block_comment
-    i = 0
-    n = len(code)
-    while i < n:
-        ch = code[i]
-        nxt = code[i + 1] if i + 1 < n else ""
-        buf.append(ch)
-        if state == "code":
-            if ch == '"':
-                state = "string"
-            elif ch == "'":
-                state = "char"
-            elif ch == "/" and nxt == "/":
-                state = "line_comment"
-            elif ch == "/" and nxt == "*":
-                state = "block_comment"
-            elif ch in ";{}":
-                fragments.append("".join(buf))
-                buf = []
-        elif state == "string":
-            if ch == "\\":
-                if i + 1 < n:
-                    buf.append(nxt)
-                    i += 1
-            elif ch == '"':
-                state = "code"
-        elif state == "char":
-            if ch == "\\":
-                if i + 1 < n:
-                    buf.append(nxt)
-                    i += 1
-            elif ch == "'":
-                state = "code"
-        elif state == "line_comment":
-            if ch == "\n":
-                state = "code"
-        elif state == "block_comment":
-            if ch == "*" and nxt == "/":
-                buf.append(nxt)
-                i += 1
-                state = "code"
-        i += 1
-    if buf:
-        fragments.append("".join(buf))
+    start = 0
+    for match in _JAVA_SCAN_RE.finditer(code):
+        if match.group(1):
+            fragments.append(code[start : match.end()])
+            start = match.end()
+    if start < len(code):
+        fragments.append(code[start:])
     return fragments
 
 
@@ -90,7 +66,7 @@ def _python_fragments(code: str) -> list[str]:
     depth = 0
     for line in code.splitlines():
         in_string = ""
-        escaped = False
+        escaped = commented = False
         for ch in line:
             if escaped:
                 escaped = False
@@ -102,12 +78,17 @@ def _python_fragments(code: str) -> list[str]:
                     in_string = ""
             elif ch in "'\"":
                 in_string = ch
+            elif ch == "#":
+                commented = True
+                break
             elif ch in "([{":
                 depth += 1
             elif ch in ")]}":
                 depth = max(depth - 1, 0)
         buf.append(line)
-        continues = depth > 0 or (not in_string and line.rstrip().endswith("\\"))
+        continues = depth > 0 or (
+            not in_string and not commented and line.rstrip().endswith("\\")
+        )
         if not continues:
             logical.append("\n".join(buf))
             buf = []
@@ -133,21 +114,21 @@ def segment(code: str, language: str = "generic") -> SegmentedSnippet:
     else:
         fragments = code.splitlines()
 
+    # Fragments break only at ';{}' or line breaks, which no subtoken spans,
+    # so the statements' tokens in order are the whole snippet's tokens.
     statements: list[Statement] = []
+    full_tokens: list[str] = []
     for frag in fragments:
         text = frag.strip()
-        if not text:
-            continue
-        tokens = tuple(tokenize_code(text))
+        tokens = tokenize_code(text)
         if not tokens:
             continue
-        statements.append(Statement(text=text, tokens=tokens, position=len(statements)))
+        statements.append(Statement(text=text, tokens=tuple(tokens), position=len(statements)))
+        full_tokens.extend(tokens)
     if not statements:
         raise EmptySnippet("no statements after segmentation")
     return SegmentedSnippet(
-        language=language,
-        statements=tuple(statements),
-        full_tokens=tuple(tokenize_code(code)),
+        language=language, statements=tuple(statements), full_tokens=tuple(full_tokens)
     )
 
 

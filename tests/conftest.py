@@ -5,6 +5,7 @@ import time
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import strategies as st
 
 from eacs.abstracter import train_abstracter
 from eacs.config import RunConfig
@@ -79,6 +80,16 @@ def unsegmentable_corpus_path(tmp_path_factory) -> str:
             fh.write(json.dumps(pair) + "\n")
     return str(path)
 
+
+# Source text for the scanner and tokenizer properties: quotes, escapes,
+# comment openers and closers, statement breaks, line breaks, word characters
+# and non-ASCII letters and digits.
+SOURCE_TEXT = st.text(
+    alphabet=st.sampled_from(
+        list("\"'\\/*;{}#_\n\r 0123456789abcxyzABCXYZ") + ["é", "ß", "İ", "²"]
+    ),
+    max_size=60,
+)
 
 TOY_EXTRACTOR_CONFIG = RunConfig(
     epochs=80, lr=3e-3, dropout=0.1, batch_size=8, seed=13, vocab_size=200

@@ -5,13 +5,15 @@ full-table LCS, Counter-based n-gram stats, per-type assignment enumeration
 for the METEOR alignment, and a standalone copy of the greedy labeling rule.
 The decoder references drive a model's own ``decode_step`` one hypothesis at
 a time, so they check the batched search and loss, not the model.
-``alignment_reference`` and ``adamw_reference`` are the earlier, plainer
-implementations that the faster ones must match exactly; ``lstm_reference``
-is a textbook LSTM that shares no code with ``numcore``.
+``alignment_reference``, ``adamw_reference``, ``java_fragments_reference``
+and ``tokenize_code_reference`` are the earlier, plainer implementations that
+the faster ones must match exactly; ``lstm_reference`` is a textbook LSTM
+that shares no code with ``numcore``.
 """
 
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -295,3 +297,70 @@ def adamw_reference(params, grads, steps, lr=3e-4, beta1=0.9, beta2=0.999, eps=1
             v_hat = v[k] / bc2
             p -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p)
     return params
+
+
+def java_fragments_reference(code):
+    """Per-character Java walk: split after ';', '{', '}' outside literals and comments."""
+    fragments = []
+    buf = []
+    state = "code"  # code | string | char | line_comment | block_comment
+    i = 0
+    n = len(code)
+    while i < n:
+        ch = code[i]
+        nxt = code[i + 1] if i + 1 < n else ""
+        buf.append(ch)
+        if state == "code":
+            if ch == '"':
+                state = "string"
+            elif ch == "'":
+                state = "char"
+            elif ch == "/" and nxt == "/":
+                state = "line_comment"
+            elif ch == "/" and nxt == "*":
+                state = "block_comment"
+            elif ch in ";{}":
+                fragments.append("".join(buf))
+                buf = []
+        elif state in ("string", "char"):
+            if ch == "\\":
+                if i + 1 < n:
+                    buf.append(nxt)
+                    i += 1
+            elif ch == ('"' if state == "string" else "'"):
+                state = "code"
+        elif state == "line_comment":
+            if ch == "\n":
+                state = "code"
+        elif state == "block_comment":
+            if ch == "*" and nxt == "/":
+                buf.append(nxt)
+                i += 1
+                state = "code"
+        i += 1
+    if buf:
+        fragments.append("".join(buf))
+    return fragments
+
+
+_REF_RUN_RE = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
+_REF_PIECE_RE = re.compile(r"[0-9]+|[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+")
+
+
+def tokenize_code_reference(text):
+    """Two-pass code tokenizer: character runs, then camelCase pieces per word."""
+    tokens = []
+    for run in _REF_RUN_RE.findall(text):
+        if run[0].isalnum() or run[0] == "_":
+            for word in run.split("_"):
+                merged = []
+                for piece in _REF_PIECE_RE.findall(word):
+                    # Digit runs belong to the subtoken before them.
+                    if piece[0].isdigit() and merged:
+                        merged[-1] += piece
+                    else:
+                        merged.append(piece)
+                tokens.extend(p.lower() for p in merged)
+        else:
+            tokens.append(run)
+    return tokens

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from eacs import corpus as C
 from eacs.errors import EmptyComment, FormatError, IoError
 
+from .conftest import SOURCE_TEXT
+from .oracles import tokenize_code_reference
+
 
 class TestTokenizeCode:
     def test_camel_case_and_punctuation(self):
@@ -25,6 +28,15 @@ class TestTokenizeCode:
 
     def test_leading_digits(self):
         assert C.tokenize_code("2fast") == ["2", "fast"]
+
+    def test_non_ascii_letters_and_digits_dropped(self):
+        assert C.tokenize_code("café") == ["caf"]
+        assert C.tokenize_code("x² = straße;") == ["x", "=", "stra", "e", ";"]
+
+    @given(SOURCE_TEXT)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_reference_tokenizer(self, text):
+        assert C.tokenize_code(text) == tokenize_code_reference(text)
 
     @given(st.text(max_size=40))
     @settings(max_examples=100, deadline=None)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eacs import oracle
 from eacs.corpus import tokenize_comment
 from eacs.oracle import informativity, label_statements
 from eacs.segmenter import SegmentedSnippet, Statement
@@ -92,6 +93,34 @@ class TestGreedyRegression:
             labels, trace = greedy_labels_brute(stmts, comment)
             assert list(labeled.labels) == labels
             assert [(t.index, t.informativity) for t in labeled.trace] == pytest.approx(trace)
+
+    @pytest.mark.parametrize("shared", [2, 0])
+    def test_matches_on_statements_without_comment_tokens(self, shared):
+        # Most (shared=2) or all (shared=0) statements draw only from tokens
+        # the comment lacks: the early stop and the forced label.
+        rng = np.random.default_rng(7 + shared)
+        comment_vocab = [f"c{i}" for i in range(6)]
+        other_vocab = [f"o{i}" for i in range(6)]
+        for _ in range(100):
+            n = int(rng.integers(1, 10))
+            hits = set(rng.choice(n, size=min(shared, n), replace=False).tolist())
+            stmts = [
+                [str(t) for t in rng.choice(comment_vocab + other_vocab if i in hits else other_vocab,
+                                            size=int(rng.integers(1, 6)))]
+                for i in range(n)
+            ]
+            comment = [str(t) for t in rng.choice(comment_vocab, size=int(rng.integers(1, 8)))]
+            labeled = label_statements(make_snippet(stmts), comment)
+            labels, trace = greedy_labels_brute(stmts, comment)
+            assert list(labeled.labels) == labels
+            assert [(t.index, t.informativity) for t in labeled.trace] == pytest.approx(trace)
+
+    def test_scan_stops_at_first_statement_without_comment_tokens(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "rouge_l_recall", lambda r, g: calls.append(g) or 0.0)
+        label_statements(make_snippet([["x"], ["y"], ["z"]]), ["a"])
+        # Three individual scores and no joint one.
+        assert len(calls) == 3
 
     def test_greedy_bounded_by_exhaustive_best(self):
         rng = np.random.default_rng(123)

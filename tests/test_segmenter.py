@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import given, settings
 
+from eacs.corpus import tokenize_code
 from eacs.errors import EmptySnippet
-from eacs.segmenter import segment
+from eacs.segmenter import LANGUAGES, _java_fragments, segment
+
+from .conftest import SOURCE_TEXT
+from .oracles import java_fragments_reference, tokenize_code_reference
 
 
 class TestJava:
@@ -26,6 +31,15 @@ class TestJava:
         snippet = segment("char c = '\\''; d();", "java")
         assert len(snippet.statements) == 2
 
+    def test_block_comment_close_may_reuse_opening_star(self):
+        snippet = segment("a = 1; /*/ b = 2; c = 3;", "java")
+        assert [s.text for s in snippet.statements] == ["a = 1;", "/*/ b = 2;", "c = 3;"]
+
+    @given(SOURCE_TEXT)
+    @settings(max_examples=500, deadline=None)
+    def test_scanner_matches_reference_walk(self, code):
+        assert _java_fragments(code) == java_fragments_reference(code)
+
     def test_statement_count_bound_on_line_shaped_code(self):
         code = "int a = 1;\nint b = 2;\nif (a > b) {\n  a = b;\n}\n"
         snippet = segment(code, "java")
@@ -49,6 +63,15 @@ class TestPython:
     def test_plain_lines(self):
         snippet = segment("def f(a):\n    return a\n", "python")
         assert len(snippet.statements) == 2
+
+    @pytest.mark.parametrize("comment", ["see (note", "see \\"])
+    def test_comment_ends_the_line(self, comment):
+        snippet = segment(f"x = 1  # {comment}\ny = 2\nz = 3", "python")
+        assert [s.text for s in snippet.statements] == [f"x = 1  # {comment}", "y = 2", "z = 3"]
+
+    def test_hash_inside_string_does_not_end_scan(self):
+        snippet = segment("s = '#' + f(\n 1)\nt = 2", "python")
+        assert [s.text for s in snippet.statements] == ["s = '#' + f(\n 1)", "t = 2"]
 
 
 class TestGeneric:
@@ -79,6 +102,21 @@ class TestContract:
         a = segment(code, "java")
         b = segment(code, "java")
         assert [s.text for s in a.statements] == [s.text for s in b.statements]
+
+    @pytest.mark.parametrize("language", LANGUAGES)
+    @given(code=SOURCE_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_full_tokens_are_statement_tokens_in_order(self, language, code):
+        try:
+            snippet = segment(code, language)
+        except EmptySnippet:
+            assert not tokenize_code_reference(code)
+            return
+        joined = tuple(t for s in snippet.statements for t in s.tokens)
+        assert snippet.full_tokens == joined == tuple(tokenize_code_reference(code))
+        assert [s.tokens for s in snippet.statements] == [
+            tuple(tokenize_code(s.text)) for s in snippet.statements
+        ]
 
     def test_unknown_language(self):
         with pytest.raises(ValueError):

@@ -156,12 +156,8 @@ def _cmd_evaluate(args) -> int:
     report = evaluate_corpus(refs, hyps, buckets=buckets)
     compare = None
     if args.compare:
-        other = evaluate_corpus(refs, _read_token_lines(args.compare))
-        compare = {
-            "bleu": mann_whitney_u_test(report.bleu, other.bleu),
-            "meteor": mann_whitney_u_test(report.meteor, other.meteor),
-            "rouge_l": mann_whitney_u_test(report.rouge_l, other.rouge_l),
-        }
+        other = evaluate_corpus(refs, _read_token_lines(args.compare)).scores
+        compare = {k: mann_whitney_u_test(v, other[k]) for k, v in report.scores.items()}
     emit_report(report, compare=compare, path=args.out)
     return 0
 
@@ -271,11 +267,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"eacs {args.command}: {exc}", file=sys.stderr)
         return 2
-    except EacsError as exc:
+    except (EacsError, OSError) as exc:
         print(f"eacs {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"eacs {args.command}: error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        # numpy's message names the size and shape; a bare MemoryError has none.
+        print(f"eacs {args.command}: error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 1
 
 

@@ -11,6 +11,7 @@ configured seed.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -46,6 +47,12 @@ class RunConfig:
     def validate(self) -> None:
         if self.embed_dim <= 0 or self.hidden_dim <= 0:
             raise UsageError("dimensions must be positive")
+        for key in ("lr", "weight_decay"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise UsageError(f"{key} must be finite and >= 0, got {value!r}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.dropout < 1.0:
             raise UsageError("dropout must be in [0, 1)")
         if self.batch_size < 1 or self.epochs < 0:

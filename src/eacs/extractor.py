@@ -159,10 +159,8 @@ def extractor_batch_loss(
 @dataclass
 class ExtractorSample:
     pair_id: int
-    snippet: SegmentedSnippet
     stmt_ids: list[np.ndarray]
     labels: np.ndarray
-    comment_tokens: list[str]
 
 
 def truncate_snippet(snippet: SegmentedSnippet, max_statements: int) -> SegmentedSnippet:
@@ -203,10 +201,8 @@ def build_extractor_dataset(
         samples.append(
             ExtractorSample(
                 pair_id=pair.id,
-                snippet=snippet,
                 stmt_ids=stmt_ids,
                 labels=np.array(labeled.labels, dtype=np.int64),
-                comment_tokens=comment,
             )
         )
     return samples

@@ -110,10 +110,9 @@ def extractor_loss_check() -> tuple[str, Callable[[], nc.Tensor], list[nc.Parame
     model = ExtractorModel(12, config, rng, dtype=np.float64)
     # Two snippets of different statement counts and statement lengths.
     samples = [
-        ExtractorSample(0, None, [np.array([1, 5, 7]), np.array([4, 9])], np.array([1, 0]), []),
+        ExtractorSample(0, [np.array([1, 5, 7]), np.array([4, 9])], np.array([1, 0])),
         ExtractorSample(
-            1, None, [np.array([8]), np.array([2, 3, 6, 5]), np.array([11, 4])], np.array([0, 0, 1]),
-            [],
+            1, [np.array([8]), np.array([2, 3, 6, 5]), np.array([11, 4])], np.array([0, 0, 1])
         ),
     ]
 

@@ -19,6 +19,8 @@ from .errors import EmptyInput, ShapeError
 
 TokenSeq = Sequence[str]
 
+# Score names, in the column order of score_pair.
+METRICS = ("bleu", "meteor", "rouge_l")
 PERCENTILES = (5, 25, 50, 75, 95)
 
 # ROUGE-L's recall weight; METEOR's precision/recall weight, fragmentation
@@ -69,8 +71,8 @@ def modified_ngram_stats(r: TokenSeq, g: TokenSeq, n: int) -> tuple[int, int]:
     total = max(len(g) - n + 1, 0)
     if total == 0:
         return 0, 0
-    ref_counts = Counter(tuple(r[i : i + n]) for i in range(len(r) - n + 1))
-    hyp_counts = Counter(tuple(g[i : i + n]) for i in range(total))
+    ref_counts = Counter(zip(*(r[i:] for i in range(n))))
+    hyp_counts = Counter(zip(*(g[i:] for i in range(n))))
     matched = sum(min(c, ref_counts[gram]) for gram, c in hyp_counts.items())
     return matched, total
 
@@ -294,47 +296,23 @@ def significance_band(p: float) -> str:
     return "ns"
 
 
-def _midranks(values: Sequence[float]) -> list[float]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
-
-
 def _exact_u_cdf(n: int, m: int, u_max: int) -> float:
     """P(U <= u_max) under the null, by counting rank splits.
 
-    c(n, m, u) = c(n-1, m, u-m) + c(n, m-1, u); total splits C(n+m, n).
+    c(a, b, u) = c(a-1, b, u-b) + c(a, b-1, u), with c(a, 0) = c(0, b) the
+    single split at u = 0; row b of ``c`` holds c(a, b, .) as a runs from 0
+    to n. Total splits C(n+m, n). Every count is an integer below 2^53, so
+    each sum is exact.
     """
     size = n * m + 1
-    table = {(0, 0): np.zeros(size)}
-
-    def counts(a: int, b: int) -> np.ndarray:
-        got = table.get((a, b))
-        if got is not None:
-            return got
-        arr = np.zeros(size)
-        if a == 0 or b == 0:
-            arr[0] = 1.0
-        else:
-            left = counts(a - 1, b)
-            arr[b:] += left[: size - b]
-            arr += counts(a, b - 1)
-        table[(a, b)] = arr
-        return arr
-
-    table[(0, 0)][0] = 1.0
-    dist = counts(n, m)
-    total = dist.sum()
-    return float(dist[: u_max + 1].sum() / total)
+    c = np.zeros((m + 1, size))
+    c[:, 0] = 1.0
+    for _ in range(n):
+        for b in range(1, m + 1):
+            c[b, b:] = c[b, : size - b]
+            c[b, :b] = 0.0
+            c[b] += c[b - 1]
+    return float(c[m, : u_max + 1].sum() / c[m].sum())
 
 
 def _normal_sf(z: float) -> float:
@@ -357,12 +335,13 @@ def mann_whitney_u_test(
         raise EmptyInput("both samples must be non-empty")
     if method not in ("auto", "exact", "normal-approx"):
         raise ValueError(f"unknown method {method!r}")
-    pooled = list(xs) + list(ys)
-    ranks = _midranks(pooled)
-    r1 = sum(ranks[:n])
-    u1 = r1 - n * (n + 1) / 2.0
+    # Midranks: a run of ties at sorted positions i..j (0-based) all get
+    # (i + j) / 2 + 1, which is the run's end minus (count - 1) / 2.
+    _, inverse, counts = np.unique(np.concatenate([xs, ys]), return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse].tolist()
+    u1 = sum(ranks[:n]) - n * (n + 1) / 2.0
     u2 = n * m - u1
-    has_ties = len(set(pooled)) < len(pooled)
+    has_ties = len(counts) < n + m
 
     if method == "auto":
         method = "exact" if (n + m <= 20 and not has_ties) else "normal-approx"
@@ -374,7 +353,7 @@ def mann_whitney_u_test(
     else:
         mu = n * m / 2.0
         big_n = n + m
-        tie_term = sum(t**3 - t for t in Counter(pooled).values())
+        tie_term = sum(t**3 - t for t in counts.tolist())
         var = n * m / 12.0 * (big_n + 1 - tie_term / (big_n * (big_n - 1)))
         if var <= 0:
             p = 1.0
@@ -411,38 +390,21 @@ def bucket_label(value: int, edges: tuple[int, ...]) -> str:
 
 @dataclass
 class MetricReport:
-    bleu: np.ndarray
-    meteor: np.ndarray
-    rouge_l: np.ndarray
+    """Per-sample scores keyed by :data:`METRICS`, with optional bucket sub-reports."""
+
+    scores: dict[str, np.ndarray]
     buckets: dict[str, "MetricReport"] = field(default_factory=dict)
 
-    @property
-    def size(self) -> int:
-        return int(self.bleu.shape[0])
-
-    def means(self) -> dict[str, float]:
-        return {
-            "bleu": float(self.bleu.mean()),
-            "meteor": float(self.meteor.mean()),
-            "rouge_l": float(self.rouge_l.mean()),
-        }
-
-    def percentiles(self) -> dict[str, dict[int, float]]:
-        out: dict[str, dict[int, float]] = {}
-        for name, vals in (("bleu", self.bleu), ("meteor", self.meteor), ("rouge_l", self.rouge_l)):
-            out[name] = {p: float(np.percentile(vals, p)) for p in PERCENTILES}
-        return out
-
     def to_record(self) -> dict:
+        """Sample count, means, percentiles and samples, bucket records nested."""
         rec = {
-            "n_samples": self.size,
-            "means": self.means(),
-            "percentiles": {k: {str(p): v for p, v in d.items()} for k, d in self.percentiles().items()},
-            "samples": {
-                "bleu": [float(x) for x in self.bleu],
-                "meteor": [float(x) for x in self.meteor],
-                "rouge_l": [float(x) for x in self.rouge_l],
+            "n_samples": len(self.scores[METRICS[0]]),
+            "means": {k: float(v.mean()) for k, v in self.scores.items()},
+            "percentiles": {
+                k: dict(zip(map(str, PERCENTILES), np.percentile(v, PERCENTILES).tolist()))
+                for k, v in self.scores.items()
             },
+            "samples": {k: v.tolist() for k, v in self.scores.items()},
         }
         if self.buckets:
             rec["buckets"] = {k: v.to_record() for k, v in self.buckets.items()}
@@ -471,9 +433,8 @@ def evaluate_corpus(
         raise ShapeError(f"{len(refs)} references vs {len(hyps)} hypotheses")
     if not refs:
         raise EmptyInput("evaluate_corpus needs at least one pair")
-    triples = [score_pair(r, g) for r, g in zip(refs, hyps)]
-    arr = np.array(triples, dtype=np.float64)
-    report = MetricReport(bleu=arr[:, 0], meteor=arr[:, 1], rouge_l=arr[:, 2])
+    arr = np.array([score_pair(r, g) for r, g in zip(refs, hyps)], dtype=np.float64)
+    report = MetricReport(dict(zip(METRICS, arr.T)))
 
     if buckets is not None:
         lengths = buckets.lengths
@@ -491,6 +452,6 @@ def evaluate_corpus(
         for label, idx in groups.items():
             if idx:
                 report.buckets[f"{buckets.kind} {label}"] = MetricReport(
-                    bleu=arr[idx, 0], meteor=arr[idx, 1], rouge_l=arr[idx, 2]
+                    {k: v[idx] for k, v in report.scores.items()}
                 )
     return report

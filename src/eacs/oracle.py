@@ -25,7 +25,6 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class LabeledSnippet:
-    snippet: SegmentedSnippet
     labels: tuple[int, ...]
     trace: tuple[TraceStep, ...]
 
@@ -71,4 +70,4 @@ def label_statements(snippet: SegmentedSnippet, comment: Sequence[str]) -> Label
         trace.append(TraceStep(index=forced, informativity=0.0))
 
     labels = tuple(1 if i in accepted else 0 for i in range(n))
-    return LabeledSnippet(snippet=snippet, labels=labels, trace=tuple(trace))
+    return LabeledSnippet(labels=labels, trace=tuple(trace))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Optional
 
 from .errors import IoError
@@ -12,18 +13,16 @@ from .metrics import PERCENTILES, MetricReport, SignificanceResult
 METRIC_LABELS = (("bleu", "BLEU-4"), ("meteor", "METEOR"), ("rouge_l", "ROUGE-L"))
 
 
-def format_table(report: MetricReport, title: str = "") -> str:
-    """One row per metric, scores in percentages with two decimals."""
-    means = report.means()
-    pcts = report.percentiles()
-    lines = []
-    if title:
-        lines.append(f"[{title}]  n={report.size}")
-    header = f"{'':<9}{'mean':>8}" + "".join(f"p{p:<2}".rjust(8) for p in PERCENTILES)
-    lines.append(header)
+def format_table(record: dict, title: str) -> str:
+    """One row per metric of a report record, scores in percentages with two decimals."""
+    means, pcts = record["means"], record["percentiles"]
+    lines = [
+        f"[{title}]  n={record['n_samples']}",
+        f"{'':<9}{'mean':>8}" + "".join(f"p{p:<2}".rjust(8) for p in PERCENTILES),
+    ]
     for key, label in METRIC_LABELS:
         row = f"{label:<9}{means[key] * 100:>8.2f}"
-        row += "".join(f"{pcts[key][p] * 100:>8.2f}" for p in PERCENTILES)
+        row += "".join(f"{pcts[key][str(p)] * 100:>8.2f}" for p in PERCENTILES)
         lines.append(row)
     return "\n".join(lines)
 
@@ -45,25 +44,16 @@ def emit_report(
     path: Optional[str] = None,
 ) -> None:
     """Print the aligned table (and bucket sub-tables) and write the record file."""
-    print(format_table(report, title="all samples"))
-    for name, sub in report.buckets.items():
+    record = report.to_record()
+    print(format_table(record, "all samples"))
+    for name, sub in record.get("buckets", {}).items():
         print()
-        print(format_table(sub, title=name))
+        print(format_table(sub, name))
     if compare:
         print()
         print(format_significance(compare))
+        record["significance"] = {key: asdict(res) for key, res in compare.items()}
     if path:
-        record = report.to_record()
-        if compare:
-            record["significance"] = {
-                key: {
-                    "u_statistic": res.u_statistic,
-                    "p_value": res.p_value,
-                    "method": res.method,
-                    "band": res.band,
-                }
-                for key, res in compare.items()
-            }
         try:
             with replace_on_success(path, "w", encoding="utf-8") as fh:
                 json.dump(record, fh, indent=2, sort_keys=True)

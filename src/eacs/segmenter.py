@@ -32,9 +32,6 @@ class SegmentedSnippet:
     statements: tuple[Statement, ...]
     full_tokens: tuple[str, ...]
 
-    def __len__(self) -> int:
-        return len(self.statements)
-
 
 # A string or char literal (backslash escapes; unclosed runs to the end), a
 # line comment, a block comment (its "*/" may reuse the opening "*"; unclosed

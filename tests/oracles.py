@@ -155,6 +155,40 @@ def meteor_brute(r, g, alpha=0.9, beta=3.0, gamma=0.5):
     return (1 - gamma * (chunks / m) ** beta) * fmean
 
 
+def rank_sum_reference(xs, ys, method="auto"):
+    """(U, two-tailed p, method) of the rank-sum test: midranks by a sorted
+    walk, and the exact p by enumerating every split of the pooled ranks."""
+    n, m = len(xs), len(ys)
+    pooled = list(xs) + list(ys)
+    order = sorted(range(n + m), key=lambda i: pooled[i])
+    ranks = [0.0] * (n + m)
+    i = 0
+    while i < n + m:
+        j = i
+        while j + 1 < n + m and pooled[order[j + 1]] == pooled[order[i]]:
+            j += 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    u1 = sum(ranks[:n]) - n * (n + 1) / 2.0
+    has_ties = len(set(pooled)) < n + m
+    if method == "auto":
+        method = "exact" if n + m <= 20 and not has_ties else "normal-approx"
+    if method == "exact" and not has_ties:
+        # With 0-based ranks, a split's U is its x rank sum minus n(n-1)/2.
+        u_min = min(u1, n * m - u1)
+        splits = list(itertools.combinations(range(n + m), n))
+        below = sum(sum(c) - n * (n - 1) // 2 <= u_min for c in splits)
+        return u1, min(1.0, 2.0 * below / len(splits)), "exact"
+    big_n = n + m
+    tie_term = sum(t**3 - t for t in Counter(pooled).values())
+    var = n * m / 12.0 * (big_n + 1 - tie_term / (big_n * (big_n - 1)))
+    if var <= 0:
+        return u1, 1.0, "normal-approx"
+    z = (max(u1, n * m - u1) - n * m / 2.0 - 0.5) / math.sqrt(var)
+    return u1, min(1.0, math.erfc(z / math.sqrt(2.0))), "normal-approx"
+
+
 def recall_brute(comment, tokens):
     if not tokens:
         return 0.0

@@ -10,6 +10,7 @@ import pytest
 import eacs
 from eacs.abstracter import AbstracterModel
 from eacs.checkpoint import save_model
+from eacs import cli
 from eacs.cli import build_parser, main
 from eacs.config import RunConfig
 from eacs.corpus import RESERVED_TOKENS, Vocabulary
@@ -224,6 +225,23 @@ class TestEvaluate:
             assert empty == 0.0 and first == last > 0.99
         assert set(record["significance"]) == {"bleu", "meteor", "rouge_l"}
 
+    def test_report_bytes_are_pinned(self, capsys, tmp_path):
+        # Twelve fixed pairs: an exact copy, an empty hypothesis, repeated
+        # tokens, a pair with no overlap, references in three comment buckets.
+        # stdout.txt and report.json pin the printed tables and the record file.
+        data = os.path.join(os.path.dirname(__file__), "data", "evaluate_golden")
+        files = {name: os.path.join(data, f"{name}.txt") for name in ("refs", "hyps", "other")}
+        report_path = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "evaluate", "--refs", files["refs"], "--hyps", files["hyps"],
+            "--compare", files["other"], "--buckets", "comment", "--out", str(report_path),
+        )
+        assert (code, err) == (0, "")
+        with open(os.path.join(data, "stdout.txt"), "rb") as fh:
+            assert out.encode("utf-8") == fh.read()
+        with open(os.path.join(data, "report.json"), "rb") as fh:
+            assert report_path.read_bytes() == fh.read()
+
 
 class TestParser:
     def test_built_once(self):
@@ -280,6 +298,53 @@ class TestTrainingFailure:
         assert err.startswith("eacs train-extractor: error: epoch 0")
         assert len(err.strip().splitlines()) == 1
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("exc", [
+        MemoryError(),
+        MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000, 2000)"),
+    ])
+    def test_memory_error_exits_one_with_one_line(self, capsys, tmp_path, toy_corpus_path,
+                                                   monkeypatch, exc):
+        # A stand-in for a huge embed_dim: a real request that size could get
+        # the test process killed instead of raising.
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "train_extractor", exhausted)
+        code, out, err = run(
+            capsys, "train-extractor", "--corpus", toy_corpus_path, "--out", str(tmp_path / "ex.ckpt"),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("eacs train-extractor: error: out of memory: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("line, key", [
+        ("seed = -1", "seed"), ("lr = -1", "lr"), ("lr = nan", "lr"), ("weight_decay = inf", "weight_decay"),
+    ])
+    def test_bad_config_value_exits_two_with_one_line(self, capsys, tmp_path, toy_corpus_path, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out_path = tmp_path / "ex.ckpt"
+        code, out, err = run(
+            capsys, "train-extractor", "--corpus", toy_corpus_path, "--config", str(cfg),
+            "--out", str(out_path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"eacs train-extractor: {key} must be")
+        assert len(err.strip().splitlines()) == 1
+        assert not out_path.exists()
+
+    def test_negative_seed_flag_exits_two_with_one_line(self, capsys, tmp_path, toy_corpus_path):
+        code, out, err = run(
+            capsys, "train-extractor", "--corpus", toy_corpus_path, "--seed", "-1",
+            "--out", str(tmp_path / "ex.ckpt"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("eacs train-extractor: seed must be >= 0")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestSummarize:

@@ -59,6 +59,10 @@ class TestEnvOverride:
         with pytest.raises(UsageError):
             make_run_config(env={"EACS_SEED": "pi"})
 
+    def test_negative_env_seed(self):
+        with pytest.raises(UsageError, match="seed must be >= 0"):
+            make_run_config(env={"EACS_SEED": "-5"})
+
 
 class TestValidation:
     def test_bad_fusion(self):
@@ -79,3 +83,13 @@ class TestValidation:
     def test_bad_limits(self, key, value):
         with pytest.raises(UsageError):
             make_run_config(overrides={key: value}, env={})
+
+    @pytest.mark.parametrize("key", ["lr", "weight_decay"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), float("-inf")])
+    def test_bad_rates_name_the_key(self, key, value):
+        with pytest.raises(UsageError, match=f"^{key} must be finite and >= 0"):
+            make_run_config(overrides={key: value}, env={})
+
+    @pytest.mark.parametrize("key, value", [("lr", 0.0), ("lr", 1e39), ("weight_decay", 0.0), ("seed", 0)])
+    def test_edge_values_accepted(self, key, value):
+        assert getattr(make_run_config(overrides={key: value}, env={}), key) == value

@@ -121,7 +121,7 @@ class TestBatchedLoss:
             ([np.array([12, 13])], [1]),
         ]
         return [
-            ExtractorSample(k, None, stmt_ids, np.array(labels), [])
+            ExtractorSample(k, stmt_ids, np.array(labels))
             for k, (stmt_ids, labels) in enumerate(snippets)
         ]
 

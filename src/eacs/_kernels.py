@@ -10,20 +10,34 @@ token of ``b`` costs a handful of big-int operations instead of ``len(a)``
 table cells.
 """
 
-from typing import Hashable, Sequence
+from typing import Hashable, Optional, Sequence
 
 # Kept as a constant because benchmark records report it; there is no JIT path.
 USING_NUMBA = False
 
 
-def lcs_len_ids(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
-    """LCS length of two token sequences (strings, ids, anything hashable)."""
+def lcs_masks(a: Sequence[Hashable]) -> dict:
+    """The bitmask table of ``a``: each token maps to the bits of its positions.
+
+    It depends on ``a`` alone, so a caller that scores many sequences against
+    one ``a`` builds it once and hands it to :func:`lcs_len_ids`.
+    """
     masks: dict = {}
     bit = 1
     for tok in a:
         masks[tok] = masks.get(tok, 0) | bit
         bit <<= 1
-    full = bit - 1
+    return masks
+
+
+def lcs_len_ids(a: Sequence[Hashable], b: Sequence[Hashable], masks: Optional[dict] = None) -> int:
+    """LCS length of two token sequences (strings, ids, anything hashable).
+
+    ``masks`` is ``lcs_masks(a)`` when the caller has it already.
+    """
+    if masks is None:
+        masks = lcs_masks(a)
+    full = (1 << len(a)) - 1
     # Each zero bit of v is one step of the LCS row over a; their count is the length.
     v = full
     for tok in b:

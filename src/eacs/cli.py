@@ -22,7 +22,7 @@ from .corpus import load_corpus
 from .errors import EacsError, FormatError, IoError, UsageError
 from .extractor import predict_important, train_extractor
 from .fileio import replace_on_success
-from .metrics import BucketSpec, evaluate_corpus, mann_whitney_u_test
+from .metrics import BucketSpec, evaluate_corpus, mann_whitney_u_test, profile_reference
 from .oracle import label_statements
 from .report import emit_report
 from .segmenter import LANGUAGES, segment, segment_pairs
@@ -153,11 +153,16 @@ def _cmd_evaluate(args) -> int:
             raise UsageError("--buckets code needs --codes CORPUS to count snippet lines")
         lengths = [len(p.code.splitlines()) for p in load_corpus(args.codes)]
         buckets = BucketSpec(kind="code", lengths=lengths)
-    report = evaluate_corpus(refs, hyps, buckets=buckets)
+    # Each reference is profiled once, for --hyps and --compare alike.
+    profiles = [profile_reference(r) for r in refs]
+    report = evaluate_corpus(refs, hyps, buckets=buckets, profiles=profiles)
+    for entry in report.meteor_bounded:
+        entry["file"] = "hyps"
     compare = None
     if args.compare:
-        other = evaluate_corpus(refs, _read_token_lines(args.compare)).scores
-        compare = {k: mann_whitney_u_test(v, other[k]) for k, v in report.scores.items()}
+        other = evaluate_corpus(refs, _read_token_lines(args.compare), profiles=profiles)
+        compare = {k: mann_whitney_u_test(v, other.scores[k]) for k, v in report.scores.items()}
+        report.meteor_bounded += [dict(entry, file="compare") for entry in other.meteor_bounded]
     emit_report(report, compare=compare, path=args.out)
     return 0
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import lcs_len_ids
+from ._kernels import lcs_len_ids, lcs_masks
 from .errors import EmptyInput, ShapeError
 
 TokenSeq = Sequence[str]
@@ -28,19 +28,29 @@ PERCENTILES = (5, 25, 50, 75, 95)
 ROUGE_BETA = 1.2
 METEOR_ALPHA, METEOR_BETA, METEOR_GAMMA = 0.9, 3.0, 0.5
 
+# Nodes (moves tried) the exact METEOR link search may visit per pair before
+# it settles for the greedy packing: about 0.1 s. The 56,320 perfbench
+# `score` pairs of seeds 101-110 need at most 76, random pairs of up to 12
+# tokens over two to four tokens at most 547; some 20-token pairs over two
+# tokens need more.
+SEARCH_NODES = 20_000
+
 # Default bucket edges: code length in physical lines, comment length in tokens.
 CODE_LINE_EDGES = (10, 20, 30, 40)
 COMMENT_TOKEN_EDGES = (5, 10, 15, 20, 25)
 
 
-def lcs_length(r: TokenSeq, g: TokenSeq) -> int:
-    """Length of a longest common subsequence of two token sequences."""
+def lcs_length(r: TokenSeq, g: TokenSeq, masks: Optional[dict] = None) -> int:
+    """Length of a longest common subsequence of two token sequences.
+
+    ``masks`` is ``_kernels.lcs_masks(r)``, when the caller has it already.
+    """
     if not r or not g:
         return 0
-    return lcs_len_ids(r, g)
+    return lcs_len_ids(r, g, masks)
 
 
-def rouge_l(r: TokenSeq, g: TokenSeq) -> float:
+def rouge_l(r: TokenSeq, g: TokenSeq, masks: Optional[dict] = None) -> float:
     """LCS-based F-measure of generated tokens ``g`` against reference ``r``.
 
     Recall is weighted by beta = 1.2. Returns 0 when the sequences share no
@@ -48,7 +58,7 @@ def rouge_l(r: TokenSeq, g: TokenSeq) -> float:
     """
     if not r or not g:
         raise EmptyInput("rouge_l requires non-empty reference and hypothesis")
-    lcs = lcs_length(r, g)
+    lcs = lcs_length(r, g, masks)
     if lcs == 0:
         return 0.0
     r_lcs = lcs / len(r)
@@ -57,24 +67,55 @@ def rouge_l(r: TokenSeq, g: TokenSeq) -> float:
     return (1.0 + b2) * r_lcs * p_lcs / (r_lcs + b2 * p_lcs)
 
 
-def rouge_l_recall(r: TokenSeq, g: TokenSeq) -> float:
+def rouge_l_recall(r: TokenSeq, g: TokenSeq, masks: Optional[dict] = None) -> float:
     """LCS recall: LCS(r, g) / |r|. The informativity measure of the oracle."""
     if not r:
         raise EmptyInput("rouge_l_recall requires a non-empty reference")
     if not g:
         return 0.0
-    return lcs_length(r, g) / len(r)
+    return lcs_length(r, g, masks) / len(r)
+
+
+def _ngrams(seq: TokenSeq, n: int) -> Iterable:
+    """The n-grams of ``seq`` in order; unigrams are the tokens themselves."""
+    return iter(seq) if n == 1 else zip(*(seq[i:] for i in range(n)))
+
+
+def _clipped_ngram_stats(ref_counts: Counter, g: TokenSeq, n: int) -> tuple[int, int]:
+    total = max(len(g) - n + 1, 0)
+    if total == 0:
+        return 0, 0
+    # Each n-gram of g matches while the reference has copies of it left.
+    left = dict(ref_counts)
+    matched = 0
+    for gram in _ngrams(g, n):
+        c = left.get(gram)
+        if c:
+            left[gram] = c - 1
+            matched += 1
+    return matched, total
 
 
 def modified_ngram_stats(r: TokenSeq, g: TokenSeq, n: int) -> tuple[int, int]:
     """Raw clipped-match and total n-gram counts of ``g`` against ``r``."""
-    total = max(len(g) - n + 1, 0)
-    if total == 0:
-        return 0, 0
-    ref_counts = Counter(zip(*(r[i:] for i in range(n))))
-    hyp_counts = Counter(zip(*(g[i:] for i in range(n))))
-    matched = sum(min(c, ref_counts[gram]) for gram, c in hyp_counts.items())
-    return matched, total
+    return _clipped_ngram_stats(Counter(_ngrams(r, n)), g, n)
+
+
+@dataclass(frozen=True)
+class RefProfile:
+    """What scoring needs of one reference, counted once: its n-gram counts
+    for n = 1..4 and its LCS bitmask table."""
+
+    ngrams: tuple[Counter, ...]
+    masks: dict
+
+    def ngram_stats(self, g: TokenSeq) -> list[tuple[int, int]]:
+        """``modified_ngram_stats(r, g, n)`` for n = 1..4, counting g once per n."""
+        return [_clipped_ngram_stats(c, g, n) for n, c in enumerate(self.ngrams, start=1)]
+
+
+def profile_reference(r: TokenSeq) -> RefProfile:
+    return RefProfile(tuple(Counter(_ngrams(r, n)) for n in range(1, 5)), lcs_masks(r))
 
 
 def brevity_penalty(r_len: int, g_len: int) -> float:
@@ -84,26 +125,33 @@ def brevity_penalty(r_len: int, g_len: int) -> float:
     return math.exp(1.0 - r_len / g_len)
 
 
-def bleu4(r: TokenSeq, g: TokenSeq) -> float:
+def bleu4(r: TokenSeq, g: TokenSeq, stats: Optional[Sequence[tuple[int, int]]] = None) -> float:
     """Sentence BLEU with n = 1..4, uniform weights, and a brevity penalty.
 
     Precisions for n >= 2 get add-one smoothing on both numerator and
     denominator (short sentences would otherwise zero out routinely); a zero
-    unigram precision short-circuits to 0.
+    unigram precision short-circuits to 0. ``stats`` is
+    ``modified_ngram_stats(r, g, n)`` for n = 1..4, when the caller has it.
     """
     if not r or not g:
         raise EmptyInput("bleu4 requires non-empty reference and hypothesis")
-    m1, t1 = modified_ngram_stats(r, g, 1)
+    if stats is None:
+        stats = [modified_ngram_stats(r, g, n) for n in range(1, 5)]
+    (m1, t1), *higher = stats
     if m1 == 0:
         return 0.0
     log_sum = math.log(m1 / t1)
-    for n in range(2, 5):
-        mn, tn = modified_ngram_stats(r, g, n)
+    for mn, tn in higher:
         log_sum += math.log((mn + 1) / (tn + 1))
     return brevity_penalty(len(r), len(g)) * math.exp(0.25 * log_sum)
 
 
-def alignment_stats(r: TokenSeq, g: TokenSeq) -> tuple[int, int]:
+def alignment_stats(
+    r: TokenSeq,
+    g: TokenSeq,
+    counts: Optional[tuple[int, int]] = None,
+    bounded: Optional[list] = None,
+) -> tuple[int, int]:
     """Exact-match alignment statistics for METEOR: (matches, chunks).
 
     Among all alignments with the maximum number of exact unigram matches,
@@ -117,6 +165,7 @@ def alignment_stats(r: TokenSeq, g: TokenSeq) -> tuple[int, int]:
     both sides). L is found in three steps:
 
     - bound: L <= UB = min(m - 1, sum over bigrams of the smaller count);
+      an exact copy reaches it with the identity alignment;
     - certificate: a greedy packing of the longest common blocks among
       unused positions gives links that reach UB on most comment pairs;
     - search: otherwise an exact search over bigram links alone, pruned by
@@ -124,23 +173,33 @@ def alignment_stats(r: TokenSeq, g: TokenSeq) -> tuple[int, int]:
       from UB down to one above the packing.
 
     Minimising chunks is a minimum common string partition, which is
-    NP-hard, so the search stays exponential in the worst case (repetitive
-    strings over two or three tokens, 25 or more long).
+    NP-hard, so the search may visit at most :data:`SEARCH_NODES` nodes. If it
+    runs out, the packing's links stand: a valid alignment, so METEOR is a
+    lower bound, and ``(packed links, UB)`` is appended to ``bounded``.
+
+    ``counts`` is (m, the bigram sum), BLEU's clipped unigram and bigram
+    matches of the pair, when the caller has them.
     """
     if not r or not g:
         return 0, 0
-    g_counts = Counter(g)
-    m = sum(min(c, g_counts[t]) for t, c in Counter(r).items())
+    if r == g:
+        return len(r), 1
+    if counts is None:
+        counts = modified_ngram_stats(r, g, 1)[0], modified_ngram_stats(r, g, 2)[0]
+    m, shared = counts
     if m == 0:
         return 0, 0
-    g_bigrams = Counter(zip(g, g[1:]))
-    shared = sum(min(c, g_bigrams[b]) for b, c in Counter(zip(r, r[1:])).items())
     upper = min(m - 1, shared)
     if upper == 0:
         return m, m
     lower = _packed_links(r, g, upper)
     if lower < upper:
-        lower = _max_links(r, g, lower, upper)
+        links = _max_links(r, g, lower, upper)
+        if links is None:
+            if bounded is not None:
+                bounded.append((lower, upper))
+        else:
+            lower = links
     return m, m - lower
 
 
@@ -177,9 +236,10 @@ def _packed_links(r: TokenSeq, g: TokenSeq, upper: int) -> int:
     return links
 
 
-def _max_links(r: TokenSeq, g: TokenSeq, lower: int, upper: int) -> int:
+def _max_links(r: TokenSeq, g: TokenSeq, lower: int, upper: int) -> Optional[int]:
     """The most links an alignment holds if above ``lower`` (else ``lower``),
-    knowing it is at most ``upper``.
+    knowing it is at most ``upper``; None once :data:`SEARCH_NODES` nodes
+    (moves tried) have been visited without an answer.
 
     Walks r left to right. A state is (i, p, mask): r[:i] is decided; p is
     the g position r[i] is already linked to, or -1 if r[i] is free; mask
@@ -240,10 +300,14 @@ def _max_links(r: TokenSeq, g: TokenSeq, lower: int, upper: int) -> int:
         moves.append((after[i + 1], -1, mask, need))
         return key, need, iter(moves)
 
+    nodes = SEARCH_NODES
     for target in range(upper, lower, -1):
         root = enter(after[0], -1, 0, target)
         stack = [root] if root else []
         while stack:
+            nodes -= 1
+            if nodes < 0:
+                return None
             key, need, moves = stack[-1]
             move = next(moves, None)
             if move is None:
@@ -258,15 +322,21 @@ def _max_links(r: TokenSeq, g: TokenSeq, lower: int, upper: int) -> int:
     return lower
 
 
-def meteor(r: TokenSeq, g: TokenSeq) -> float:
+def meteor(
+    r: TokenSeq,
+    g: TokenSeq,
+    counts: Optional[tuple[int, int]] = None,
+    bounded: Optional[list] = None,
+) -> float:
     """Unigram-alignment metric with a fragmentation penalty.
 
     Exact-token alignment only (no stemming or synonym stages), with
-    alpha=0.9, beta=3.0, gamma=0.5.
+    alpha=0.9, beta=3.0, gamma=0.5. ``counts`` and ``bounded`` go to
+    :func:`alignment_stats`.
     """
     if not r or not g:
         raise EmptyInput("meteor requires non-empty reference and hypothesis")
-    m, chunks = alignment_stats(r, g)
+    m, chunks = alignment_stats(r, g, counts, bounded)
     if m == 0:
         return 0.0
     p_unig = m / len(g)
@@ -390,10 +460,14 @@ def bucket_label(value: int, edges: tuple[int, ...]) -> str:
 
 @dataclass
 class MetricReport:
-    """Per-sample scores keyed by :data:`METRICS`, with optional bucket sub-reports."""
+    """Per-sample scores keyed by :data:`METRICS`, with optional bucket
+    sub-reports, and the pairs whose METEOR is only a lower bound."""
 
     scores: dict[str, np.ndarray]
     buckets: dict[str, "MetricReport"] = field(default_factory=dict)
+    # One {"index", "links": [packed, UB]} entry per pair whose link search
+    # ran out of nodes (see alignment_stats); `evaluate` adds each entry's file.
+    meteor_bounded: list[dict] = field(default_factory=list)
 
     def to_record(self) -> dict:
         """Sample count, means, percentiles and samples, bucket records nested."""
@@ -408,33 +482,66 @@ class MetricReport:
         }
         if self.buckets:
             rec["buckets"] = {k: v.to_record() for k, v in self.buckets.items()}
+        if self.meteor_bounded:
+            rec["meteor_bounded"] = self.meteor_bounded
         return rec
 
 
-def score_pair(r: TokenSeq, g: TokenSeq) -> tuple[float, float, float]:
+def score_pair(
+    r: TokenSeq,
+    g: TokenSeq,
+    profile: Optional[RefProfile] = None,
+    bounded: Optional[list] = None,
+) -> tuple[float, float, float]:
     """BLEU-4, METEOR and ROUGE-L of one pair; an empty hypothesis scores 0
-    on all three (an empty reference still raises :class:`EmptyInput`)."""
+    on all three (an empty reference still raises :class:`EmptyInput`).
+
+    ``profile`` is ``profile_reference(r)``, when the caller has it. The
+    hypothesis's n-grams are counted once: BLEU's clipped unigram and bigram
+    matches are METEOR's m and bigram bound. ``bounded`` goes to
+    :func:`alignment_stats`.
+    """
     if r and not g:
         return 0.0, 0.0, 0.0
-    return bleu4(r, g), meteor(r, g), rouge_l(r, g)
+    if profile is None:
+        profile = profile_reference(r)
+    stats = profile.ngram_stats(g)
+    return (
+        bleu4(r, g, stats),
+        meteor(r, g, (stats[0][0], stats[1][0]), bounded),
+        rouge_l(r, g, profile.masks),
+    )
 
 
 def evaluate_corpus(
     refs: Sequence[TokenSeq],
     hyps: Sequence[TokenSeq],
     buckets: Optional[BucketSpec] = None,
+    profiles: Optional[Sequence[RefProfile]] = None,
 ) -> MetricReport:
     """Score each (reference, hypothesis) pair and aggregate.
 
     Per-sample scoring is order-independent; means are plain arithmetic
     averages. With a bucket spec, sub-reports are built per length range.
+    ``profiles`` holds ``profile_reference(r)`` for each reference, so that
+    several hypothesis files scored against one reference file count it once.
     """
     if len(refs) != len(hyps):
         raise ShapeError(f"{len(refs)} references vs {len(hyps)} hypotheses")
     if not refs:
         raise EmptyInput("evaluate_corpus needs at least one pair")
-    arr = np.array([score_pair(r, g) for r, g in zip(refs, hyps)], dtype=np.float64)
-    report = MetricReport(dict(zip(METRICS, arr.T)))
+    if profiles is None:
+        profiles = [profile_reference(r) for r in refs]
+    elif len(profiles) != len(refs):
+        raise ShapeError(f"{len(refs)} references vs {len(profiles)} profiles")
+    rows, meteor_bounded, found = [], [], []
+    for i, (r, g, profile) in enumerate(zip(refs, hyps, profiles)):
+        rows.append(score_pair(r, g, profile, found))
+        if found:
+            packed, upper = found.pop()
+            meteor_bounded.append({"index": i, "links": [packed, upper]})
+    arr = np.array(rows, dtype=np.float64)
+    report = MetricReport(dict(zip(METRICS, arr.T)), meteor_bounded=meteor_bounded)
 
     if buckets is not None:
         lengths = buckets.lengths

@@ -11,8 +11,9 @@ it and every later one leave the joint LCS unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
+from ._kernels import lcs_masks
 from .metrics import rouge_l_recall
 from .segmenter import SegmentedSnippet
 
@@ -30,15 +31,21 @@ class LabeledSnippet:
 
 
 def informativity(
-    selected: Iterable[int], snippet: SegmentedSnippet, comment: Sequence[str]
+    selected: Iterable[int],
+    snippet: SegmentedSnippet,
+    comment: Sequence[str],
+    masks: Optional[dict] = None,
 ) -> float:
-    """LCS recall of the selected statements, concatenated in source order."""
+    """LCS recall of the selected statements, concatenated in source order.
+
+    ``masks`` is ``_kernels.lcs_masks(comment)``, when the caller has it.
+    """
     tokens: list[str] = []
     for i in sorted(set(selected)):
         tokens.extend(snippet.statements[i].tokens)
     if not tokens:
         return 0.0
-    return rouge_l_recall(comment, tokens)
+    return rouge_l_recall(comment, tokens, masks)
 
 
 def label_statements(snippet: SegmentedSnippet, comment: Sequence[str]) -> LabeledSnippet:
@@ -49,7 +56,8 @@ def label_statements(snippet: SegmentedSnippet, comment: Sequence[str]) -> Label
     extractor always sees a positive example.
     """
     n = len(snippet.statements)
-    individual = [informativity([i], snippet, comment) for i in range(n)]
+    masks = lcs_masks(comment)  # every call below scores against the comment
+    individual = [informativity([i], snippet, comment, masks) for i in range(n)]
     order = sorted(range(n), key=lambda i: (-individual[i], i))
 
     accepted: list[int] = []
@@ -59,7 +67,7 @@ def label_statements(snippet: SegmentedSnippet, comment: Sequence[str]) -> Label
         if not individual[i]:
             # No token shared with the comment, here or in any later statement.
             break
-        joint = informativity(accepted + [i], snippet, comment)
+        joint = informativity(accepted + [i], snippet, comment, masks)
         if joint > best:
             accepted.append(i)
             best = joint

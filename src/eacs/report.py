@@ -53,6 +53,11 @@ def emit_report(
         print()
         print(format_significance(compare))
         record["significance"] = {key: asdict(res) for key, res in compare.items()}
+    bounded = record.get("meteor_bounded")
+    if bounded:
+        print()
+        print(f"METEOR is a lower bound on {len(bounded)} pair(s): the alignment search "
+              "ran out of nodes (see meteor_bounded)")
     if path:
         try:
             with replace_on_success(path, "w", encoding="utf-8") as fh:

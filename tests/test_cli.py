@@ -10,13 +10,15 @@ import pytest
 import eacs
 from eacs.abstracter import AbstracterModel
 from eacs.checkpoint import save_model
-from eacs import cli
+from eacs import cli, metrics
 from eacs.cli import build_parser, main
 from eacs.config import RunConfig
 from eacs.corpus import RESERVED_TOKENS, Vocabulary
 from eacs.errors import IoError
 from eacs.extractor import ExtractorModel
 from eacs.oracle import label_statements
+
+from .oracles import bleu4_brute, meteor_brute, rouge_l_brute
 
 
 def run(capsys, *argv):
@@ -241,6 +243,94 @@ class TestEvaluate:
             assert out.encode("utf-8") == fh.read()
         with open(os.path.join(data, "report.json"), "rb") as fh:
             assert report_path.read_bytes() == fh.read()
+
+
+def _fresh_evaluate(argv, timeout=60):
+    """``eacs evaluate`` in a new interpreter: (exit code, stdout, stderr, seconds)."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eacs.__file__)))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "eacs", "evaluate", *argv], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(" ".join(tokens) + "\n" for tokens in lines))
+    return str(path)
+
+
+class TestEvaluateRuns:
+    # Two pairs over two tokens. The 40-token one did not finish in 100 s
+    # before the METEOR link search had a node budget; the 20-token one also
+    # runs out of it, and its exact answer, 13 links, takes 0.1 s to find.
+    HARD = [
+        ("baabaabbbaaaabaababbaababbaababbbaabbaaa", "aabbaaabbabbbbaaaabababaabbaabaaabbaabaa"),
+        ("baaaaabbababbaaabaaa", "babaaabbaabbbbaaaaba"),
+    ]
+
+    def test_repetitive_pairs_end_with_bounded_meteor(self, tmp_path, monkeypatch):
+        refs = _write_lines(tmp_path / "refs.txt", [r for r, _ in self.HARD])
+        hyps = _write_lines(tmp_path / "hyps.txt", [g for _, g in self.HARD])
+        report_path = tmp_path / "report.json"
+        code, out, err, seconds = _fresh_evaluate(
+            ["--refs", refs, "--hyps", hyps, "--out", str(report_path)], timeout=30)
+        assert (code, err) == (0, "")
+        assert seconds < 2.0
+        bounded = json.loads(report_path.read_text())["meteor_bounded"]
+        assert [(e["file"], e["index"]) for e in bounded] == [("hyps", 0), ("hyps", 1)]
+        low, high = bounded[1]["links"]
+        monkeypatch.setattr(metrics, "SEARCH_NODES", 10**7)
+        m, chunks = metrics.alignment_stats(*map(list, self.HARD[1]))
+        assert low <= m - chunks == 13 <= high
+        counts = [line for line in out.splitlines() if "lower bound" in line]
+        assert counts == [
+            "METEOR is a lower bound on 2 pair(s): the alignment search ran out of nodes "
+            "(see meteor_bounded)"
+        ]
+
+    def test_runs_in_one_process_match_fresh_processes(self, capsys, tmp_path):
+        # Reference profiles live for one run. Two runs on different reference
+        # files, back to back in this process, must print and write what a
+        # fresh process does; the first run's bounded pair must not reach the
+        # second. Both runs' short pairs must score as the brute-force oracles.
+        first = [  # a duplicate reference, an exact copy, an empty and a one-token hypothesis
+            (["a", "b", "c", "a"], ["a", "b", "a"], ["c", "a", "b", "a"]),
+            (["a", "b", "c", "a"], ["a", "b", "c", "a"], []),
+            (["b"], [], ["b"]),
+            (["b"], ["b"], ["a"]),
+            (list(self.HARD[1][0]), list(self.HARD[1][1]), ["a"]),
+        ]
+        second = [
+            (["x", "y", "x", "y"], ["y", "x", "y"], ["x", "y", "x", "y"]),
+            (["y"], ["x"], ["y"]),
+            (["x", "x", "y"], ["x", "y", "x"], ["y", "x"]),
+        ]
+        runs = []
+        for name, triples in (("first", first), ("second", second)):
+            files = {
+                kind: _write_lines(tmp_path / f"{name}_{kind}.txt", [t[k] for t in triples])
+                for k, kind in enumerate(("refs", "hyps", "other"))
+            }
+            argv = ["--refs", files["refs"], "--hyps", files["hyps"], "--compare", files["other"],
+                    "--buckets", "comment"]
+            runs.append((triples, argv, tmp_path / f"{name}_in.json", tmp_path / f"{name}_fresh.json"))
+        for _, argv, in_path, _ in runs:
+            code, out, err = run(capsys, "evaluate", *argv, "--out", str(in_path))
+            assert (code, err) == (0, "")
+            in_path.with_suffix(".stdout").write_text(out)
+        for triples, argv, in_path, fresh_path in runs:
+            code, out, err, _ = _fresh_evaluate([*argv, "--out", str(fresh_path)])
+            assert (code, err) == (0, "")
+            assert in_path.with_suffix(".stdout").read_text() == out
+            assert in_path.read_bytes() == fresh_path.read_bytes()
+            record = json.loads(in_path.read_text())
+            for i, (r, g, _) in enumerate(triples):
+                if len(r) > 8:
+                    continue
+                want = (bleu4_brute(r, g), meteor_brute(r, g), rouge_l_brute(r, g)) if g else (0.0,) * 3
+                assert tuple(record["samples"][k][i] for k in metrics.METRICS) == want
+        bounded = [json.loads(p.read_text()).get("meteor_bounded") for _, _, p, _ in runs]
+        assert bounded == [[{"file": "hyps", "index": 4, "links": [11, 17]}], None]
 
 
 class TestParser:

@@ -18,6 +18,7 @@ class TestLcsKernel:
         expected = lcs_brute(a, b)
         assert _kernels.lcs_len_ids(a, b) == expected
         assert _kernels.lcs_len_ids(b, a) == expected
+        assert _kernels.lcs_len_ids(a, b, _kernels.lcs_masks(a)) == expected
 
     def test_empty_inputs(self):
         empty = np.array([], dtype=np.int64)

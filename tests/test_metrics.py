@@ -331,3 +331,83 @@ class TestEvaluateCorpus:
         fwd = M.evaluate_corpus(refs, hyps)
         rev = M.evaluate_corpus(refs[::-1], hyps[::-1])
         assert fwd.to_record()["means"] == rev.to_record()["means"]
+
+
+def profiled_cases():
+    """A reference and two hypotheses over one small alphabet, short enough
+    for the brute-force METEOR enumeration; a hypothesis may be empty."""
+
+    def over(alphabet):
+        token = st.sampled_from(alphabet)
+        return st.tuples(
+            st.lists(token, min_size=1, max_size=8),
+            st.lists(token, max_size=8),
+            st.lists(token, max_size=8),
+        )
+
+    return st.sampled_from(["ab", "abc", "abcdef"]).flatmap(over)
+
+
+class TestSharedProfiles:
+    """A reference profiled once scores like each metric called standalone
+    and like the brute-force oracles, to the last bit."""
+
+    @given(profiled_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_score_pair_matches_standalone_and_brute_force(self, case):
+        r, g1, g2 = case
+        profile = M.profile_reference(r)
+        # Two hypothesis files against one profile, an exact copy, one token.
+        for g in (g1, g2, list(r), g1[:1]):
+            got = M.score_pair(r, g, profile)
+            if not g:
+                assert got == (0.0, 0.0, 0.0)
+                continue
+            assert got == M.score_pair(r, g)
+            assert got == (M.bleu4(r, g), M.meteor(r, g), M.rouge_l(r, g))
+            assert got == (bleu4_brute(r, g), meteor_brute(r, g), rouge_l_brute(r, g))
+            assert M.alignment_stats(r, g) == meteor_alignment_brute(r, g)
+
+    @given(profiled_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_duplicate_references_share_profiles_across_files(self, case):
+        r, g1, g2 = case
+        refs = [r, list(r), r]
+        profiles = [M.profile_reference(x) for x in refs]
+        for hyps in ([g1, g2, list(r)], [g2, g1, []]):
+            report = M.evaluate_corpus(refs, hyps, profiles=profiles)
+            rows = np.array([M.score_pair(x, g) for x, g in zip(refs, hyps)])
+            for k, name in enumerate(M.METRICS):
+                assert report.scores[name].tolist() == rows[:, k].tolist()
+            assert report.meteor_bounded == []
+        assert profiles == [M.profile_reference(x) for x in refs]
+
+    def test_profiles_must_align_with_references(self):
+        with pytest.raises(ShapeError):
+            M.evaluate_corpus([["a"], ["b"]], [["a"], ["b"]], profiles=[M.profile_reference(["a"])])
+
+
+class TestSearchBudget:
+    # Over two tokens the exact link search is exponential; this pair needs
+    # more than SEARCH_NODES nodes, and its exact answer is 13 links.
+    HARD = (list("baaaaabbababbaaabaaa"), list("babaaabbaabbbbaaaaba"))
+
+    def test_budget_keeps_the_packing_and_reports_it(self, monkeypatch):
+        bounded = []
+        m, chunks = M.alignment_stats(*self.HARD, None, bounded)
+        assert bounded == [(11, 17)] and (m, chunks) == (18, 18 - 11)
+        assert M.alignment_stats(*self.HARD) == (m, chunks)  # the same without a sink
+        monkeypatch.setattr(M, "SEARCH_NODES", 10**7)
+        exact = M.alignment_stats(*self.HARD)
+        assert exact == (18, 18 - 13)
+        low, high = bounded[0]
+        assert low <= m - exact[1] <= high
+
+    def test_bounded_pairs_are_recorded_by_index(self):
+        refs = [list("ab"), self.HARD[0], list("ab")]
+        hyps = [list("ab"), self.HARD[1], list("ba")]
+        report = M.evaluate_corpus(refs, hyps, buckets=M.BucketSpec(kind="comment"))
+        record = report.to_record()
+        assert record["meteor_bounded"] == [{"index": 1, "links": [11, 17]}]
+        assert all("meteor_bounded" not in sub for sub in record["buckets"].values())
+        assert "meteor_bounded" not in M.evaluate_corpus(refs[:1], hyps[:1]).to_record()

@@ -117,7 +117,7 @@ class TestGreedyRegression:
 
     def test_scan_stops_at_first_statement_without_comment_tokens(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(oracle, "rouge_l_recall", lambda r, g: calls.append(g) or 0.0)
+        monkeypatch.setattr(oracle, "rouge_l_recall", lambda r, g, masks=None: calls.append(g) or 0.0)
         label_statements(make_snippet([["x"], ["y"], ["z"]]), ["a"])
         # Three individual scores and no joint one.
         assert len(calls) == 3

@@ -81,7 +81,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         size = os.fstat(fh.fileno()).st_size
         try:
             header = json.loads(_read_line(fh, path).decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise CorruptCheckpoint(f"{path}: invalid header") from exc
         if not isinstance(header, dict):
             raise CorruptCheckpoint(f"{path}: header is not a JSON object")

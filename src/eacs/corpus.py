@@ -95,6 +95,8 @@ def load_corpus(path: str) -> Corpus:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise FormatError(f"invalid JSON ({exc.msg})", line=lineno) from exc
+                except RecursionError as exc:
+                    raise FormatError(f"JSON nested too deeply in {path}", line=lineno) from exc
                 if not isinstance(record, dict):
                     raise FormatError("record is not an object", line=lineno)
                 for fld in ("code", "comment"):

@@ -306,9 +306,10 @@ def lstm_over(
     (B, H), or the hidden state after every step (B, T, H) when ``collect``
     is set, and ``c`` is the final cell state (B, H).
 
-    The input GEMM covers all B*T steps at once. Backward runs BPTT in one
-    loop, collecting dz as (B*T, 4H), then forms dx, dWx, dWh and db with one
-    GEMM or reduction each (Appleyard et al., arXiv 1604.01946).
+    The input GEMM covers all B*T steps at once, and each step computes only
+    the rows still inside their sequence. Backward runs BPTT in one loop,
+    collecting dz as (B*T, 4H), then forms dx, dWx, dWh and db with one GEMM
+    or reduction each (Appleyard et al., arXiv 1604.01946).
     """
     x, wx, wh, b = as_tensor(x), as_tensor(wx), as_tensor(wh), as_tensor(b)
     if x.data.ndim == 2:
@@ -338,67 +339,93 @@ def lstm_over(
         )
     if n and (lengths.min() < 1 or lengths.max() > steps):
         raise ShapeError(f"lstm_over lengths must lie in [1, {steps}], got {lengths.tolist()}")
-    # Rows still inside their sequence at each step; None when no row is padded.
-    live = None
+    # A ragged batch runs longest-first, so the live[t] rows still inside
+    # their sequence at step t are a prefix; `back` restores the input order.
+    # Forward steps at least two rows, so every recurrent product takes the
+    # GEMM path, whose rows do not depend on how many there are.
+    order = back = slice(None)
+    live = [n] * steps
     if lengths.min(initial=steps) < steps:
-        live = (np.arange(steps)[:, None] < lengths)[:, :, None]
+        order = np.argsort(-lengths, kind="stable")
+        back = np.argsort(order)
+        live = (lengths[:, None] > np.arange(steps)).sum(axis=0).tolist()
+    floor = min(n, 2)
 
-    xw = (xs.reshape(n * steps, width) @ wx.data + b.data).reshape(n, steps, 4 * hidden)
-    scale, shift, slope = _gate_constants(hidden, xw.dtype)
-    hs = np.empty((n, steps + 1, hidden), dtype=xw.dtype)
+    xw = (xs[order].reshape(n * steps, width) @ wx.data + b.data).reshape(n, steps, 4 * hidden)
+    dtype = xw.dtype  # backward needs the dtype, not the (B, T, 4H) array
+    scale, shift, slope = _gate_constants(hidden, dtype)
+    hs = np.empty((n, steps + 1, hidden), dtype=dtype)
     cs = np.empty_like(hs)
-    hs[:, 0], cs[:, 0] = h0.data, c0.data
+    hs[:, 0], cs[:, 0] = h0.data[order], c0.data[order]
     saved = []  # per step: (tanh of the scaled pre-activations, gates, tanh(c))
-    for t in range(steps):
-        a = np.tanh((xw[:, t] + hs[:, t] @ wh.data) * scale)
-        gates = a * scale + shift
-        i, f, g, o = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
-        c = f * cs[:, t] + i * g
+    for t, k in enumerate(live):
+        m = max(k, floor)
+        a = hs[:m, t] @ wh.data
+        a += xw[:m, t]
+        a *= scale
+        np.tanh(a, out=a)
+        gates = a * scale
+        gates += shift
+        i, f, g, o = (gates[:, j * hidden : (j + 1) * hidden] for j in range(4))
+        c = np.multiply(f, cs[:m, t], out=cs[:m, t + 1])
+        c += i * g
         tc = np.tanh(c)
-        h = o * tc
-        if live is not None:
-            h = np.where(live[t], h, hs[:, t])
-            c = np.where(live[t], c, cs[:, t])
-        hs[:, t + 1], cs[:, t + 1] = h, c
+        np.multiply(o, tc, out=hs[:m, t + 1])
+        if k < n:
+            # Finished rows, a floor row past its end among them, carry their state.
+            hs[k:, t + 1] = hs[k:, t]
+            cs[k:, t + 1] = cs[k:, t]
         saved.append((a, gates, tc))
-    out = Tensor(hs[:, 1:] if collect else hs[:, steps].copy())
-    c_out = Tensor(cs[:, steps].copy())
+    out = Tensor(hs[back, 1:] if collect else hs[back, steps].copy())
+    c_out = Tensor(cs[back, steps].copy())
 
     def backward(gs):
-        dz = np.empty((n, steps, 4 * hidden), dtype=xw.dtype)
-        dh = np.zeros((n, hidden), dtype=xw.dtype) if collect else gs[0]
-        dc = gs[1]
+        # Elementwise work runs on the live prefix of a scratch whose dead rows
+        # stay zero. The recurrent product reads a contiguous dz_t in input
+        # order over all B rows, as the every-row loop did: the bits of its
+        # columns can depend on their count, their position and the layout.
+        dz = np.empty((n, steps, 4 * hidden), dtype=dtype)
+        scratch = np.zeros((n, 4 * hidden), dtype=dtype)
+        g_out = gs[0][order]
+        dh = np.zeros((n, hidden), dtype=dtype) if collect else g_out
+        dc = gs[1][order].copy()
         for t in reversed(range(steps)):
             if collect:
-                dh = dh + gs[0][:, t]
-            a, gates, tc = saved[t]
-            i, f, g, o = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
-            dc_t = dc + dh * o * (1.0 - tc * tc)
-            dgates = np.empty_like(gates)
-            dgates[:, :hidden] = dc_t * g
-            dgates[:, hidden : 2 * hidden] = dc_t * cs[:, t]
-            dgates[:, 2 * hidden : 3 * hidden] = dc_t * i
-            dgates[:, 3 * hidden :] = dh * tc
-            dz_t = dgates * (1.0 - a * a) * slope
-            dc_prev = dc_t * f
-            if live is not None:
-                dz_t *= live[t]
+                dh += g_out[:, t]
+            k = live[t]
+            a, gates, tc = (part[:k] for part in saved[t])
+            i, f, g, o = (gates[:, j * hidden : (j + 1) * hidden] for j in range(4))
+            dh_k = dh[:k]
+            dtanh = tc * tc
+            np.subtract(1.0, dtanh, out=dtanh)
+            dc_t = dh_k * o
+            dc_t *= dtanh
+            dc_t += dc[:k]
+            dz_live = scratch[:k]
+            np.multiply(dc_t, g, out=dz_live[:, :hidden])
+            np.multiply(dc_t, cs[:k, t], out=dz_live[:, hidden : 2 * hidden])
+            np.multiply(dc_t, i, out=dz_live[:, 2 * hidden : 3 * hidden])
+            np.multiply(dh_k, tc, out=dz_live[:, 3 * hidden :])
+            da = a * a
+            np.subtract(1.0, da, out=da)
+            dz_live *= da
+            dz_live *= slope
+            np.multiply(dc_t, f, out=dc[:k])
+            dz[:, t] = dz_t = scratch[back]
             # dz_t @ wh.T with wh read in its own layout: no copy, bit-equal on
             # every shape tried, and under half the time of the view at H = 512.
-            dh_prev = (wh.data @ dz_t.T).T
-            if live is not None:
-                dh_prev = np.where(live[t], dh_prev, dh)
-                dc_prev = np.where(live[t], dc_prev, dc)
-            dz[:, t] = dz_t
-            dh, dc = dh_prev, dc_prev
+            dh_prev = (wh.data @ dz_t.T).T[order]
+            if k < n:
+                dh_prev[k:] = dh[k:]
+            dh = dh_prev
         dz = dz.reshape(n * steps, 4 * hidden)
         return (
             (dz @ wx.data.T).reshape(x.data.shape),
             xs.reshape(n * steps, width).T @ dz,
-            hs[:, :steps].reshape(n * steps, hidden).T @ dz,
+            hs[back, :steps].reshape(n * steps, hidden).T @ dz,
             dz.sum(axis=0),
-            dh,
-            dc,
+            dh[back],
+            dc[back],
         )
 
     record((x, wx, wh, b, h0, c0), (out, c_out), backward)

@@ -10,8 +10,9 @@ it and every later one leave the joint LCS unchanged.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ._kernels import lcs_masks
 from .metrics import rouge_l_recall
@@ -31,17 +32,18 @@ class LabeledSnippet:
 
 
 def informativity(
-    selected: Iterable[int],
+    selected: Sequence[int],
     snippet: SegmentedSnippet,
     comment: Sequence[str],
     masks: Optional[dict] = None,
 ) -> float:
     """LCS recall of the selected statements, concatenated in source order.
 
+    ``selected`` lists distinct statement indices in ascending order.
     ``masks`` is ``_kernels.lcs_masks(comment)``, when the caller has it.
     """
     tokens: list[str] = []
-    for i in sorted(set(selected)):
+    for i in selected:
         tokens.extend(snippet.statements[i].tokens)
     if not tokens:
         return 0.0
@@ -60,16 +62,18 @@ def label_statements(snippet: SegmentedSnippet, comment: Sequence[str]) -> Label
     individual = [informativity([i], snippet, comment, masks) for i in range(n)]
     order = sorted(range(n), key=lambda i: (-individual[i], i))
 
-    accepted: list[int] = []
+    accepted: list[int] = []  # in source order, as informativity takes them
     best = 0.0
     trace: list[TraceStep] = []
     for i in order:
         if not individual[i]:
             # No token shared with the comment, here or in any later statement.
             break
-        joint = informativity(accepted + [i], snippet, comment, masks)
+        candidate = accepted.copy()
+        insort(candidate, i)
+        joint = informativity(candidate, snippet, comment, masks)
         if joint > best:
-            accepted.append(i)
+            accepted = candidate
             best = joint
             trace.append(TraceStep(index=i, informativity=joint))
     if not accepted:

@@ -8,7 +8,8 @@ a time, so they check the batched search and loss, not the model.
 ``alignment_reference``, ``adamw_reference``, ``java_fragments_reference``
 and ``tokenize_code_reference`` are the earlier, plainer implementations that
 the faster ones must match exactly; ``lstm_reference`` is a textbook LSTM
-that shares no code with ``numcore``.
+that shares no code with ``numcore``, and ``lstm_over_reference`` is the
+earlier ``lstm_over`` loop that the live-row one must match bit for bit.
 """
 
 import itertools
@@ -305,6 +306,81 @@ def lstm_reference(x, wx, wh, b, lengths, h0, c0):
         final_h.append(h)
         final_c.append(c)
     return states, np.array(final_h), np.array(final_c)
+
+
+def lstm_over_reference(x, wx, wh, b, lengths, h0, c0, collect, g_out, g_c):
+    """The earlier ``numcore.lstm_over`` loop, run over every row at every step.
+
+    Arrays in, arrays out: ``x`` is (B, T, D) and ``g_out``, ``g_c`` are the
+    upstream gradients of the two outputs. Returns (out, c, grads), where
+    grads holds the gradients of x, wx, wh, b, h0 and c0. Padded rows are
+    computed and then masked with ``np.where``, so the live-row op must match
+    it bit for bit.
+    """
+    n, steps, width = x.shape
+    hidden = wh.shape[0]
+    scale = np.full(4 * hidden, 0.5, dtype=x.dtype)
+    scale[2 * hidden : 3 * hidden] = 1.0
+    shift = np.full(4 * hidden, 0.5, dtype=x.dtype)
+    shift[2 * hidden : 3 * hidden] = 0.0
+    slope = scale * scale
+    live = None
+    if lengths.min(initial=steps) < steps:
+        live = (np.arange(steps)[:, None] < lengths)[:, :, None]
+    xw = (x.reshape(n * steps, width) @ wx + b).reshape(n, steps, 4 * hidden)
+    hs = np.empty((n, steps + 1, hidden), dtype=x.dtype)
+    cs = np.empty_like(hs)
+    hs[:, 0], cs[:, 0] = h0, c0
+    saved = []
+    for t in range(steps):
+        a = np.tanh((xw[:, t] + hs[:, t] @ wh) * scale)
+        gates = a * scale + shift
+        i, f, g, o = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
+        c = f * cs[:, t] + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        if live is not None:
+            h = np.where(live[t], h, hs[:, t])
+            c = np.where(live[t], c, cs[:, t])
+        hs[:, t + 1], cs[:, t + 1] = h, c
+        saved.append((a, gates, tc))
+    out = hs[:, 1:] if collect else hs[:, steps].copy()
+    c_out = cs[:, steps].copy()
+
+    dz = np.empty((n, steps, 4 * hidden), dtype=x.dtype)
+    dh = np.zeros((n, hidden), dtype=x.dtype) if collect else g_out
+    dc = g_c
+    for t in reversed(range(steps)):
+        if collect:
+            dh = dh + g_out[:, t]
+        a, gates, tc = saved[t]
+        i, f, g, o = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
+        dc_t = dc + dh * o * (1.0 - tc * tc)
+        dgates = np.empty_like(gates)
+        dgates[:, :hidden] = dc_t * g
+        dgates[:, hidden : 2 * hidden] = dc_t * cs[:, t]
+        dgates[:, 2 * hidden : 3 * hidden] = dc_t * i
+        dgates[:, 3 * hidden :] = dh * tc
+        dz_t = dgates * (1.0 - a * a) * slope
+        dc_prev = dc_t * f
+        if live is not None:
+            dz_t *= live[t]
+        dh_prev = (wh @ dz_t.T).T
+        if live is not None:
+            dh_prev = np.where(live[t], dh_prev, dh)
+            dc_prev = np.where(live[t], dc_prev, dc)
+        dz[:, t] = dz_t
+        dh, dc = dh_prev, dc_prev
+    dz = dz.reshape(n * steps, 4 * hidden)
+    grads = (
+        (dz @ wx.T).reshape(x.shape),
+        x.reshape(n * steps, width).T @ dz,
+        hs[:, :steps].reshape(n * steps, hidden).T @ dz,
+        dz.sum(axis=0),
+        dh,
+        dc,
+    )
+    return out, c_out, grads
 
 
 def adamw_reference(params, grads, steps, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):

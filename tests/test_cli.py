@@ -482,3 +482,26 @@ class TestNonUtf8:
         assert code == 1
         assert len(err.strip().splitlines()) == 1
         assert str(bad) in err
+
+
+class TestDeepNesting:
+    """JSON nested 100,000 deep makes ``json.loads`` raise RecursionError; the
+    loaders map it to their format errors: exit 1 and one stderr line."""
+
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    def test_corpus_line(self, capsys, tmp_path):
+        corpus = tmp_path / "deep.jsonl"
+        corpus.write_text('{"code": "int a;", "comment": "a."}\n{"code": ' + self.DEEP + "}\n")
+        code, _, err = run(capsys, "label", "--corpus", str(corpus), "--out", str(tmp_path / "l"))
+        assert code == 1 and len(err.strip().splitlines()) == 1
+        assert "line 2" in err and str(corpus) in err and "Traceback" not in err
+
+    def test_checkpoint_header(self, capsys, tmp_path):
+        ckpt = tmp_path / "deep.ckpt"
+        ckpt.write_text(self.DEEP + "\n")
+        src = tmp_path / "snippet.java"
+        src.write_text("int a = 1;")
+        code, _, err = run(capsys, "extract", "--ckpt", str(ckpt), "--code", str(src))
+        assert code == 1 and len(err.strip().splitlines()) == 1
+        assert str(ckpt) in err and "invalid header" in err

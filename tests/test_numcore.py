@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eacs import numcore as nc
 from eacs.numcore import optim
 from eacs.errors import ShapeError
 
-from .oracles import adamw_reference, lstm_reference
+from .oracles import adamw_reference, lstm_over_reference, lstm_reference
 
 
 class TestOps:
@@ -156,6 +158,82 @@ class TestLstmOver:
         h, c = nc.lstm_over(nc.Tensor(x), wx, wh, b, h0=h0, c0=c0)
         h3, c3 = nc.lstm_over(nc.Tensor(x[:, None]), wx, wh, b, h0=h0, c0=c0)
         assert np.array_equal(h.data, h3.data) and np.array_equal(c.data, c3.data)
+
+
+class TestLstmOverBits:
+    """``lstm_over`` steps only the live rows, longest first, yet its outputs
+    and all six gradients equal the loop that ran every row at every step,
+    bit for bit (``tests.oracles.lstm_over_reference``).
+
+    B runs past 19, where the backward product's column bits change at H =
+    64; odd widths and H = 1 make that product's bits depend on column
+    position and operand layout as well.
+    """
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        steps=st.integers(1, 7),
+        hidden=st.sampled_from([1, 4, 5, 16, 33, 64]),
+        width=st.integers(1, 12),
+        shape=st.sampled_from(["ragged", "equal", "ones"]),
+        collect=st.booleans(),
+        start=st.booleans(),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_every_row_loop(
+        self, seed, n, steps, hidden, width, shape, collect, start, dtype
+    ):
+        rng = np.random.default_rng(seed)
+        draw = lambda *s, scale=1.0: rng.normal(0, scale, s).astype(dtype)
+        lengths = {
+            "ragged": rng.integers(1, steps + 1, n),
+            "equal": np.full(n, steps),
+            "ones": np.ones(n, dtype=np.int64),
+        }[shape]
+        x = draw(n, steps, width)
+        shapes = ((width, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,))
+        wx, wh, b = (draw(*s, scale=0.5) for s in shapes)
+        zeros = np.zeros((n, hidden), dtype)
+        h0, c0 = (draw(n, hidden), draw(n, hidden)) if start else (zeros, zeros)
+        g_out = draw(*((n, steps, hidden) if collect else (n, hidden)))
+        g_c = draw(n, hidden)
+        names, arrays = ("x", "wx", "wh", "b", "h0", "c0"), (x, wx, wh, b, h0, c0)
+        inputs = [nc.Parameter(k, v) for k, v in zip(names, arrays)]
+        with nc.Tape() as tape:
+            out, c = nc.lstm_over(*inputs[:4], lengths, *inputs[4:], collect=collect)
+        grads = tape.nodes[-1].backward([g_out, g_c])
+        ref_out, ref_c, ref_grads = lstm_over_reference(
+            x, wx, wh, b, lengths, h0, c0, collect, g_out, g_c
+        )
+        assert np.array_equal(out.data, ref_out) and np.array_equal(c.data, ref_c)
+        for name, got, want in zip(names, grads, ref_grads):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+class TestBlasRows:
+    """The BLAS property ``lstm_over`` relies on: with M >= 2 rows, a row of
+    ``h[:M] @ wh`` does not depend on M or on where the row sits.
+
+    ``lstm_over`` sorts a ragged batch longest-first and runs each step's
+    recurrent product over the live prefix only, at least two rows. Its bits
+    equal the every-row loop's only while this holds; one row takes numpy's
+    matrix-vector path, whose bits differ. If a BLAS update breaks it, this
+    test names the broken claim before checkpoints move.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hidden", [64, 512])
+    def test_rows_independent_of_count_and_position(self, hidden, dtype):
+        rng = np.random.default_rng(hidden)
+        h = rng.normal(0, 1, (64, hidden)).astype(dtype)
+        wh = rng.normal(0, 0.1, (hidden, 4 * hidden)).astype(dtype)
+        full = h @ wh
+        for m in range(2, 65):
+            assert np.array_equal(h[:m] @ wh, full[:m]), f"rows change with M = {m}"
+        perm = rng.permutation(64)
+        assert np.array_equal(h[perm] @ wh, full[perm]), "rows change with their position"
 
 
 class TestBackward:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import numcore as nc
-from .config import FUSIONS, RunConfig
+from .config import RunConfig
 from .corpus import BOS, EOS, Batch, RawPair, Vocabulary
 from .errors import EmptyInput, ShapeError, UsageError, VocabMismatch
 from .extractor import ExtractorModel, TrainResult, fit, predict_important
@@ -27,6 +27,9 @@ from .segmenter import SegmentedSnippet, segment, segment_pairs
 log = logging.getLogger(__name__)
 
 LOGPROB_CLAMP = 1e-9
+# The widest beam search. Each step ranks up to width x vocabulary candidates;
+# at desk width (vocabulary 143) one width-256 summary takes about 0.3 s.
+MAX_BEAM_WIDTH = 256
 
 
 # The shared run configuration under the abstracter's name, which
@@ -48,8 +51,6 @@ class AbstracterModel(nc.Model):
     )
 
     def _bind(self, vocab_size: int, config: RunConfig, params: list[nc.Parameter]) -> None:
-        if config.fusion not in FUSIONS:
-            raise ValueError(f"fusion must be one of {FUSIONS}, got {config.fusion!r}")
         super()._bind(vocab_size, config, params)
         if config.share_embeddings:
             self.embedding_ex = self.embedding_ab = self.embedding_dec = self.embedding
@@ -80,35 +81,13 @@ class AbstracterModel(nc.Model):
             "out_b": (vocab_size,),
         }
 
-    def dropout_keeps(
-        self, batches: Sequence[Batch], train: bool, rng: Optional[np.random.Generator]
-    ) -> list[Optional[np.ndarray]]:
-        """Embedding dropout masks for padded token batches, zero past each row.
-
-        Drawn row by row, each row's batches in the given order, so a sample's
-        masks do not depend on how the samples are batched; ``None`` when
-        dropout is off.
-        """
-        p = self.config.dropout
-        if not train or p == 0.0:
-            return [None] * len(batches)
-        e, dtype = self.config.embed_dim, self.embedding_dec.dtype
-        keeps = [np.zeros(batch.indices.shape + (e,), dtype=dtype) for batch in batches]
-        for k in range(len(batches[0].lengths)):
-            for keep, batch in zip(keeps, batches):
-                n = batch.lengths[k]
-                keep[k, :n] = nc.keep_mask(rng, (n, e), p, dtype)
-        return keeps
-
-    def _embed(self, table: nc.Tensor, batch: Batch, keep: Optional[np.ndarray]) -> nc.Tensor:
-        emb = nc.embedding_lookup(table, batch.indices)
-        if keep is not None:
-            emb = nc.dropout(emb, keep)
-        return emb
-
-    def encode(self, which: str, batch: Batch, keep: Optional[np.ndarray] = None) -> nc.Tensor:
-        """(B, H) final states of the "ex" or "ab" encoder over a padded batch."""
-        emb = self._embed(getattr(self, f"embedding_{which}"), batch, keep)
+    def encode(
+        self, which: str, batch: Batch, rng: Optional[np.random.Generator] = None
+    ) -> nc.Tensor:
+        """(B, H) final states of the "ex" or "ab" encoder over a padded batch,
+        its embeddings dropped out with ``rng`` when given."""
+        table = getattr(self, f"embedding_{which}")
+        emb = self.drop(nc.embedding_lookup(table, batch.indices), rng)
         wx, wh, b = (getattr(self, f"{which}_{name}") for name in ("wx", "wh", "b"))
         return nc.lstm_over(emb, wx, wh, b, lengths=batch.lengths)[0]
 
@@ -132,11 +111,12 @@ class AbstracterModel(nc.Model):
         return h0, c0, u
 
     def decode_teacher_forced(
-        self, inputs: Batch, e_fu: nc.Tensor, keep: Optional[np.ndarray] = None
+        self, inputs: Batch, e_fu: nc.Tensor, rng: Optional[np.random.Generator] = None
     ) -> nc.Tensor:
-        """(B, T, H) decoder states over padded previous-token ids, as one node."""
+        """(B, T, H) decoder states over padded previous-token ids, as one node;
+        the embeddings are dropped out with ``rng`` when given."""
         h0, c0, u = self.init_decoder(e_fu)
-        emb = self._embed(self.embedding_dec, inputs, keep)
+        emb = self.drop(nc.embedding_lookup(self.embedding_dec, inputs.indices), rng)
         # Each sequence's u, repeated over its steps.
         rows = np.broadcast_to(np.arange(len(inputs.lengths))[:, None], inputs.indices.shape)
         x = nc.concat([emb, nc.embedding_lookup(u, rows)], axis=-1)
@@ -203,13 +183,11 @@ def abstracter_loss(
     code = Batch.pad([s.code_ids for s in samples])
     previous = Batch.pad([s.comment_ids[:-1] for s in samples])
     gold = Batch.pad([s.comment_ids[1:] for s in samples])
-    keep_ex, keep_ab, keep_dec = model.dropout_keeps((important, code, previous), train, rng)
+    rng = rng if train else None
     e_fu = fuse(
-        model.encode("ex", important, keep_ex),
-        model.encode("ab", code, keep_ab),
-        model.config.fusion,
+        model.encode("ex", important, rng), model.encode("ab", code, rng), model.config.fusion
     )
-    states = model.decode_teacher_forced(previous, e_fu, keep_dec)
+    states = model.decode_teacher_forced(previous, e_fu, rng)
     flat = nc.reshape(states, (-1, model.config.hidden_dim))
     probs = nc.softmax(nc.add(nc.matmul(flat, model.out_w), model.out_b), axis=-1)
     p_gold = nc.gather_rows(probs, gold.indices.reshape(-1))
@@ -284,10 +262,11 @@ def beam_decode(
     Every live row proposes its ``width`` most likely next tokens, finished
     hypotheses carry over unchanged, and the ``width`` candidates with the
     highest total log-prob survive, ties going to the lower token ids.
-    Probabilities are clamped at 1e-9 before the log.
+    Probabilities are clamped at 1e-9 before the log. A width outside
+    [1, MAX_BEAM_WIDTH] is a :class:`UsageError`.
     """
-    if width < 1:
-        raise UsageError(f"beam width must be >= 1, got {width}")
+    if not 1 <= width <= MAX_BEAM_WIDTH:
+        raise UsageError(f"beam width must be in [1, {MAX_BEAM_WIDTH}], got {width}")
     h, c, u = model.init_decoder(e_fu)
     # hypothesis: (ids, step log-probs, total, finished, row of h and c)
     beams = [((), (), 0.0, False, 0)]

@@ -62,10 +62,7 @@ class ExtractorModel(nc.Model):
         }
 
     def encode_batch(
-        self,
-        snippets: Sequence[Sequence[np.ndarray]],
-        train: bool = False,
-        rng: Optional[np.random.Generator] = None,
+        self, snippets: Sequence[Sequence[np.ndarray]], rng: Optional[np.random.Generator] = None
     ) -> tuple[nc.Tensor, Batch]:
         """Contextualized statement embeddings of several snippets at once.
 
@@ -73,42 +70,21 @@ class ExtractorModel(nc.Model):
         each snippet's statement vectors through the context LSTM as a
         (B, S_max) batch. Returns the (B * S_max, H) rows, snippet-major and
         padded per snippet, with the statement batch whose ``lengths`` are
-        the statement counts and whose ``mask`` marks the real rows.
+        the statement counts and whose ``mask`` marks the real rows. With a
+        dropout ``rng``, the token embeddings and then the statement vectors
+        each take one mask.
         """
         tokens = Batch.pad([ids for stmt_ids in snippets for ids in stmt_ids])
         offsets = np.cumsum([0] + [len(stmt_ids) for stmt_ids in snippets])
         # Each snippet's rows of the token batch; padding points at row 0.
         stmts = Batch.pad([np.arange(a, b) for a, b in zip(offsets[:-1], offsets[1:])])
-        tok_keep, ctx_keep = self._dropout_keeps(tokens, stmts, train, rng)
-        emb = nc.embedding_lookup(self.embedding, tokens.indices)
-        if tok_keep is not None:
-            emb = nc.dropout(emb, tok_keep)
+        emb = self.drop(nc.embedding_lookup(self.embedding, tokens.indices), rng)
         vecs, _ = nc.lstm_over(emb, self.tok_wx, self.tok_wh, self.tok_b, lengths=tokens.lengths)
-        mat = nc.embedding_lookup(vecs, stmts.indices)
-        if ctx_keep is not None:
-            mat = nc.dropout(mat, ctx_keep)
+        mat = self.drop(nc.embedding_lookup(vecs, stmts.indices), rng)
         ctx, _ = nc.lstm_over(
             mat, self.ctx_wx, self.ctx_wh, self.ctx_b, lengths=stmts.lengths, collect=True
         )
         return nc.reshape(ctx, (-1, self.config.hidden_dim)), stmts
-
-    def _dropout_keeps(self, tokens: Batch, stmts: Batch, train: bool, rng):
-        """Masks for the token and statement batches, drawn in the order
-        per-snippet calls draw them: each statement's tokens, then the
-        snippet's statement vectors."""
-        p = self.config.dropout
-        if not train or p == 0.0:
-            return None, None
-        e, h = self.config.embed_dim, self.config.hidden_dim
-        dtype = self.embedding.dtype
-        tok_keep = np.zeros(tokens.indices.shape + (e,), dtype=dtype)
-        ctx_keep = np.zeros(stmts.indices.shape + (h,), dtype=dtype)
-        for k, n_stmts in enumerate(stmts.lengths):
-            for row in stmts.indices[k, :n_stmts]:
-                n = tokens.lengths[row]
-                tok_keep[row, :n] = nc.keep_mask(rng, (n, e), p, dtype)
-            ctx_keep[k, :n_stmts] = nc.keep_mask(rng, (n_stmts, h), p, dtype)
-        return tok_keep, ctx_keep
 
     def classify_statements(self, embeddings: nc.Tensor) -> nc.Tensor:
         """Per-statement probability pairs; each row sums to 1."""
@@ -150,7 +126,7 @@ def extractor_batch_loss(
     """Batch loss: per-snippet mean cross entropy, then mean over the batch."""
     if not samples:
         raise EmptyInput("extractor_batch_loss needs at least one sample")
-    emb, stmts = model.encode_batch([s.stmt_ids for s in samples], train=train, rng=rng)
+    emb, stmts = model.encode_batch([s.stmt_ids for s in samples], rng if train else None)
     gold = Batch.pad([s.labels for s in samples]).indices.reshape(-1)
     weights = stmts.mask / (stmts.lengths[:, None] * len(samples))
     return extractor_loss(model.classify_statements(emb), gold, weights.reshape(-1))

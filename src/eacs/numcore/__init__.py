@@ -85,6 +85,14 @@ class Model:
     def parameters(self) -> list[Parameter]:
         return list(self._params)
 
+    def drop(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
+        """``x`` under dropout at ``config.dropout``, one mask over its whole
+        padded shape; ``x`` itself when ``rng`` is None (not training)."""
+        p = self.config.dropout
+        if rng is None or p == 0.0:
+            return x
+        return dropout(x, keep_mask(rng, x.shape, p, x.dtype))
+
 
 __all__ = [
     "AdamW",

@@ -10,6 +10,7 @@ and ``tokenize_code_reference`` are the earlier, plainer implementations that
 the faster ones must match exactly; ``lstm_reference`` is a textbook LSTM
 that shares no code with ``numcore``, and ``lstm_over_reference`` is the
 earlier ``lstm_over`` loop that the live-row one must match bit for bit.
+``RecordingRng`` is a generator stand-in that records each dropout draw.
 """
 
 import itertools
@@ -474,3 +475,15 @@ def tokenize_code_reference(text):
         else:
             tokens.append(run)
     return tokens
+
+
+class RecordingRng:
+    """Draws ``random(shape)`` from a seeded generator and records each shape."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.shapes = []
+
+    def random(self, shape):
+        self.shapes.append(tuple(shape))
+        return self.rng.random(shape)

@@ -17,10 +17,10 @@ from eacs.abstracter import (
     generate_summary,
     train_abstracter,
 )
-from eacs.corpus import BOS, EOS, RESERVED_TOKENS, Vocabulary, load_corpus
+from eacs.corpus import BOS, EOS, PAD, RESERVED_TOKENS, Vocabulary, load_corpus
 from eacs.errors import EmptyInput, ShapeError, VocabMismatch
 
-from .oracles import adamw_reference, beam_reference, step_distributions
+from .oracles import RecordingRng, adamw_reference, beam_reference, step_distributions
 
 TINY = AbstracterConfig(embed_dim=8, hidden_dim=8, dropout=0.0, epochs=3, seed=7)
 
@@ -219,13 +219,34 @@ class TestBatchedLoss:
             mean = sum(grads[k] for _, grads in singles) / len(samples)
             assert np.abs(g - mean).max() < 1e-12
 
-    def test_dropout_stream_matches_per_sample_calls(self):
+    def test_dropout_draws_one_mask_per_padded_tensor(self):
         model = self._model(dropout=0.3)
         samples = [make_sample(**kw) for kw in self.RAGGED]
-        batched = abstracter_loss(model, samples, train=True, rng=np.random.default_rng(5)).item()
-        rng = np.random.default_rng(5)
-        singles = [abstracter_loss(model, [s], train=True, rng=rng).item() for s in samples]
-        assert batched == pytest.approx(np.mean(singles), abs=1e-12)
+        rng = RecordingRng(5)
+        abstracter_loss(model, samples, train=True, rng=rng)
+        # Important, code and previous-token embeddings (E = 6), in that order.
+        assert rng.shapes == [(3, 3, 6), (3, 5, 6), (3, 5, 6)]
+        abstracter_loss(model, samples, rng=rng)
+        assert len(rng.shapes) == 3
+
+    @pytest.mark.parametrize("share", [True, False])
+    def test_pad_embedding_reaches_neither_loss_nor_gradients(self, share):
+        samples = [make_sample(**kw) for kw in self.RAGGED]
+        runs = []
+        for shift in (0.0, 3.0):
+            model = self._model(dropout=0.3, share_embeddings=share)
+            tables = [p for p in model.parameters() if p.name.startswith("embedding")]
+            for table in tables:
+                table.data[PAD] += shift
+            runs.append(_grads(model, lambda: abstracter_loss(
+                model, samples, train=True, rng=np.random.default_rng(5)
+            )))
+        (loss, grads), (shifted_loss, shifted_grads) = runs
+        assert loss == shifted_loss
+        assert all(np.array_equal(a, b) for a, b in zip(grads, shifted_grads))
+        # The embedding tables come first among the parameters.
+        assert len(tables) == (1 if share else 3)
+        assert not any(g[PAD].any() for g in grads[: len(tables)])
 
     def test_clamped_gold_probabilities_pass_no_gradient(self):
         # Gold probability exactly 1.0 in one sample and about 1e-35 in the

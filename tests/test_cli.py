@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import eacs
-from eacs.abstracter import AbstracterModel
+from eacs.abstracter import MAX_BEAM_WIDTH, AbstracterModel
 from eacs.checkpoint import save_model
 from eacs import cli, metrics
 from eacs.cli import build_parser, main
@@ -457,6 +457,7 @@ class TestSummarize:
             (("--max-len", "0"), "max_len"),
             (("--beam", "0"), "beam width"),
             (("--beam", "-1"), "beam width"),
+            (("--beam", str(MAX_BEAM_WIDTH + 1)), f"beam width must be in [1, {MAX_BEAM_WIDTH}]"),
         ):
             status, out, err = run(capsys, *argv, *flags)
             assert status == 2 and out == ""

@@ -5,7 +5,7 @@ import pytest
 
 from eacs import numcore as nc
 from eacs.config import RunConfig
-from eacs.corpus import load_corpus
+from eacs.corpus import PAD, load_corpus
 from eacs.errors import EmptyCorpus, ShapeError
 from eacs.extractor import (
     ExtractorModel,
@@ -20,6 +20,8 @@ from eacs.extractor import (
 )
 from eacs.segmenter import segment
 
+from .oracles import RecordingRng
+
 TINY = RunConfig(embed_dim=8, hidden_dim=8, dropout=0.0, epochs=3, seed=7)
 
 
@@ -28,13 +30,13 @@ def tiny_model():
     return ExtractorModel(vocab_size=20, config=TINY, rng=np.random.default_rng(0))
 
 
-def encode(model, stmt_ids, **dropout):
+def encode(model, stmt_ids):
     """Contextualized statement rows of one snippet."""
-    return model.encode_batch([stmt_ids], **dropout)[0]
+    return model.encode_batch([stmt_ids])[0]
 
 
-def statement_probs(model, stmt_ids, **dropout):
-    return model.classify_statements(encode(model, stmt_ids, **dropout))
+def statement_probs(model, stmt_ids):
+    return model.classify_statements(encode(model, stmt_ids))
 
 
 class TestForward:
@@ -143,18 +145,30 @@ class TestBatchedLoss:
             mean = sum(grads[k] for _, grads in singles) / len(samples)
             assert np.abs(g - mean).max() < 1e-12
 
-    def test_dropout_stream_matches_per_snippet_calls(self):
+    def test_dropout_draws_one_mask_per_padded_tensor(self):
         model = self._model(dropout=0.3)
         samples = self._samples()
-        batched = extractor_batch_loss(model, samples, train=True, rng=np.random.default_rng(6))
-        rng = np.random.default_rng(6)
-        singles = [
-            extractor_loss(
-                statement_probs(model, s.stmt_ids, train=True, rng=rng), s.labels
-            ).item()
-            for s in samples
-        ]
-        assert batched.item() == pytest.approx(np.mean(singles), abs=1e-12)
+        rng = RecordingRng(6)
+        extractor_batch_loss(model, samples, train=True, rng=rng)
+        # The 7 statements' tokens (up to 5, E = 6), then the 3 snippets'
+        # statement vectors (up to 4, H = 5).
+        assert rng.shapes == [(7, 5, 6), (3, 4, 5)]
+        extractor_batch_loss(model, samples, rng=rng)
+        assert len(rng.shapes) == 2
+
+    def test_pad_embedding_reaches_neither_loss_nor_gradients(self):
+        samples = self._samples()
+        runs = []
+        for shift in (0.0, 3.0):
+            model = self._model(dropout=0.3)
+            model.embedding.data[PAD] += shift
+            runs.append(_grads(model, lambda: extractor_batch_loss(
+                model, samples, train=True, rng=np.random.default_rng(6)
+            )))
+        (loss, grads), (shifted_loss, shifted_grads) = runs
+        assert loss == shifted_loss
+        assert all(np.array_equal(a, b) for a, b in zip(grads, shifted_grads))
+        assert not grads[0][PAD].any()
 
     def test_dataset_loss_is_the_per_sample_mean(self):
         model = self._model()

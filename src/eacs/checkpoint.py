@@ -114,7 +114,11 @@ def load_checkpoint(path: str) -> Checkpoint:
             nbytes = math.prod(shape) * 4
             if nbytes > size - fh.tell():
                 raise CorruptCheckpoint(f"{path}: truncated values for {name!r}")
-            params.append((name, np.frombuffer(fh.read(nbytes), dtype="<f4").reshape(shape).copy()))
+            # Read straight into the array: one copy of the values, not three.
+            arr = np.empty(shape, dtype="<f4")
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+                raise CorruptCheckpoint(f"{path}: truncated values for {name!r}")
+            params.append((name, arr))
     return Checkpoint(
         kind=kind,
         hyperparameters=hyperparameters,

@@ -205,34 +205,53 @@ def alignment_stats(
 
 def _packed_links(r: TokenSeq, g: TokenSeq, upper: int) -> int:
     """Links of a greedy packing: the longest common block among unused
-    positions first, the leftmost (in r, then g) on ties; stops at ``upper``."""
+    positions first, the leftmost (in r, then g) on ties; stops at ``upper``.
+
+    Each common run is measured once, from the match that starts it, and
+    every match on it that leaves two or more tokens becomes a candidate
+    with the rest of the run. Among unused positions, a candidate's block is
+    that run cut at the next used position in r or in g, the distances
+    ``free_r`` and ``free_g`` hold. Candidates are tried longest run first,
+    so a round stops at the first run shorter than its best block.
+    """
+    n, n_g = len(r), len(g)
     positions: dict[str, list[int]] = {}
     for j, tok in enumerate(g):
         positions.setdefault(tok, []).append(j)
-    used_r = [False] * len(r)
-    used_g = [False] * len(g)
+    starts = []  # (run, i, j)
+    for i, tok in enumerate(r):
+        for j in positions.get(tok, ()):
+            if i and j and r[i - 1] == g[j - 1]:
+                continue  # on the run of the match before it
+            run = 1
+            while i + run < n and j + run < n_g and r[i + run] == g[j + run]:
+                run += 1
+            for t in range(run - 1):
+                starts.append((run - t, i + t, j + t))
+    starts.sort(reverse=True)
+    free_r = list(range(n, 0, -1))
+    free_g = list(range(n_g, 0, -1))
     links = 0
     while links < upper:
-        size, at_r, at_g = 1, 0, 0
-        for i, tok in enumerate(r):
-            if used_r[i]:
-                continue
-            for j in positions.get(tok, ()):
-                if used_g[j]:
-                    continue
-                if i and j and not used_r[i - 1] and not used_g[j - 1] and r[i - 1] == g[j - 1]:
-                    continue  # inside a block that starts further left
-                k = 1
-                while (i + k < len(r) and j + k < len(g) and not used_r[i + k]
-                       and not used_g[j + k] and r[i + k] == g[j + k]):
-                    k += 1
-                if k > size:
-                    size, at_r, at_g = k, i, j
+        size, at_r, at_g = 1, n, n_g
+        for run, i, j in starts:
+            if run < size:
+                break
+            k = run if run < free_r[i] else free_r[i]
+            if free_g[j] < k:
+                k = free_g[j]
+            if k > size or (k == size and (i, j) < (at_r, at_g)):
+                size, at_r, at_g = k, i, j
         if size == 1:
             break
-        for k in range(size):
-            used_r[at_r + k] = used_g[at_g + k] = True
         links += size - 1
+        if links < upper:  # another round reads the block as used
+            for free, at in ((free_r, at_r), (free_g, at_g)):
+                free[at : at + size] = [0] * size
+                p = at - 1
+                while p >= 0 and free[p]:
+                    free[p] = at - p
+                    p -= 1
     return links
 
 

@@ -262,19 +262,37 @@ def dropout(x: Tensor, keep: np.ndarray) -> Tensor:
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _gate_constants(hidden: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(scale, shift, slope) over the 4H gate columns, in gate order i, f, g, o.
+@functools.lru_cache(maxsize=16)
+def _gate_constants(hidden: int, dtype: np.dtype, rows: int):
+    """(scale, shift, slope, columns) over the 4H gate columns, in gate order i, f, g, o.
 
     With a = tanh(z * scale), a gate is a * scale + shift: sigmoid(z) =
     0.5 * (1 + tanh(z / 2)) for i, f, o and tanh(z) for g. Its derivative
-    with respect to z is (1 - a^2) * slope, where slope = scale^2.
+    with respect to z is (1 - a^2) * slope, where slope = scale^2. The three
+    are (rows, 4H) arrays, so that a step's ops on its (m, 4H) gates take
+    numpy's contiguous loop: broadcasting one 4H row costs twice as much at
+    m = 8. ``columns`` holds the four gates' column slices.
     """
-    scale = np.full(4 * hidden, 0.5, dtype=dtype)
-    scale[2 * hidden : 3 * hidden] = 1.0
-    shift = np.full(4 * hidden, 0.5, dtype=dtype)
-    shift[2 * hidden : 3 * hidden] = 0.0
-    return scale, shift, scale * scale
+    scale = np.full((rows, 4 * hidden), 0.5, dtype=dtype)
+    scale[:, 2 * hidden : 3 * hidden] = 1.0
+    shift = np.full((rows, 4 * hidden), 0.5, dtype=dtype)
+    shift[:, 2 * hidden : 3 * hidden] = 0.0
+    slope = scale * scale
+    for shared in (scale, shift, slope):  # every call gets these arrays
+        shared.flags.writeable = False
+    columns = tuple(slice(j * hidden, (j + 1) * hidden) for j in range(4))
+    return scale, shift, slope, columns
+
+
+# Stands in on the tape for an omitted h0 or c0: a constant, so it gets no gradient.
+_NO_START = Tensor(np.zeros(0))
+
+
+def _batch_major(a: np.ndarray, back) -> np.ndarray:
+    """Time-major (T, B, ...) rows in run order as a C-contiguous (B, T, ...) in input order."""
+    a = a.swapaxes(0, 1)
+    # Fancy indexing gathers from the strided view; np.take would copy it first.
+    return np.ascontiguousarray(a) if isinstance(back, slice) else a[back]
 
 
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, wx: Tensor, wh: Tensor, b: Tensor):
@@ -306,10 +324,13 @@ def lstm_over(
     (B, H), or the hidden state after every step (B, T, H) when ``collect``
     is set, and ``c`` is the final cell state (B, H).
 
-    The input GEMM covers all B*T steps at once, and each step computes only
-    the rows still inside their sequence. Backward runs BPTT in one loop,
-    collecting dz as (B*T, 4H), then forms dx, dWx, dWh and db with one GEMM
-    or reduction each (Appleyard et al., arXiv 1604.01946).
+    A ragged batch runs longest-first, so the rows still inside their
+    sequence at step t are a prefix. The states are time-major (T+1, B, H),
+    so each step reads and writes contiguous blocks, and the input
+    projection is one GEMM over the live (t, row) pairs only, packed
+    time-major. Backward runs BPTT in one loop, collecting dz as (B*T, 4H),
+    then forms dx, dWx, dWh and db with one GEMM or reduction each
+    (Appleyard et al., arXiv 1604.01946).
     """
     x, wx, wh, b = as_tensor(x), as_tensor(wx), as_tensor(wh), as_tensor(b)
     if x.data.ndim == 2:
@@ -322,96 +343,124 @@ def lstm_over(
         )
     n, steps, width = xs.shape
     hidden = wh.shape[0]
-    lengths = np.full(n, steps) if lengths is None else np.asarray(lengths, dtype=np.int64)
-    h0 = Tensor(np.zeros((n, hidden), dtype=x.dtype)) if h0 is None else as_tensor(h0)
-    c0 = Tensor(np.zeros((n, hidden), dtype=x.dtype)) if c0 is None else as_tensor(c0)
+    h0 = None if h0 is None else as_tensor(h0)
+    c0 = None if c0 is None else as_tensor(c0)
     if (
         wx.shape != (width, 4 * hidden)
         or wh.shape != (hidden, 4 * hidden)
         or b.shape != (4 * hidden,)
-        or h0.shape != (n, hidden)
-        or c0.shape != (n, hidden)
-        or lengths.shape != (n,)
+        or any(s is not None and s.shape != (n, hidden) for s in (h0, c0))
+        or (lengths is not None and np.shape(lengths) != (n,))
     ):
+        shape = lambda s: None if s is None else s.shape
         raise ShapeError(
             f"lstm_over shapes: x{x.shape} wx{wx.shape} wh{wh.shape} b{b.shape} "
-            f"h0{h0.shape} c0{c0.shape} lengths{lengths.shape}"
+            f"h0{shape(h0)} c0{shape(c0)} lengths{np.shape(lengths)}"
         )
-    if n and (lengths.min() < 1 or lengths.max() > steps):
-        raise ShapeError(f"lstm_over lengths must lie in [1, {steps}], got {lengths.tolist()}")
-    # A ragged batch runs longest-first, so the live[t] rows still inside
-    # their sequence at step t are a prefix; `back` restores the input order.
-    # Forward steps at least two rows, so every recurrent product takes the
-    # GEMM path, whose rows do not depend on how many there are.
+    # The live[t] rows still inside their sequence at step t are a prefix of
+    # the run order; `back` restores the input order. Forward steps at least
+    # two rows, so every recurrent product takes the GEMM path, whose rows
+    # do not depend on how many there are.
     order = back = slice(None)
     live = [n] * steps
-    if lengths.min(initial=steps) < steps:
+    floor = min(n, 2)
+    ragged = False
+    if lengths is not None and n:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        shortest, longest = lengths.min(), lengths.max()
+        if shortest < 1 or longest > steps:
+            raise ShapeError(f"lstm_over lengths must lie in [1, {steps}], got {lengths.tolist()}")
+        ragged = shortest < steps
+    if ragged:
         order = np.argsort(-lengths, kind="stable")
         back = np.argsort(order)
-        live = (lengths[:, None] > np.arange(steps)).sum(axis=0).tolist()
-    floor = min(n, 2)
-
-    xw = (xs[order].reshape(n * steps, width) @ wx.data + b.data).reshape(n, steps, 4 * hidden)
-    dtype = xw.dtype  # backward needs the dtype, not the (B, T, 4H) array
-    scale, shift, slope = _gate_constants(hidden, dtype)
-    hs = np.empty((n, steps + 1, hidden), dtype=dtype)
+        runs = lengths[order] > np.arange(steps)[:, None]  # (T, B) in run order
+        live = runs.sum(axis=1).tolist()
+        runs[:, :floor] = True
+        rows = (order * steps + np.arange(steps)[:, None])[runs]
+        xs_run = np.take(xs.reshape(n * steps, width), rows, axis=0)
+    else:
+        xs_run = xs.swapaxes(0, 1).reshape(n * steps, width)
+    # One GEMM over the rows the steps read, time-major; a row's bits do not
+    # depend on how many rows there are or where it sits. Each step turns its
+    # rows into the tanh of its scaled pre-activations in place.
+    xw = xs_run @ wx.data
+    xw += b.data
+    dtype = xw.dtype
+    # Rows rounded up to a power of two, so a few sizes serve every batch.
+    rows_up = 1 << (n - 1).bit_length()
+    scale, shift, slope, (ci, cf, cg, co) = _gate_constants(hidden, dtype, rows_up)
+    hs = np.empty((steps + 1, n, hidden), dtype=dtype)
     cs = np.empty_like(hs)
-    hs[:, 0], cs[:, 0] = h0.data[order], c0.data[order]
-    saved = []  # per step: (tanh of the scaled pre-activations, gates, tanh(c))
+    hs[0] = 0 if h0 is None else h0.data[order]
+    cs[0] = 0 if c0 is None else c0.data[order]
+    tcs = np.empty((len(xw), hidden), dtype=dtype)  # tanh(c), packed like xw
+    saved = []  # per step: (its live rows of xw and tcs, i, f, g, o)
+    row = 0
     for t, k in enumerate(live):
         m = max(k, floor)
-        a = hs[:m, t] @ wh.data
-        a += xw[:m, t]
-        a *= scale
+        a = xw[row : row + m]
+        a += hs[t, :m] @ wh.data
+        a *= scale[:m]
         np.tanh(a, out=a)
-        gates = a * scale
-        gates += shift
-        i, f, g, o = (gates[:, j * hidden : (j + 1) * hidden] for j in range(4))
-        c = np.multiply(f, cs[:m, t], out=cs[:m, t + 1])
+        gates = a * scale[:m]
+        gates += shift[:m]
+        i, f, g, o = gates[:, ci], gates[:, cf], gates[:, cg], gates[:, co]
+        c = np.multiply(f, cs[t, :m], out=cs[t + 1, :m])
         c += i * g
-        tc = np.tanh(c)
-        np.multiply(o, tc, out=hs[:m, t + 1])
+        tc = np.tanh(c, out=tcs[row : row + m])
+        np.multiply(o, tc, out=hs[t + 1, :m])
         if k < n:
             # Finished rows, a floor row past its end among them, carry their state.
-            hs[k:, t + 1] = hs[k:, t]
-            cs[k:, t + 1] = cs[k:, t]
-        saved.append((a, gates, tc))
-    out = Tensor(hs[back, 1:] if collect else hs[back, steps].copy())
-    c_out = Tensor(cs[back, steps].copy())
+            hs[t + 1, k:] = hs[t, k:]
+            cs[t + 1, k:] = cs[t, k:]
+        gate_views = (i, f, g, o) if k == m else (i[:k], f[:k], g[:k], o[:k])
+        saved.append((slice(row, row + k), *gate_views))
+        row += m
+    out = Tensor(_batch_major(hs[1:], back) if collect else hs[steps, back].copy())
+    c_out = Tensor(cs[steps, back].copy())
 
     def backward(gs):
-        # Elementwise work runs on the live prefix of a scratch whose dead rows
-        # stay zero. The recurrent product reads a contiguous dz_t in input
-        # order over all B rows, as the every-row loop did: the bits of its
-        # columns can depend on their count, their position and the layout.
+        # Elementwise work runs on the live prefix, in run order, of a scratch
+        # whose dead rows stay zero. The recurrent product reads a contiguous
+        # dz_t in input order over all B rows, as the every-row loop did: the
+        # bits of its columns can depend on their count, their position and
+        # the layout. dz_t is then stored batch-major, the layout the weight
+        # GEMMs read.
         dz = np.empty((n, steps, 4 * hidden), dtype=dtype)
         scratch = np.zeros((n, 4 * hidden), dtype=dtype)
+        dz_t = np.empty_like(scratch) if ragged else scratch
         g_out = gs[0][order]
         dh = np.zeros((n, hidden), dtype=dtype) if collect else g_out
         dc = gs[1][order].copy()
+        # The derivatives 1 - a^2 and 1 - tanh(c)^2 of every step at once; the
+        # first overwrites the saved a, as a tape runs each backward once.
+        da = np.multiply(xw, xw, out=xw)
+        np.subtract(1.0, da, out=da)
+        dtanh = tcs * tcs
+        np.subtract(1.0, dtanh, out=dtanh)
         for t in reversed(range(steps)):
             if collect:
                 dh += g_out[:, t]
             k = live[t]
-            a, gates, tc = (part[:k] for part in saved[t])
-            i, f, g, o = (gates[:, j * hidden : (j + 1) * hidden] for j in range(4))
+            live_rows, i, f, g, o = saved[t]
+            tc = tcs[live_rows]
             dh_k = dh[:k]
-            dtanh = tc * tc
-            np.subtract(1.0, dtanh, out=dtanh)
             dc_t = dh_k * o
-            dc_t *= dtanh
+            dc_t *= dtanh[live_rows]
             dc_t += dc[:k]
             dz_live = scratch[:k]
-            np.multiply(dc_t, g, out=dz_live[:, :hidden])
-            np.multiply(dc_t, cs[:k, t], out=dz_live[:, hidden : 2 * hidden])
-            np.multiply(dc_t, i, out=dz_live[:, 2 * hidden : 3 * hidden])
-            np.multiply(dh_k, tc, out=dz_live[:, 3 * hidden :])
-            da = a * a
-            np.subtract(1.0, da, out=da)
-            dz_live *= da
-            dz_live *= slope
+            np.multiply(dc_t, g, out=dz_live[:, ci])
+            np.multiply(dc_t, cs[t, :k], out=dz_live[:, cf])
+            np.multiply(dc_t, i, out=dz_live[:, cg])
+            np.multiply(dh_k, tc, out=dz_live[:, co])
+            dz_live *= da[live_rows]
+            dz_live *= slope[:k]
             np.multiply(dc_t, f, out=dc[:k])
-            dz[:, t] = dz_t = scratch[back]
+            if ragged:
+                # mode="clip" writes straight into dz_t; "raise" would buffer.
+                np.take(scratch, back, axis=0, out=dz_t, mode="clip")
+            dz[:, t] = dz_t
             # dz_t @ wh.T with wh read in its own layout: no copy, bit-equal on
             # every shape tried, and under half the time of the view at H = 512.
             dh_prev = (wh.data @ dz_t.T).T[order]
@@ -419,14 +468,22 @@ def lstm_over(
                 dh_prev[k:] = dh[k:]
             dh = dh_prev
         dz = dz.reshape(n * steps, 4 * hidden)
+        if steps > 1:
+            hs_in = _batch_major(hs[:steps], back).reshape(n * steps, hidden)
+        else:
+            # The every-row loop read one step's states as rows of a (B, 2, H)
+            # array, at row stride 2H. At H = 1 dWh is a vector product whose
+            # bits depend on that stride, so it is kept.
+            hs_in = np.stack((hs[0], hs[1]), axis=1)[:, 0]
         return (
             (dz @ wx.data.T).reshape(x.data.shape),
             xs.reshape(n * steps, width).T @ dz,
-            hs[back, :steps].reshape(n * steps, hidden).T @ dz,
+            hs_in.T @ dz,
             dz.sum(axis=0),
             dh[back],
             dc[back],
         )
 
-    record((x, wx, wh, b, h0, c0), (out, c_out), backward)
+    starts = tuple(_NO_START if s is None else s for s in (h0, c0))
+    record((x, wx, wh, b) + starts, (out, c_out), backward)
     return out, c_out

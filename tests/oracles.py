@@ -5,11 +5,12 @@ full-table LCS, Counter-based n-gram stats, per-type assignment enumeration
 for the METEOR alignment, and a standalone copy of the greedy labeling rule.
 The decoder references drive a model's own ``decode_step`` one hypothesis at
 a time, so they check the batched search and loss, not the model.
-``alignment_reference``, ``adamw_reference``, ``java_fragments_reference``
-and ``tokenize_code_reference`` are the earlier, plainer implementations that
-the faster ones must match exactly; ``lstm_reference`` is a textbook LSTM
-that shares no code with ``numcore``, and ``lstm_over_reference`` is the
-earlier ``lstm_over`` loop that the live-row one must match bit for bit.
+``alignment_reference``, ``packed_links_reference``, ``adamw_reference``,
+``java_fragments_reference`` and ``tokenize_code_reference`` are the earlier,
+plainer implementations that the faster ones must match exactly;
+``lstm_reference`` is a textbook LSTM that shares no code with ``numcore``,
+and ``lstm_over_reference`` is the earlier ``lstm_over`` loop that the
+live-row one must match bit for bit.
 ``RecordingRng`` is a generator stand-in that records each dropout draw.
 """
 
@@ -145,6 +146,39 @@ def alignment_reference(r, g):
 
     matches, neg_chunks = best(0, -1, 0)
     return matches, -neg_chunks
+
+
+def packed_links_reference(r, g, upper):
+    """The earlier ``metrics._packed_links``: each round rescans every unused
+    match and extends its block from scratch."""
+    positions = {}
+    for j, tok in enumerate(g):
+        positions.setdefault(tok, []).append(j)
+    used_r = [False] * len(r)
+    used_g = [False] * len(g)
+    links = 0
+    while links < upper:
+        size, at_r, at_g = 1, 0, 0
+        for i, tok in enumerate(r):
+            if used_r[i]:
+                continue
+            for j in positions.get(tok, ()):
+                if used_g[j]:
+                    continue
+                if i and j and not used_r[i - 1] and not used_g[j - 1] and r[i - 1] == g[j - 1]:
+                    continue  # inside a block that starts further left
+                k = 1
+                while (i + k < len(r) and j + k < len(g) and not used_r[i + k]
+                       and not used_g[j + k] and r[i + k] == g[j + k]):
+                    k += 1
+                if k > size:
+                    size, at_r, at_g = k, i, j
+        if size == 1:
+            break
+        for k in range(size):
+            used_r[at_r + k] = used_g[at_g + k] = True
+        links += size - 1
+    return links
 
 
 def meteor_brute(r, g, alpha=0.9, beta=3.0, gamma=0.5):

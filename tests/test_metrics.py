@@ -18,6 +18,7 @@ from .oracles import (
     meteor_alignment_brute,
     meteor_brute,
     ngram_stats_brute,
+    packed_links_reference,
     rank_sum_reference,
     rouge_l_brute,
 )
@@ -193,6 +194,26 @@ class TestMeteor:
     @settings(max_examples=300, deadline=None)
     def test_alignment_matches_memoized_search(self, pair):
         assert M.alignment_stats(*pair) == alignment_reference(*pair)
+
+
+class TestPackedLinks:
+    """The greedy packing finds each diagonal run once and cuts it at used
+    positions; it must pick the same blocks as the plain rescan, since the
+    packed links are printed for bounded pairs."""
+
+    @given(repetitive_pairs(["ab", "abc", "abcdefghij"], 40), st.integers(1, 40))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_rescanning_packing(self, pair, upper):
+        assert M._packed_links(*pair, upper) == packed_links_reference(*pair, upper)
+
+    def test_random_long_pairs(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            alphabet = list("abcdef"[: rng.integers(2, 7)])
+            r, g = ([alphabet[i] for i in rng.integers(0, len(alphabet), rng.integers(1, 60))]
+                    for _ in range(2))
+            upper = int(rng.integers(1, 60))
+            assert M._packed_links(r, g, upper) == packed_links_reference(r, g, upper)
 
 
 class TestBruteForceEquivalence:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eacs import numcore as nc
@@ -167,7 +167,10 @@ class TestLstmOverBits:
 
     B runs past 19, where the backward product's column bits change at H =
     64; odd widths and H = 1 make that product's bits depend on column
-    position and operand layout as well.
+    position and operand layout as well. The examples pin two H = 1 corners
+    of the packed input projection and the dWh operand (one sequence shorter
+    than T, whose packed product must keep two rows; one step, whose dWh
+    operand keeps a row stride of 2H) and an extractor-sized token batch.
     """
 
     @given(
@@ -182,6 +185,13 @@ class TestLstmOverBits:
         dtype=st.sampled_from([np.float32, np.float64]),
     )
     @settings(max_examples=300, deadline=None)
+    # Seed 1 gives the one sequence length 1 of 2.
+    @example(seed=1, n=1, steps=2, hidden=1, width=1, shape="ragged", collect=False,
+             start=False, dtype=np.float64)
+    @example(seed=0, n=2, steps=1, hidden=1, width=1, shape="ragged", collect=False,
+             start=True, dtype=np.float64)
+    @example(seed=101, n=90, steps=30, hidden=64, width=64, shape="ragged", collect=False,
+             start=False, dtype=np.float32)
     def test_matches_every_row_loop(
         self, seed, n, steps, hidden, width, shape, collect, start, dtype
     ):
@@ -214,11 +224,13 @@ class TestLstmOverBits:
 
 class TestBlasRows:
     """The BLAS property ``lstm_over`` relies on: with M >= 2 rows, a row of
-    ``h[:M] @ wh`` does not depend on M or on where the row sits.
+    ``h[:M] @ wh`` or ``x[:M] @ wx`` does not depend on M or on where the
+    row sits.
 
     ``lstm_over`` sorts a ragged batch longest-first and runs each step's
-    recurrent product over the live prefix only, at least two rows. Its bits
-    equal the every-row loop's only while this holds; one row takes numpy's
+    recurrent product over the live prefix only, at least two rows, and the
+    input projection over the rows the steps read. Its bits equal the
+    every-row loop's only while this holds; one row takes numpy's
     matrix-vector path, whose bits differ. If a BLAS update breaks it, this
     test names the broken claim before checkpoints move.
     """
@@ -234,6 +246,22 @@ class TestBlasRows:
             assert np.array_equal(h[:m] @ wh, full[:m]), f"rows change with M = {m}"
         perm = rng.permutation(64)
         assert np.array_equal(h[perm] @ wh, full[perm]), "rows change with their position"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [64, 128])
+    def test_input_projection_rows_up_to_3000(self, width, dtype):
+        # The packed input projection runs over the live (t, row) pairs only:
+        # at desk width up to 2,700 of them, against every row of the padded
+        # batch before. Each row must keep its bits at any count and offset.
+        rng = np.random.default_rng(width)
+        x = rng.normal(0, 1, (3000, width)).astype(dtype)
+        w = rng.normal(0, 0.1, (width, 256)).astype(dtype)
+        full = x @ w
+        for m in [*range(2, 130), *range(130, 3001, 29), 3000]:
+            start = int(rng.integers(0, 3001 - m))
+            assert np.array_equal(x[start : start + m] @ w, full[start : start + m]), (
+                f"rows change at M = {m}, offset {start}"
+            )
 
 
 class TestBackward:

@@ -8,9 +8,11 @@ diagnostic naming the failing stage; usage problems exit 2.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import logging
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -28,6 +30,12 @@ from .report import emit_report
 from .segmenter import LANGUAGES, segment, segment_pairs
 
 log = logging.getLogger(__name__)
+
+# glibc mallopt parameters (<malloc.h>) and the values main sets.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 4 << 20
+TRIM_THRESHOLD_BYTES = 8 << 20
 
 
 def _read_text(path: str) -> str:
@@ -257,7 +265,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glibc_mallopt():
+    """glibc's ``mallopt``, or None where the C library is not glibc."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return None
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+@functools.cache
+def keep_freed_heap() -> None:
+    """Let glibc keep freed pages for reuse instead of returning them.
+
+    Under glibc's defaults, blocks over its mmap threshold (128 KiB at first)
+    get pages of their own and the heap top is trimmed after large frees, so
+    many of a desk training step's buffers land on fresh pages and fault.
+    Blocks under 4 MiB now come from the heap, and up to 8 MiB of free heap
+    top stays mapped; the trim threshold alone would also pin the mmap
+    threshold at 128 KiB. Addresses change, computed values do not. Only
+    ``main`` calls this, so importing eacs leaves the allocator alone.
+    """
+    mallopt = _glibc_mallopt()
+    if mallopt is not None:
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -6,8 +6,9 @@ for the METEOR alignment, and a standalone copy of the greedy labeling rule.
 The decoder references drive a model's own ``decode_step`` one hypothesis at
 a time, so they check the batched search and loss, not the model.
 ``alignment_reference``, ``packed_links_reference``, ``adamw_reference``,
-``java_fragments_reference`` and ``tokenize_code_reference`` are the earlier,
-plainer implementations that the faster ones must match exactly;
+``scatter_add_reference``, ``java_fragments_reference`` and
+``tokenize_code_reference`` are the earlier, plainer implementations that
+the faster ones must match exactly;
 ``lstm_reference`` is a textbook LSTM that shares no code with ``numcore``,
 and ``lstm_over_reference`` is the earlier ``lstm_over`` loop that the
 live-row one must match bit for bit.
@@ -442,6 +443,17 @@ def adamw_reference(params, grads, steps, lr=3e-4, beta1=0.9, beta2=0.999, eps=1
             v_hat = v[k] / bc2
             p -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p)
     return params
+
+
+def scatter_add_reference(like, index, values):
+    """The gather backward as first written: ``np.add.at`` on ``zeros_like``.
+
+    ``index`` is the row-indexed form: an id per row of ``values`` for an
+    embedding table, or a ``(rows, ids)`` pair for ``gather_rows``.
+    """
+    g = np.zeros_like(like)
+    np.add.at(g, index, values)
+    return g
 
 
 def java_fragments_reference(code):

@@ -506,3 +506,93 @@ class TestDeepNesting:
         code, _, err = run(capsys, "extract", "--ckpt", str(ckpt), "--code", str(src))
         assert code == 1 and len(err.strip().splitlines()) == 1
         assert str(ckpt) in err and "invalid header" in err
+
+
+@pytest.fixture
+def allocator_unset():
+    """Forget that ``main`` set the allocator, before and after the test, so
+    the next ``main`` call makes the real setting again."""
+    cli.keep_freed_heap.cache_clear()
+    yield
+    cli.keep_freed_heap.cache_clear()
+
+
+class TestAllocator:
+    """``main`` sets glibc's mmap and trim thresholds once per process, so
+    freed heap pages are reused instead of faulted in again."""
+
+    def test_set_once_per_process(self, capsys, tmp_path, monkeypatch, allocator_unset):
+        calls = []
+        monkeypatch.setattr(cli, "_glibc_mallopt", lambda: lambda *setting: calls.append(setting))
+        src = tmp_path / "snippet.java"
+        src.write_text("int a = 1;")
+        for _ in range(2):
+            assert run(capsys, "segment", "--code", str(src)) == (0, "int a = 1;\n", "")
+        assert run(capsys, "frobnicate")[0] == 2
+        assert calls == [(cli.M_MMAP_THRESHOLD, cli.MMAP_THRESHOLD_BYTES),
+                         (cli.M_TRIM_THRESHOLD, cli.TRIM_THRESHOLD_BYTES)]
+
+    def test_no_op_without_glibc(self, capsys, tmp_path, monkeypatch, allocator_unset):
+        def no_glibc(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(os, "confstr", no_glibc)
+        assert cli._glibc_mallopt() is None
+        src = tmp_path / "snippet.java"
+        src.write_text("int a = 1;")
+        assert run(capsys, "segment", "--code", str(src)) == (0, "int a = 1;\n", "")
+
+    def test_lstm_over_steady_state_takes_no_page_faults(self, capsys, tmp_path):
+        resource = pytest.importorskip("resource")
+        if cli._glibc_mallopt() is None:
+            pytest.skip("the C library has no glibc mallopt")
+        from eacs import numcore as nc
+
+        src = tmp_path / "snippet.java"
+        src.write_text("int a = 1;")
+        assert run(capsys, "segment", "--code", str(src))[0] == 0
+        # A desk extractor token batch: 90 statements of up to 30 tokens.
+        rng = np.random.default_rng(101)
+        lengths = rng.integers(1, 31, 90)
+        x, wx, wh = (nc.Parameter(k, rng.normal(0, 0.5, s).astype(np.float32)) for k, s in
+                     (("x", (90, 30, 64)), ("wx", (64, 256)), ("wh", (64, 256))))
+        b = nc.Parameter("b", np.zeros(256, np.float32))
+
+        def forward_and_backward():
+            with nc.Tape() as tape:
+                out, _ = nc.lstm_over(x, wx, wh, b, lengths, collect=True)
+                tape.backward(nc.sum_all(out))
+
+        faults = []
+        for _ in range(10):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            forward_and_backward()
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        # The first calls grow the heap. Under glibc's defaults every other
+        # later call took 1,200-1,500 faults.
+        assert sum(faults[4:]) < 50 * len(faults[4:]), faults
+
+    def test_cli_checkpoint_matches_untouched_allocator(self, toy_corpus_path, tmp_path):
+        # Each side runs in a fresh interpreter, so the API side's allocator
+        # is certainly untouched; it asserts that main never ran there.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eacs.__file__)))
+        env.pop("EACS_SEED", None)
+        flags = {"epochs": 3, "seed": 101}
+        through_cli, through_api = tmp_path / "cli.ckpt", tmp_path / "api.ckpt"
+        subprocess.run([sys.executable, "-m", "eacs", "train-extractor", "--corpus", toy_corpus_path,
+                        "--out", str(through_cli), "--epochs", "3", "--seed", "101"],
+                       check=True, capture_output=True, env=env, timeout=120)
+        script = (
+            "import sys\n"
+            "from eacs import cli\n"
+            "from eacs.checkpoint import save_model\n"
+            "from eacs.config import make_run_config\n"
+            "from eacs.corpus import load_corpus\n"
+            "from eacs.extractor import train_extractor\n"
+            f"result = train_extractor(load_corpus(sys.argv[1]), make_run_config(overrides={flags!r}))\n"
+            "save_model(result.model, result.vocab, sys.argv[2])\n"
+            "assert cli.keep_freed_heap.cache_info().currsize == 0\n"
+        )
+        subprocess.run([sys.executable, "-c", script, toy_corpus_path, str(through_api)],
+                       check=True, capture_output=True, env=env, timeout=120)
+        assert through_cli.read_bytes() == through_api.read_bytes()

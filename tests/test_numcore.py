@@ -7,7 +7,7 @@ from eacs import numcore as nc
 from eacs.numcore import optim
 from eacs.errors import ShapeError
 
-from .oracles import adamw_reference, lstm_over_reference, lstm_reference
+from .oracles import adamw_reference, lstm_over_reference, lstm_reference, scatter_add_reference
 
 
 class TestOps:
@@ -262,6 +262,51 @@ class TestBlasRows:
             assert np.array_equal(x[start : start + m] @ w, full[start : start + m]), (
                 f"rows change at M = {m}, offset {start}"
             )
+
+
+def _bits(a):
+    return a.view(f"i{a.itemsize}")
+
+
+class TestScatterBits:
+    """The backward of ``embedding_lookup`` and ``gather_rows`` scatters over
+    flat positions, yet equals the row-indexed ``np.add.at`` bit for bit
+    (``tests.oracles.scatter_add_reference``): the same adds in the same
+    order, repeated ids and signed zeros included."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        vocab=st.integers(1, 12),
+        width=st.sampled_from([1, 2, 3, 8, 64]),
+        ids_shape=st.sampled_from([(1,), (7,), (40,), (3, 5), (8, 12)]),
+        repeat=st.booleans(),
+        zero_rows=st.sampled_from([0.0, -0.0, None]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gradients_match_add_at(self, seed, vocab, width, ids_shape, repeat, zero_rows, dtype):
+        rng = np.random.default_rng(seed)
+        ids = np.full(ids_shape, vocab - 1) if repeat else rng.integers(0, vocab, ids_shape)
+        table = nc.Parameter("table", rng.normal(0, 1, (vocab, width)).astype(dtype))
+        with nc.Tape() as tape:
+            out = nc.embedding_lookup(table, ids)
+        g = rng.normal(0, 1, out.shape).astype(dtype)
+        if zero_rows is not None:
+            g[rng.random(ids_shape) < 0.5] = zero_rows
+        got = tape.nodes[-1].backward([g])[0]
+        want = scatter_add_reference(table.data, ids.reshape(-1), g.reshape(-1, width))
+        assert got.dtype == want.dtype and np.array_equal(_bits(got), _bits(want))
+
+        rows = ids.reshape(-1)
+        x = nc.Parameter("x", rng.normal(0, 1, (rows.size, vocab)).astype(dtype))
+        with nc.Tape() as tape:
+            nc.gather_rows(x, rows)
+        g = rng.normal(0, 1, rows.size).astype(dtype)
+        if zero_rows is not None:
+            g[rng.random(rows.size) < 0.5] = zero_rows
+        got = tape.nodes[-1].backward([g])[0]
+        want = scatter_add_reference(x.data, (np.arange(rows.size), rows), g)
+        assert got.dtype == want.dtype and np.array_equal(_bits(got), _bits(want))
 
 
 class TestBackward:

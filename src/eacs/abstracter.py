@@ -21,7 +21,7 @@ from . import numcore as nc
 from .config import RunConfig
 from .corpus import BOS, EOS, Batch, RawPair, Vocabulary
 from .errors import EmptyInput, ShapeError, UsageError, VocabMismatch
-from .extractor import ExtractorModel, TrainResult, fit, predict_important
+from .extractor import MAX_STATEMENT_TOKENS, ExtractorModel, TrainResult, fit, predict_important
 from .segmenter import SegmentedSnippet, segment, segment_pairs
 
 log = logging.getLogger(__name__)
@@ -44,26 +44,17 @@ class AbstracterModel(nc.Model):
         "embed_dim",
         "hidden_dim",
         "dropout",
-        "max_statement_tokens",
         "max_code_tokens",
         "max_comment_tokens",
-        "share_embeddings",
     )
-
-    def _bind(self, vocab_size: int, config: RunConfig, params: list[nc.Parameter]) -> None:
-        super()._bind(vocab_size, config, params)
-        if config.share_embeddings:
-            self.embedding_ex = self.embedding_ab = self.embedding_dec = self.embedding
 
     @staticmethod
     def shapes(vocab_size: int, config: RunConfig) -> dict[str, tuple[int, ...]]:
-        """Parameter shapes in declaration order."""
+        """Parameter shapes in declaration order; both encoders and the
+        decoder read the one embedding table."""
         e, h = config.embed_dim, config.hidden_dim
-        if config.share_embeddings:
-            names = ("embedding",)
-        else:
-            names = ("embedding_ex", "embedding_ab", "embedding_dec")
-        return {name: (vocab_size, e) for name in names} | {
+        return {
+            "embedding": (vocab_size, e),
             "ex_wx": (e, 4 * h),
             "ex_wh": (h, 4 * h),
             "ex_b": (4 * h,),
@@ -86,8 +77,7 @@ class AbstracterModel(nc.Model):
     ) -> nc.Tensor:
         """(B, H) final states of the "ex" or "ab" encoder over a padded batch,
         its embeddings dropped out with ``rng`` when given."""
-        table = getattr(self, f"embedding_{which}")
-        emb = self.drop(nc.embedding_lookup(table, batch.indices), rng)
+        emb = self.drop(nc.embedding_lookup(self.embedding, batch.indices), rng)
         wx, wh, b = (getattr(self, f"{which}_{name}") for name in ("wx", "wh", "b"))
         return nc.lstm_over(emb, wx, wh, b, lengths=batch.lengths)[0]
 
@@ -116,7 +106,7 @@ class AbstracterModel(nc.Model):
         """(B, T, H) decoder states over padded previous-token ids, as one node;
         the embeddings are dropped out with ``rng`` when given."""
         h0, c0, u = self.init_decoder(e_fu)
-        emb = self.drop(nc.embedding_lookup(self.embedding_dec, inputs.indices), rng)
+        emb = self.drop(nc.embedding_lookup(self.embedding, inputs.indices), rng)
         # Each sequence's u, repeated over its steps.
         rows = np.broadcast_to(np.arange(len(inputs.lengths))[:, None], inputs.indices.shape)
         x = nc.concat([emb, nc.embedding_lookup(u, rows)], axis=-1)
@@ -133,7 +123,7 @@ class AbstracterModel(nc.Model):
 
         Returns (h, c, distributions over the vocabulary), each with k rows.
         """
-        emb = nc.embedding_lookup(self.embedding_dec, y_prev)
+        emb = nc.embedding_lookup(self.embedding, y_prev)
         inp = nc.concat([emb, nc.embedding_lookup(u, np.zeros(len(y_prev), np.int64))], axis=-1)
         h, c = nc.lstm_cell(inp, h_prev, c_prev, self.dec_wx, self.dec_wh, self.dec_b)
         logits = nc.add(nc.matmul(h, self.out_w), self.out_b)
@@ -201,7 +191,7 @@ def abstracter_input(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(important_ids, code_ids), the two encoders' inputs, for training and inference."""
     selected, _ = predict_important(snippet, extractor, vocab)
-    important = [tok for st in selected for tok in st.tokens[: config.max_statement_tokens]]
+    important = [tok for st in selected for tok in st.tokens[:MAX_STATEMENT_TOKENS]]
     return vocab.encode(important), vocab.encode(snippet.full_tokens[: config.max_code_tokens])
 
 

@@ -31,7 +31,7 @@ from .fileio import replace_on_success
 FORMAT_VERSION = 1
 MODELS = {cls.KIND: cls for cls in (ExtractorModel, AbstracterModel)}
 # JSON value types accepted for each config field type; bools are never numbers.
-_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool}
+_JSON_TYPES = {"int": int, "float": (int, float)}
 
 
 @dataclass
@@ -149,7 +149,7 @@ def _model_config(ckpt: Checkpoint, vocab: Vocabulary, path: str) -> RunConfig:
         if name not in hp:
             raise CorruptCheckpoint(f"{path}: hyperparameter {name} missing")
         value, want = hp[name], FIELD_TYPES[name]
-        if not isinstance(value, _JSON_TYPES[want]) or isinstance(value, bool) != (want == "bool"):
+        if not isinstance(value, _JSON_TYPES[want]) or isinstance(value, bool):
             raise CorruptCheckpoint(f"{path}: hyperparameter {name} = {value!r} is not {want}")
         values[name] = float(value) if want == "float" else value
     if hp.get("vocab_size") != len(vocab):

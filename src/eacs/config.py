@@ -1,18 +1,16 @@
-"""Run configuration: presets, flat key-value config files, env overrides.
+"""Run configuration: presets and flat key-value config files.
 
 :class:`RunConfig` is the one configuration both models, both trainers, the
 CLI and checkpoints share; each reads the fields it needs.
 
 The ``desk`` preset is small enough to overfit a toy corpus in minutes on one
 core; ``full`` carries the published training setup (512-d embeddings and
-hidden size, batch 32, lr 0.0003, dropout 0.1). ``EACS_SEED`` overrides the
-configured seed.
+hidden size, batch 32, lr 0.0003, dropout 0.1).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -33,7 +31,6 @@ class RunConfig:
     epochs: int = 300
     vocab_size: int = 2000
     min_freq: int = 1
-    max_statement_tokens: int = 30
     max_statements: int = 30
     max_code_tokens: int = 120
     max_comment_tokens: int = 30
@@ -41,7 +38,6 @@ class RunConfig:
     val_fraction: float = 0.0
     seed: int = 13
     fusion: str = "abex"
-    share_embeddings: bool = True
     language: str = "java"
 
     def validate(self) -> None:
@@ -57,7 +53,7 @@ class RunConfig:
             raise UsageError("dropout must be in [0, 1)")
         if self.batch_size < 1 or self.epochs < 0:
             raise UsageError("batch_size must be >= 1 and epochs >= 0")
-        limits = ("max_statement_tokens", "max_statements", "max_code_tokens", "max_comment_tokens")
+        limits = ("max_statements", "max_code_tokens", "max_comment_tokens")
         if any(getattr(self, name) < 1 for name in limits):
             raise UsageError(f"{', '.join(limits)} must be >= 1")
         if self.max_comment_tokens < 3:
@@ -90,19 +86,13 @@ PRESETS: dict[str, dict] = {
     },
 }
 
-# Field name -> annotation ("int", "float", "bool" or "str").
+# Field name -> annotation ("int", "float" or "str").
 FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):
     kind = FIELD_TYPES[key]
     raw = raw.strip()
-    if kind == "bool":
-        if raw.lower() in ("1", "true", "yes"):
-            return True
-        if raw.lower() in ("0", "false", "no"):
-            return False
-        raise UsageError(f"config key {key}: expected a boolean, got {raw!r}")
     if kind == "int":
         try:
             return int(raw)
@@ -141,9 +131,8 @@ def make_run_config(
     preset: str = "desk",
     config_path: Optional[str] = None,
     overrides: Optional[dict] = None,
-    env: Optional[dict] = None,
 ) -> RunConfig:
-    """Layer preset < config file < explicit flags < EACS_SEED."""
+    """Layer preset < config file < explicit flags."""
     if preset not in PRESETS:
         raise UsageError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
     values = dict(PRESETS[preset])
@@ -155,12 +144,6 @@ def make_run_config(
         if key not in FIELD_TYPES:
             raise UsageError(f"unknown config key {key!r}")
         values[key] = val
-    env = os.environ if env is None else env
-    if env.get("EACS_SEED"):
-        try:
-            values["seed"] = int(env["EACS_SEED"])
-        except ValueError as exc:
-            raise UsageError(f"EACS_SEED must be an integer, got {env['EACS_SEED']!r}") from exc
     config = RunConfig(**values)
     config.validate()
     return config

@@ -59,7 +59,3 @@ class CorruptCheckpoint(EacsError):
 
 class UsageError(EacsError):
     """Bad command, flag, or config key (CLI exit code 2)."""
-
-
-class TruncationWarning(UserWarning):
-    """A snippet exceeded a configured statement or token limit."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -23,13 +22,15 @@ import numpy as np
 from . import numcore as nc
 from .config import RunConfig
 from .corpus import Batch, RawPair, Vocabulary, build_vocabulary
-from .errors import EmptyCorpus, EmptyInput, NonFiniteLoss, ShapeError, TruncationWarning
+from .errors import EmptyCorpus, EmptyInput, NonFiniteLoss, ShapeError
 from .oracle import label_statements
 from .segmenter import SegmentedSnippet, Statement, segment_pairs
 
 log = logging.getLogger(__name__)
 
 PROB_CLAMP = 1e-7
+# Tokens of one statement that either model reads; the rest are dropped.
+MAX_STATEMENT_TOKENS = 30
 
 
 class ExtractorModel(nc.Model):
@@ -41,7 +42,6 @@ class ExtractorModel(nc.Model):
         "embed_dim",
         "hidden_dim",
         "dropout",
-        "max_statement_tokens",
         "max_statements",
     )
 
@@ -142,10 +142,8 @@ class ExtractorSample:
 def truncate_snippet(snippet: SegmentedSnippet, max_statements: int) -> SegmentedSnippet:
     if len(snippet.statements) <= max_statements:
         return snippet
-    warnings.warn(
-        f"snippet truncated from {len(snippet.statements)} to {max_statements} statements",
-        TruncationWarning,
-        stacklevel=2,
+    log.warning(
+        "snippet truncated from %d to %d statements", len(snippet.statements), max_statements
     )
     return SegmentedSnippet(
         language=snippet.language,
@@ -160,7 +158,7 @@ def extractor_input(
     """The truncated snippet and its per-statement token ids, for training and inference."""
     snippet = truncate_snippet(snippet, config.max_statements)
     return snippet, [
-        vocab.encode(st.tokens[: config.max_statement_tokens]) for st in snippet.statements
+        vocab.encode(st.tokens[:MAX_STATEMENT_TOKENS]) for st in snippet.statements
     ]
 
 

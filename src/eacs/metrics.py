@@ -45,8 +45,6 @@ def lcs_length(r: TokenSeq, g: TokenSeq, masks: Optional[dict] = None) -> int:
 
     ``masks`` is ``_kernels.lcs_masks(r)``, when the caller has it already.
     """
-    if not r or not g:
-        return 0
     return lcs_len_ids(r, g, masks)
 
 

@@ -199,7 +199,7 @@ class TestBatchedLoss:
         return AbstracterModel(10, config, np.random.default_rng(21), dtype=np.float64)
 
     def test_ragged_batch_matches_stepwise_decoding(self):
-        model = self._model(share_embeddings=False)
+        model = self._model()
         samples = [make_sample(**kw) for kw in self.RAGGED]
         loss = abstracter_loss(model, samples).item()
         per_sample = []
@@ -229,24 +229,20 @@ class TestBatchedLoss:
         abstracter_loss(model, samples, rng=rng)
         assert len(rng.shapes) == 3
 
-    @pytest.mark.parametrize("share", [True, False])
-    def test_pad_embedding_reaches_neither_loss_nor_gradients(self, share):
+    def test_pad_embedding_reaches_neither_loss_nor_gradients(self):
         samples = [make_sample(**kw) for kw in self.RAGGED]
         runs = []
         for shift in (0.0, 3.0):
-            model = self._model(dropout=0.3, share_embeddings=share)
-            tables = [p for p in model.parameters() if p.name.startswith("embedding")]
-            for table in tables:
-                table.data[PAD] += shift
+            model = self._model(dropout=0.3)
+            model.embedding.data[PAD] += shift
             runs.append(_grads(model, lambda: abstracter_loss(
                 model, samples, train=True, rng=np.random.default_rng(5)
             )))
         (loss, grads), (shifted_loss, shifted_grads) = runs
         assert loss == shifted_loss
         assert all(np.array_equal(a, b) for a, b in zip(grads, shifted_grads))
-        # The embedding tables come first among the parameters.
-        assert len(tables) == (1 if share else 3)
-        assert not any(g[PAD].any() for g in grads[: len(tables)])
+        # The one embedding table comes first among the parameters.
+        assert not grads[0][PAD].any()
 
     def test_clamped_gold_probabilities_pass_no_gradient(self):
         # Gold probability exactly 1.0 in one sample and about 1e-35 in the

@@ -228,10 +228,8 @@ def test_criterion_7_statistics():
         assert M.significance_band(0.00009) == "****"
 
 
-def test_criterion_8_determinism_and_persistence(tmp_path, toy_corpus_path, toy_corpus,
-                                                 capsys, monkeypatch):
+def test_criterion_8_determinism_and_persistence(tmp_path, toy_corpus_path, toy_corpus, capsys):
     with criterion(8, "determinism-and-persistence"):
-        monkeypatch.delenv("EACS_SEED", raising=False)
         snippets = [p.code for p in list(toy_corpus)[:4]]
         outputs = {}
         for run in ("one", "two"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eacs import numcore as nc
-from eacs.abstracter import AbstracterModel
+from eacs.abstracter import AbstracterModel, generate_summary
 from eacs.checkpoint import Checkpoint, load_checkpoint, load_model, save_checkpoint, save_model
 from eacs.config import RunConfig
 from eacs.corpus import RESERVED_TOKENS, Vocabulary
@@ -78,7 +78,37 @@ class TestRoundTrip:
             loaded, _ = load_model(path, kind)
             for a, b in zip(model.parameters(), loaded.parameters()):
                 assert a.name == b.name and a.data.tobytes() == b.data.tobytes()
-        assert loaded.embedding_dec is loaded.embedding
+
+    def test_header_with_retired_keys_loads_the_same(self, tmp_path, vocab, ex_model):
+        # Earlier headers also carried share_embeddings and max_statement_tokens,
+        # which every run set to true and 30.
+        config = RunConfig(embed_dim=6, hidden_dim=6)
+        ab_model = AbstracterModel(len(vocab), config, np.random.default_rng(2))
+        paths = {}
+        for model in (ex_model, ab_model):
+            path = tmp_path / f"{model.KIND}.ckpt"
+            save_model(model, vocab, str(path))
+            header, params = path.read_bytes().split(b"\n", 1)
+            doc = json.loads(header)
+            doc["hyperparameters"]["max_statement_tokens"] = 30
+            if model.KIND == "abstracter":
+                doc["hyperparameters"]["share_embeddings"] = True
+            old = tmp_path / f"old_{model.KIND}.ckpt"
+            old.write_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+                            + b"\n" + params)
+            paths[model.KIND] = (path, old)
+            loaded, _ = load_model(str(old), model.KIND)
+            resaved = tmp_path / f"resaved_{model.KIND}.ckpt"
+            save_model(loaded, vocab, str(resaved))
+            assert resaved.read_bytes() == path.read_bytes()
+        code = "int a = 1; tok4 tok5 = tok6; return tok7;"
+        summaries = []
+        for which in (0, 1):
+            ex, _ = load_model(str(paths["extractor"][which]), "extractor")
+            ab, _ = load_model(str(paths["abstracter"][which]), "abstracter")
+            summaries.append([generate_summary(code, ex, vocab, ab, vocab, beam_width=width)
+                              for width in (1, 4)])
+        assert summaries[0] == summaries[1]
 
 
 class TestAtomicSave:
@@ -184,10 +214,12 @@ def _edit_first_value(value):
         _edit_header(hidden_dim=1000),
         _edit_first_value(np.nan),
         _edit_first_value(-np.inf),
+        _edit_header(embed_dim=True),
+        _edit_header(dropout=True),
     ],
     ids=["missing-embed-dim", "string-dim", "negative-dim", "hyperparameters-not-object",
          "negative-shape", "huge-shape", "width-disagrees-with-arrays", "nan-value",
-         "infinite-value"],
+         "infinite-value", "bool-int", "bool-float"],
 )
 def test_corrupt_header_exits_one_line(tmp_path, capsys, vocab, ex_model, edit):
     from eacs.cli import main

@@ -464,6 +464,21 @@ class TestSummarize:
             assert err.startswith("eacs summarize: ") and name in err
             assert len(err.strip().splitlines()) == 1
 
+    def test_truncation_notice_is_one_log_line(self, checkpoints, tmp_path):
+        # A fresh interpreter, so stderr is what a user sees: no pytest
+        # handler takes the record, and no warning filter is set.
+        ex, ab, _ = checkpoints
+        code = tmp_path / "long.java"
+        code.write_text("int a = 1;\n" * 40)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eacs.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "eacs", "summarize", "--extractor", ex,
+                               "--abstracter", ab, "--code", str(code)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == [
+            "WARNING eacs.extractor: snippet truncated from 40 to 30 statements"
+        ]
+
 
 class TestNonUtf8:
     @pytest.mark.parametrize("command", ["label", "evaluate-refs", "evaluate-hyps", "config"])
@@ -576,7 +591,6 @@ class TestAllocator:
         # Each side runs in a fresh interpreter, so the API side's allocator
         # is certainly untouched; it asserts that main never ran there.
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eacs.__file__)))
-        env.pop("EACS_SEED", None)
         flags = {"epochs": 3, "seed": 101}
         through_cli, through_api = tmp_path / "cli.ckpt", tmp_path / "api.ckpt"
         subprocess.run([sys.executable, "-m", "eacs", "train-extractor", "--corpus", toy_corpus_path,

@@ -6,11 +6,11 @@ from eacs.errors import UsageError
 
 class TestPresets:
     def test_desk_defaults(self):
-        cfg = make_run_config(env={})
+        cfg = make_run_config()
         assert cfg.embed_dim == 64 and cfg.hidden_dim == 64
 
     def test_full_preset_matches_published_setup(self):
-        cfg = make_run_config(preset="full", env={})
+        cfg = make_run_config(preset="full")
         assert cfg.embed_dim == 512
         assert cfg.hidden_dim == 512
         assert cfg.batch_size == 32
@@ -19,15 +19,15 @@ class TestPresets:
 
     def test_unknown_preset(self):
         with pytest.raises(UsageError):
-            make_run_config(preset="huge", env={})
+            make_run_config(preset="huge")
 
 
 class TestConfigFile:
     def test_parse_and_layering(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("epochs = 7\nlr = 0.01  # fast\nshare_embeddings = false\n")
-        cfg = make_run_config(config_path=str(path), env={})
-        assert cfg.epochs == 7 and cfg.lr == 0.01 and cfg.share_embeddings is False
+        path.write_text("epochs = 7\nlr = 0.01  # fast\nfusion = exab\n")
+        cfg = make_run_config(config_path=str(path))
+        assert cfg.epochs == 7 and cfg.lr == 0.01 and cfg.fusion == "exab"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -44,34 +44,34 @@ class TestConfigFile:
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("epochs = 7\n")
-        cfg = make_run_config(config_path=str(path), overrides={"epochs": 3}, env={})
+        cfg = make_run_config(config_path=str(path), overrides={"epochs": 3})
         assert cfg.epochs == 3
 
+    @pytest.mark.parametrize("key", ["share_embeddings", "max_statement_tokens"])
+    def test_removed_keys_rejected(self, tmp_path, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = 30\n")
+        with pytest.raises(UsageError, match=f"unknown config key '{key}'"):
+            make_run_config(config_path=str(path))
 
-class TestEnvOverride:
-    def test_eacs_seed_wins(self, tmp_path):
+
+class TestEnvironment:
+    def test_environment_sets_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EACS_SEED", "99")
         path = tmp_path / "run.cfg"
         path.write_text("seed = 4\n")
-        cfg = make_run_config(config_path=str(path), env={"EACS_SEED": "99"})
-        assert cfg.seed == 99
-
-    def test_bad_env_seed(self):
-        with pytest.raises(UsageError):
-            make_run_config(env={"EACS_SEED": "pi"})
-
-    def test_negative_env_seed(self):
-        with pytest.raises(UsageError, match="seed must be >= 0"):
-            make_run_config(env={"EACS_SEED": "-5"})
+        assert make_run_config(config_path=str(path)).seed == 4
+        assert make_run_config(overrides={"seed": 7}).seed == 7
 
 
 class TestValidation:
     def test_bad_fusion(self):
         with pytest.raises(UsageError):
-            make_run_config(overrides={"fusion": "both"}, env={})
+            make_run_config(overrides={"fusion": "both"})
 
     def test_bad_dropout(self):
         with pytest.raises(UsageError):
-            make_run_config(overrides={"dropout": 1.5}, env={})
+            make_run_config(overrides={"dropout": 1.5})
 
     @pytest.mark.parametrize(
         "key, value",
@@ -82,14 +82,14 @@ class TestValidation:
     )
     def test_bad_limits(self, key, value):
         with pytest.raises(UsageError):
-            make_run_config(overrides={key: value}, env={})
+            make_run_config(overrides={key: value})
 
     @pytest.mark.parametrize("key", ["lr", "weight_decay"])
     @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), float("-inf")])
     def test_bad_rates_name_the_key(self, key, value):
         with pytest.raises(UsageError, match=f"^{key} must be finite and >= 0"):
-            make_run_config(overrides={key: value}, env={})
+            make_run_config(overrides={key: value})
 
     @pytest.mark.parametrize("key, value", [("lr", 0.0), ("lr", 1e39), ("weight_decay", 0.0), ("seed", 0)])
     def test_edge_values_accepted(self, key, value):
-        assert getattr(make_run_config(overrides={key: value}, env={}), key) == value
+        assert getattr(make_run_config(overrides={key: value}), key) == value

@@ -109,7 +109,7 @@ class AbstracterModel(nc.Model):
         emb = self.drop(nc.embedding_lookup(self.embedding, inputs.indices), rng)
         # Each sequence's u, repeated over its steps.
         rows = np.broadcast_to(np.arange(len(inputs.lengths))[:, None], inputs.indices.shape)
-        x = nc.concat([emb, nc.embedding_lookup(u, rows)], axis=-1)
+        x = nc.concat([emb, nc.embedding_lookup(u, rows)])
         return nc.lstm_over(
             x, self.dec_wx, self.dec_wh, self.dec_b,
             lengths=inputs.lengths, h0=h0, c0=c0, collect=True,
@@ -124,20 +124,20 @@ class AbstracterModel(nc.Model):
         Returns (h, c, distributions over the vocabulary), each with k rows.
         """
         emb = nc.embedding_lookup(self.embedding, y_prev)
-        inp = nc.concat([emb, nc.embedding_lookup(u, np.zeros(len(y_prev), np.int64))], axis=-1)
+        inp = nc.concat([emb, nc.embedding_lookup(u, np.zeros(len(y_prev), np.int64))])
         h, c = nc.lstm_cell(inp, h_prev, c_prev, self.dec_wx, self.dec_wh, self.dec_b)
         logits = nc.add(nc.matmul(h, self.out_w), self.out_b)
-        return h, c, nc.softmax(logits, axis=-1)
+        return h, c, nc.softmax(logits)
 
 
-def fuse(e_ex: nc.Tensor, e_ab: nc.Tensor, order: str = "abex") -> nc.Tensor:
+def fuse(e_ex: nc.Tensor, e_ab: nc.Tensor, order: str) -> nc.Tensor:
     """Concatenate the two encodings; "abex" puts the whole-snippet vector first."""
     if e_ex.shape != e_ab.shape:
         raise ShapeError(f"fuse: {e_ex.shape} vs {e_ab.shape}")
     if order == "exab":
-        return nc.concat([e_ex, e_ab], axis=-1)
+        return nc.concat([e_ex, e_ab])
     if order == "abex":
-        return nc.concat([e_ab, e_ex], axis=-1)
+        return nc.concat([e_ab, e_ex])
     raise ValueError(f"unknown fusion order {order!r}")
 
 
@@ -179,7 +179,7 @@ def abstracter_loss(
     )
     states = model.decode_teacher_forced(previous, e_fu, rng)
     flat = nc.reshape(states, (-1, model.config.hidden_dim))
-    probs = nc.softmax(nc.add(nc.matmul(flat, model.out_w), model.out_b), axis=-1)
+    probs = nc.softmax(nc.add(nc.matmul(flat, model.out_w), model.out_b))
     p_gold = nc.gather_rows(probs, gold.indices.reshape(-1))
     weights = (gold.mask / (gold.lengths[:, None] * len(samples))).reshape(-1)
     log_p = nc.log(nc.clip(p_gold, LOGPROB_CLAMP, 1.0))
@@ -253,10 +253,12 @@ def beam_decode(
     hypotheses carry over unchanged, and the ``width`` candidates with the
     highest total log-prob survive, ties going to the lower token ids.
     Probabilities are clamped at 1e-9 before the log. A width outside
-    [1, MAX_BEAM_WIDTH] is a :class:`UsageError`.
+    [1, MAX_BEAM_WIDTH] or a ``max_len`` below 1 is a :class:`UsageError`.
     """
     if not 1 <= width <= MAX_BEAM_WIDTH:
         raise UsageError(f"beam width must be in [1, {MAX_BEAM_WIDTH}], got {width}")
+    if max_len < 1:
+        raise UsageError(f"max_len must be >= 1, got {max_len}")
     h, c, u = model.init_decoder(e_fu)
     # hypothesis: (ids, step log-probs, total, finished, row of h and c)
     beams = [((), (), 0.0, False, 0)]
@@ -296,8 +298,6 @@ def generate_summary(
     """Deployment path: extract important statements, then decode a summary."""
     if ex_vocab != ab_vocab:
         raise VocabMismatch("extractor and abstracter checkpoints disagree on vocabulary")
-    if max_len < 1:
-        raise UsageError(f"max_len must be >= 1, got {max_len}")
     cfg = abstracter.config
     important_ids, code_ids = abstracter_input(segment(code, language), extractor, ab_vocab, cfg)
     e_ex = abstracter.encode_extractive(important_ids)

@@ -24,7 +24,7 @@ from .corpus import load_corpus
 from .errors import EacsError, FormatError, IoError, UsageError
 from .extractor import predict_important, train_extractor
 from .fileio import replace_on_success
-from .metrics import BucketSpec, evaluate_corpus, mann_whitney_u_test, profile_reference
+from .metrics import evaluate_corpus, mann_whitney_u_test, profile_reference
 from .oracle import label_statements
 from .report import emit_report
 from .segmenter import LANGUAGES, segment, segment_pairs
@@ -155,12 +155,11 @@ def _cmd_evaluate(args) -> int:
     hyps = _read_token_lines(args.hyps)
     buckets = None
     if args.buckets == "comment":
-        buckets = BucketSpec(kind="comment")
+        buckets = ("comment", [len(r) for r in refs])
     elif args.buckets == "code":
         if not args.codes:
             raise UsageError("--buckets code needs --codes CORPUS to count snippet lines")
-        lengths = [len(p.code.splitlines()) for p in load_corpus(args.codes)]
-        buckets = BucketSpec(kind="code", lengths=lengths)
+        buckets = ("code", [len(p.code.splitlines()) for p in load_corpus(args.codes)])
     # Each reference is profiled once, for --hyps and --compare alike.
     profiles = [profile_reference(r) for r in refs]
     report = evaluate_corpus(refs, hyps, buckets=buckets, profiles=profiles)

@@ -122,11 +122,11 @@ def load_corpus(path: str) -> Corpus:
 
 
 class Vocabulary:
-    """Bijective token <-> index table with fixed reserved slots 0..3."""
+    """Bijective token <-> index table; ``tokens`` begins with :data:`RESERVED_TOKENS`."""
 
     def __init__(self, tokens: Sequence[str]):
         if tuple(tokens[:4]) != RESERVED_TOKENS:
-            tokens = list(RESERVED_TOKENS) + [t for t in tokens if t not in RESERVED_TOKENS]
+            raise ValueError(f"vocabulary does not begin with {' '.join(RESERVED_TOKENS)}")
         self.index_to_token: list[str] = list(tokens)
         self.token_to_index: dict[str, int] = {t: i for i, t in enumerate(self.index_to_token)}
         if len(self.token_to_index) != len(self.index_to_token):
@@ -153,7 +153,7 @@ class Vocabulary:
         return [self.index_to_token[int(i)] for i in ids if i not in (PAD, BOS, EOS)]
 
 
-def build_vocabulary(pairs: Sequence[RawPair], min_freq: int = 1, max_size: int = 2000) -> Vocabulary:
+def build_vocabulary(pairs: Sequence[RawPair], min_freq: int, max_size: int) -> Vocabulary:
     """Joint vocabulary over code and comment tokens.
 
     Tokens with frequency >= ``min_freq`` are kept, most frequent first with

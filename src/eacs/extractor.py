@@ -93,7 +93,7 @@ class ExtractorModel(nc.Model):
                 f"embedding width {embeddings.shape[-1]} != hidden {self.config.hidden_dim}"
             )
         logits = nc.add(nc.matmul(embeddings, self.cls_w), self.cls_b)
-        return nc.softmax(logits, axis=-1)
+        return nc.softmax(logits)
 
 
 def extractor_loss(
@@ -108,7 +108,7 @@ def extractor_loss(
     gold = np.asarray(gold, dtype=np.float64).reshape(-1, 1)
     if probs.data.ndim != 2 or probs.shape[1] != 2 or probs.shape[0] != gold.shape[0]:
         raise ShapeError(f"probs {probs.shape} vs gold {gold.shape}")
-    p1 = nc.clip(nc.slice_axis(probs, 1, 2, axis=-1), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    p1 = nc.clip(nc.slice_axis(probs, 1, 2), PROB_CLAMP, 1.0 - PROB_CLAMP)
     pos = nc.mul(nc.log(p1), gold)
     neg = nc.mul(nc.log(nc.sub(1.0, p1)), 1.0 - gold)
     terms = nc.add(pos, neg)

@@ -74,8 +74,8 @@ def op_checks() -> list[tuple[str, Callable[[], nc.Tensor], list[nc.Parameter]]]
         ("mul", lambda: nc.mean_all(nc.mul(a, b)), [a, b]),
         ("scalar_ops", lambda: nc.mean_all(nc.sub(1.0, nc.mul(a, 0.7))), [a]),
         ("matmul", lambda: nc.mean_all(nc.matmul(a, w)), [a, w]),
-        ("concat", lambda: nc.mean_all(nc.mul(nc.concat([a, b], axis=-1), nc.concat([b, a], axis=-1))), [a, b]),
-        ("slice_axis", lambda: nc.mean_all(nc.slice_axis(nc.mul(a, b), 1, 3, axis=-1)), [a, b]),
+        ("concat", lambda: nc.mean_all(nc.mul(nc.concat([a, b]), nc.concat([b, a]))), [a, b]),
+        ("slice_axis", lambda: nc.mean_all(nc.slice_axis(nc.mul(a, b), 1, 3)), [a, b]),
         ("tanh", lambda: nc.mean_all(nc.tanh(nc.matmul(a, w))), [a, w]),
         ("sigmoid", lambda: nc.mean_all(nc.sigmoid(nc.matmul(a, w))), [a, w]),
         ("log", lambda: nc.mean_all(nc.log(nc.add(nc.mul(a, a), 0.5))), [a]),

@@ -19,7 +19,7 @@ FLOOR = 1e-3
 def finite_difference_check(
     loss_fn: Callable[[], Tensor],
     params: Sequence[Parameter],
-    max_coords_per_tensor: int = 64,
+    max_coords_per_tensor: int,
 ) -> float:
     """Max relative error between tape gradients and central differences.
 

@@ -94,34 +94,32 @@ def matmul(a, b) -> Tensor:
     return out
 
 
-def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """The parts joined along the last axis."""
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat of zero tensors")
     try:
-        out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+        out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
     except ValueError as exc:
         raise ShapeError(f"concat: {[p.shape for p in parts]}") from exc
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+    splits = np.cumsum([p.data.shape[-1] for p in parts])[:-1]
 
     def backward(gs):
-        return tuple(np.split(gs[0], splits, axis=axis))
+        return tuple(np.split(gs[0], splits, axis=-1))
 
     record(tuple(parts), (out,), backward)
     return out
 
 
-def slice_axis(x: Tensor, start: int, stop: int, axis: int = -1) -> Tensor:
+def slice_axis(x: Tensor, start: int, stop: int) -> Tensor:
+    """Columns ``start:stop`` of the last axis."""
     x = as_tensor(x)
-    index = [slice(None)] * x.data.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
-    out = Tensor(x.data[index])
+    out = Tensor(x.data[..., start:stop])
 
     def backward(gs):
         g = np.zeros_like(x.data)
-        g[index] = gs[0]
+        g[..., start:stop] = gs[0]
         return (g,)
 
     record((x,), (out,), backward)
@@ -162,17 +160,17 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax; rows along ``axis`` sum to 1."""
+def softmax(x: Tensor) -> Tensor:
+    """Numerically stable softmax; rows along the last axis sum to 1."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(p)
 
     def backward(gs):
         g = gs[0]
-        dot = (g * p).sum(axis=axis, keepdims=True)
+        dot = (g * p).sum(axis=-1, keepdims=True)
         return ((g - dot) * p,)
 
     record((x,), (out,), backward)

@@ -20,14 +20,13 @@ BLOCK = 32768
 class AdamW:
     """theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta).
 
-    Defaults follow the training setup: lr 0.0003 and weight decay 0.01;
     beta1 0.9, beta2 0.999 and eps 1e-8 are fixed. A missing gradient counts
     as zero, so weight decay still applies to untouched parameters.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: Sequence[Parameter], lr: float = 3e-4, weight_decay: float = 0.01):
+    def __init__(self, params: Sequence[Parameter], lr: float, weight_decay: float):
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay

@@ -57,7 +57,7 @@ def emit_report(
     if bounded:
         print()
         print(f"METEOR is a lower bound on {len(bounded)} pair(s): the alignment search "
-              "ran out of nodes (see meteor_bounded)")
+              "ran out of its budget (see meteor_bounded)")
     if path:
         try:
             with replace_on_success(path, "w", encoding="utf-8") as fh:

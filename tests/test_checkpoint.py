@@ -194,6 +194,12 @@ def _edit_first_param_line(line):
     return edit
 
 
+def _swap_eos_with_next_token(header, params):
+    tokens = header["vocabulary"]
+    tokens[3], tokens[4] = tokens[4], tokens[3]
+    return header, params
+
+
 def _edit_first_value(value):
     def edit(header, params):
         line, values = params.split(b"\n", 1)
@@ -216,10 +222,11 @@ def _edit_first_value(value):
         _edit_first_value(-np.inf),
         _edit_header(embed_dim=True),
         _edit_header(dropout=True),
+        _swap_eos_with_next_token,
     ],
     ids=["missing-embed-dim", "string-dim", "negative-dim", "hyperparameters-not-object",
          "negative-shape", "huge-shape", "width-disagrees-with-arrays", "nan-value",
-         "infinite-value", "bool-int", "bool-float"],
+         "infinite-value", "bool-int", "bool-float", "reserved-tokens-reordered"],
 )
 def test_corrupt_header_exits_one_line(tmp_path, capsys, vocab, ex_model, edit):
     from eacs.cli import main

@@ -162,6 +162,39 @@ class TestEvaluate:
         assert code == 2
         assert "codes" in err
 
+    @staticmethod
+    def _codes(path, line_counts):
+        path.write_text("".join(
+            json.dumps({"code": "\n".join(["a++;"] * lines), "comment": "count ."}) + "\n"
+            for lines in line_counts
+        ))
+        return str(path)
+
+    def test_code_buckets_count_snippet_lines(self, capsys, tmp_path):
+        refs = tmp_path / "refs.txt"
+        refs.write_text("a b\nc d\ne f\n")
+        codes = self._codes(tmp_path / "codes.jsonl", [3, 12, 4])
+        report_path = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "evaluate", "--refs", str(refs), "--hyps", str(refs),
+            "--buckets", "code", "--codes", codes, "--out", str(report_path),
+        )
+        assert (code, err) == (0, "")
+        buckets = json.loads(report_path.read_text())["buckets"]
+        assert {k: v["n_samples"] for k, v in buckets.items()} == {"code 1-10": 2, "code 11-20": 1}
+        assert "code 11-20" in out
+
+    def test_codes_of_another_pair_count_fail(self, capsys, tmp_path):
+        refs = tmp_path / "refs.txt"
+        refs.write_text("a b\nc d\n")
+        codes = self._codes(tmp_path / "codes.jsonl", [3, 12, 4])
+        code, _, err = run(
+            capsys, "evaluate", "--refs", str(refs), "--hyps", str(refs),
+            "--buckets", "code", "--codes", codes, "--out", str(tmp_path / "report.json"),
+        )
+        assert code == 1
+        assert err.startswith("eacs evaluate: error:") and len(err.strip().splitlines()) == 1
+
     def test_degenerate_hypotheses_finish(self, capsys, tmp_path):
         # A 40-fold repeated token and a 22-token exact copy: both hung the
         # old exponential METEOR alignment.
@@ -284,9 +317,25 @@ class TestEvaluateRuns:
         assert low <= m - chunks == 13 <= high
         counts = [line for line in out.splitlines() if "lower bound" in line]
         assert counts == [
-            "METEOR is a lower bound on 2 pair(s): the alignment search ran out of nodes "
+            "METEOR is a lower bound on 2 pair(s): the alignment search ran out of its budget "
             "(see meteor_bounded)"
         ]
+
+    def test_long_repetitive_pair_spends_the_packing_budget(self, tmp_path):
+        # 6,000 tokens over two: listing every common block would take
+        # minutes and gigabytes; the packing stops at PACK_STEPS steps.
+        rng = np.random.default_rng(6000)
+        pair = [["ab"[i] for i in rng.integers(0, 2, 6000)] for _ in range(2)]
+        refs = _write_lines(tmp_path / "refs.txt", pair[:1])
+        hyps = _write_lines(tmp_path / "hyps.txt", pair[1:])
+        report_path = tmp_path / "report.json"
+        code, _, err, seconds = _fresh_evaluate(
+            ["--refs", refs, "--hyps", hyps, "--out", str(report_path)], timeout=30)
+        assert (code, err) == (0, "")
+        assert seconds < 2.0
+        [entry] = json.loads(report_path.read_text())["meteor_bounded"]
+        assert (entry["file"], entry["index"]) == ("hyps", 0)
+        assert entry["links"][0] < entry["links"][1]
 
     def test_runs_in_one_process_match_fresh_processes(self, capsys, tmp_path):
         # Reference profiles live for one run. Two runs on different reference

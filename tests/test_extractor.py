@@ -191,7 +191,7 @@ class TestPredict:
     def test_all_positive_returns_everything(self, toy_corpus):
         from eacs.corpus import build_vocabulary
 
-        vocab = build_vocabulary(toy_corpus, max_size=40)
+        vocab = build_vocabulary(toy_corpus, min_freq=1, max_size=40)
         model = self._forced([-5.0, 5.0])
         statements, indices = predict_important(segment(self.CODE, "java"), model, vocab)
         assert len(statements) == 3
@@ -200,7 +200,7 @@ class TestPredict:
     def test_all_negative_falls_back_to_best_single(self, toy_corpus):
         from eacs.corpus import build_vocabulary
 
-        vocab = build_vocabulary(toy_corpus, max_size=40)
+        vocab = build_vocabulary(toy_corpus, min_freq=1, max_size=40)
         model = self._forced([5.0, -5.0])
         statements, indices = predict_important(segment(self.CODE, "java"), model, vocab)
         assert len(statements) == 1
@@ -208,7 +208,7 @@ class TestPredict:
     def test_exact_tie_resolves_to_label_zero(self, toy_corpus):
         from eacs.corpus import build_vocabulary
 
-        vocab = build_vocabulary(toy_corpus, max_size=40)
+        vocab = build_vocabulary(toy_corpus, min_freq=1, max_size=40)
         model = self._forced([0.0, 0.0])  # every row is exactly [0.5, 0.5]
         _, indices = predict_important(segment(self.CODE, "java"), model, vocab)
         assert len(indices) == 1  # fallback, not all three

@@ -204,7 +204,7 @@ class TestPackedLinks:
     @given(repetitive_pairs(["ab", "abc", "abcdefghij"], 40), st.integers(1, 40))
     @settings(max_examples=400, deadline=None)
     def test_matches_rescanning_packing(self, pair, upper):
-        assert M._packed_links(*pair, upper) == packed_links_reference(*pair, upper)
+        assert M._packed_links(*pair, upper) == (packed_links_reference(*pair, upper), True)
 
     def test_random_long_pairs(self):
         rng = np.random.default_rng(7)
@@ -213,7 +213,7 @@ class TestPackedLinks:
             r, g = ([alphabet[i] for i in rng.integers(0, len(alphabet), rng.integers(1, 60))]
                     for _ in range(2))
             upper = int(rng.integers(1, 60))
-            assert M._packed_links(r, g, upper) == packed_links_reference(r, g, upper)
+            assert M._packed_links(r, g, upper) == (packed_links_reference(r, g, upper), True)
 
 
 class TestBruteForceEquivalence:
@@ -333,16 +333,16 @@ class TestEvaluateCorpus:
 
     def test_comment_buckets(self):
         refs = [["a"] * 3, ["b"] * 8, ["c"] * 12]
-        report = M.evaluate_corpus(refs, refs, buckets=M.BucketSpec(kind="comment"))
+        report = M.evaluate_corpus(refs, refs, buckets=("comment", [3, 8, 12]))
         assert set(report.buckets) == {"comment 1-5", "comment 6-10", "comment 11-15"}
         assert len(report.buckets["comment 1-5"].scores["bleu"]) == 1
 
     def test_code_buckets_need_lengths(self):
-        with pytest.raises(ShapeError):
-            M.evaluate_corpus([["a"]], [["a"]], buckets=M.BucketSpec(kind="code"))
-        report = M.evaluate_corpus(
-            [["a"]], [["a"]], buckets=M.BucketSpec(kind="code", lengths=[25])
-        )
+        # One line count per pair: a --codes corpus of another size is rejected.
+        for lengths in ([], [25, 25]):
+            with pytest.raises(ShapeError):
+                M.evaluate_corpus([["a"]], [["a"]], buckets=("code", lengths))
+        report = M.evaluate_corpus([["a"]], [["a"]], buckets=("code", [25]))
         assert list(report.buckets) == ["code 21-30"]
 
     def test_order_independence(self):
@@ -424,10 +424,21 @@ class TestSearchBudget:
         low, high = bounded[0]
         assert low <= m - exact[1] <= high
 
+    def test_spent_packing_keeps_its_links_and_skips_the_search(self, monkeypatch):
+        assert M._packed_links(*self.HARD, 17) == (11, True)
+        monkeypatch.setattr(M, "PACK_STEPS", 250)  # spent in the packing's rounds
+        assert M._packed_links(*self.HARD, 17) == (10, False)
+        monkeypatch.setattr(M, "SEARCH_NODES", 10**7)  # the search would find 13 links
+        bounded = []
+        assert M.alignment_stats(*self.HARD, None, bounded) == (18, 18 - 10)
+        assert bounded == [(10, 17)]
+        monkeypatch.setattr(M, "PACK_STEPS", 100)  # spent while listing the blocks
+        assert M._packed_links(*self.HARD, 17) == (0, False)
+
     def test_bounded_pairs_are_recorded_by_index(self):
         refs = [list("ab"), self.HARD[0], list("ab")]
         hyps = [list("ab"), self.HARD[1], list("ba")]
-        report = M.evaluate_corpus(refs, hyps, buckets=M.BucketSpec(kind="comment"))
+        report = M.evaluate_corpus(refs, hyps, buckets=("comment", [len(r) for r in refs]))
         record = report.to_record()
         assert record["meteor_bounded"] == [{"index": 1, "links": [11, 17]}]
         assert all("meteor_bounded" not in sub for sub in record["buckets"].values())

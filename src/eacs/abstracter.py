@@ -291,9 +291,9 @@ def generate_summary(
     ex_vocab: Vocabulary,
     abstracter: AbstracterModel,
     ab_vocab: Vocabulary,
-    language: str = "java",
-    max_len: int = 30,
-    beam_width: int = 1,
+    language: str,
+    max_len: int,
+    beam_width: int,
 ) -> DecodeResult:
     """Deployment path: extract important statements, then decode a summary."""
     if ex_vocab != ab_vocab:

@@ -13,7 +13,7 @@ other threads never records.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -75,6 +75,18 @@ def as_tensor(x, like: Optional[np.ndarray] = None) -> Tensor:
     return Tensor(arr)
 
 
+class RowGrad(NamedTuple):
+    """A gradient that is zero outside some rows: row ``rows[k]`` is ``values[k]``.
+
+    ``rows`` are distinct, and no value is -0.0. The tape adds it into one
+    dense buffer per tensor, so a table read by several lookups holds one
+    table-sized gradient instead of one per lookup.
+    """
+
+    rows: np.ndarray
+    values: np.ndarray
+
+
 class _Node:
     __slots__ = ("inputs", "outputs", "backward")
 
@@ -120,18 +132,30 @@ class Tape:
         ``.grad``, or added to the ``.grad`` it has. Parameters passed in
         ``params`` that the loss never touched get explicit zero gradients.
 
+        Each node's backward closure is dropped once it has run, so the
+        arrays it saved are freed as the pass goes; the nodes stay in
+        ``nodes``, and a tape runs backward once.
+
         Gradient arrays are handed over without a copy, so two leaves may
-        share one array (both operands of ``add`` do). Treat ``.grad`` as
+        share one array (both operands of ``add`` do). The tape writes in
+        place only into buffers it allocated: the one dense buffer a tensor
+        gets for its :class:`RowGrad` gradients. Treat ``.grad`` as
         read-only: accumulate with ``grad + g``, never in place.
         """
         if loss.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
-        # id -> (tensor, gradient). The seed names no tensor, so a loss that
-        # no node consumed gets no .grad.
-        grads: dict[int, tuple[Optional[Tensor], np.ndarray]] = {
-            id(loss): (None, np.ones_like(loss.data))
-        }
+        if self.nodes and self.nodes[-1].backward is None:
+            raise RuntimeError("backward already ran on this tape")
+        # id -> [tensor, gradient, owned]. The seed names no tensor, so a loss
+        # that no node consumed gets no .grad.
+        grads: dict[int, list] = {id(loss): [None, np.ones_like(loss.data), False]}
         for node in reversed(self.nodes):
+            # The closure is freed when `backward` is rebound for the next
+            # node, after this node's gradients are accumulated. Freed before
+            # them, its arrays went back to the heap in an order that cost a
+            # desk LSTM call about 2,500 page faults under the CLI's malloc
+            # thresholds (tests/test_cli.py::TestAllocator), against none.
+            backward, node.backward = node.backward, None
             out_grads = [grads.pop(id(o), (None, None))[1] for o in node.outputs]
             if all(g is None for g in out_grads):
                 continue
@@ -139,18 +163,36 @@ class Tape:
                 g if g is not None else np.zeros_like(o.data)
                 for g, o in zip(out_grads, node.outputs)
             ]
-            in_grads = node.backward(out_grads)
+            in_grads = backward(out_grads)
             for t, g in zip(node.inputs, in_grads):
-                if g is None or not t.requires_grad:
-                    continue
-                seen = grads.get(id(t))
-                grads[id(t)] = (t, g if seen is None else seen[1] + g)
-        for t, g in grads.values():
+                if g is not None and t.requires_grad:
+                    _accumulate(grads, t, g)
+        for t, g, _ in grads.values():
             if t is not None:
                 t.grad = g if t.grad is None else t.grad + g
         for p in params:
             if p.grad is None:
                 p.grad = np.zeros_like(p.data)
+
+
+def _accumulate(grads: dict[int, list], t: Tensor, g) -> None:
+    """Add ``g`` to ``t``'s entry in ``grads``, with the bits of ``seen + g`` in tape order.
+
+    A :class:`RowGrad` goes into a dense buffer the tape owns, in place when
+    the entry already is one. An owned buffer holds no -0.0: it starts as a
+    RowGrad written into +0.0 zeros, or as a sum with such a buffer, and
+    x + y is -0.0 only when both are. So leaving its other rows alone gives
+    the bits of adding their +0.0. An array from an op is never written.
+    """
+    seen = grads.get(id(t))
+    if not isinstance(g, RowGrad):
+        grads[id(t)] = [t, g, False] if seen is None else [t, seen[1] + g, seen[2]]
+    elif seen is not None and seen[2]:
+        seen[1][g.rows] += g.values
+    else:
+        dense = np.zeros_like(t.data)
+        dense[g.rows] = g.values
+        grads[id(t)] = [t, dense if seen is None else seen[1] + dense, True]
 
 
 def record(

@@ -388,7 +388,7 @@ class TestGeneration:
         other = Vocabulary(list(RESERVED_TOKENS) + ["different"])
         with pytest.raises(VocabMismatch):
             generate_summary(
-                toy_corpus[0].code, ex.model, ex.vocab, ab.model, other, "java"
+                toy_corpus[0].code, ex.model, ex.vocab, ab.model, other, "java", 30, 1
             )
 
 
@@ -448,7 +448,7 @@ class TestOverfitGeneration:
         exact = 0
         for pair, s in zip(toy_corpus, samples):
             out = generate_summary(
-                pair.code, ex.model, ex.vocab, ab.model, ab.vocab, "java", max_len=20
+                pair.code, ex.model, ex.vocab, ab.model, ab.vocab, "java", max_len=20, beam_width=1
             )
             if out.tokens == ex.vocab.decode(s.comment_ids):
                 exact += 1
@@ -458,7 +458,7 @@ class TestOverfitGeneration:
         ex, ab = overfit_run.extractor, overfit_run.abstracter
         for pair in list(toy_corpus)[:8]:
             greedy = generate_summary(
-                pair.code, ex.model, ex.vocab, ab.model, ab.vocab, "java", max_len=20
+                pair.code, ex.model, ex.vocab, ab.model, ab.vocab, "java", max_len=20, beam_width=1
             )
             beam = generate_summary(
                 pair.code, ex.model, ex.vocab, ab.model, ab.vocab, "java",

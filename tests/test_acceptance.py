@@ -147,7 +147,7 @@ def test_criterion_5_overfit_capability(overfit_run, toy_corpus):
         exact = 0
         for pair, s in zip(toy_corpus, ab_samples):
             out = generate_summary(
-                pair.code, ex.model, ex.vocab, ab.model, ab.vocab, "java", max_len=20
+                pair.code, ex.model, ex.vocab, ab.model, ab.vocab, "java", max_len=20, beam_width=1
             )
             exact += out.tokens == ex.vocab.decode(s.comment_ids)
         assert exact / len(ab_samples) >= 0.90

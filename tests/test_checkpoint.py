@@ -106,7 +106,7 @@ class TestRoundTrip:
         for which in (0, 1):
             ex, _ = load_model(str(paths["extractor"][which]), "extractor")
             ab, _ = load_model(str(paths["abstracter"][which]), "abstracter")
-            summaries.append([generate_summary(code, ex, vocab, ab, vocab, beam_width=width)
+            summaries.append([generate_summary(code, ex, vocab, ab, vocab, "java", 30, width)
                               for width in (1, 4)])
         assert summaries[0] == summaries[1]
 

@@ -272,7 +272,8 @@ class TestScatterBits:
     """The backward of ``embedding_lookup`` and ``gather_rows`` scatters over
     flat positions, yet equals the row-indexed ``np.add.at`` bit for bit
     (``tests.oracles.scatter_add_reference``): the same adds in the same
-    order, repeated ids and signed zeros included."""
+    order, repeated ids and signed zeros included. ``embedding_lookup``
+    returns its rows only; written into zeros, they are the dense scatter."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -293,7 +294,10 @@ class TestScatterBits:
         g = rng.normal(0, 1, out.shape).astype(dtype)
         if zero_rows is not None:
             g[rng.random(ids_shape) < 0.5] = zero_rows
-        got = tape.nodes[-1].backward([g])[0]
+        rows, values = tape.nodes[-1].backward([g])[0]
+        assert np.array_equal(rows, np.unique(ids))
+        got = np.zeros_like(table.data)
+        got[rows] = values
         want = scatter_add_reference(table.data, ids.reshape(-1), g.reshape(-1, width))
         assert got.dtype == want.dtype and np.array_equal(_bits(got), _bits(want))
 
@@ -307,6 +311,67 @@ class TestScatterBits:
         got = tape.nodes[-1].backward([g])[0]
         want = scatter_add_reference(x.data, (np.arange(rows.size), rows), g)
         assert got.dtype == want.dtype and np.array_equal(_bits(got), _bits(want))
+
+
+class TestRowGradBuffer:
+    """A table read by several lookups gets one dense gradient buffer, which
+    the tape adds each lookup's rows into in place, yet every leaf's ``.grad``
+    equals the dense sum in tape order bit for bit, signed zeros included."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        add_at=st.integers(0, 3),
+        zeros=st.sampled_from([0.0, -0.0]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_grads_match_dense_sum_in_tape_order(self, seed, add_at, zeros, dtype):
+        rng = np.random.default_rng(seed)
+        vocab, width = 9, 3
+        table = nc.Parameter("table", rng.normal(0, 1, (vocab, width)).astype(dtype))
+        other = nc.Parameter("other", rng.normal(0, 1, (vocab, width)).astype(dtype))
+        # Ids repeat within and across the three lookups; each leaves rows out.
+        ids = [rng.integers(0, vocab - 2, n) for n in (5, 12, 7)]
+
+        def weights(shape):
+            w = rng.normal(0, 1, shape).astype(dtype)
+            w[rng.random(shape) < 0.3] = zeros
+            return w
+
+        lookup_w = [weights(i.shape + (width,)) for i in ids]
+        add_w = weights((vocab, width))
+        contributions = [scatter_add_reference(table.data, i, w) for i, w in zip(ids, lookup_w)]
+        contributions.insert(add_at, add_w)
+        reads = list(zip(ids, lookup_w))
+        reads.insert(add_at, None)  # add hands one gradient array to both operands
+        with nc.Tape() as tape:
+            terms = [
+                nc.mul(nc.add(table, other), add_w) if read is None
+                else nc.mul(nc.embedding_lookup(table, read[0]), read[1])
+                for read in reads
+            ]
+            tape.backward(nc.sum_all(nc.concat([nc.reshape(t, (-1,)) for t in terms])))
+        want = None
+        for g in reversed(contributions):  # backward reaches the last reader first
+            want = g if want is None else want + g
+        assert table.grad.dtype == want.dtype and np.array_equal(_bits(table.grad), _bits(want))
+        assert np.array_equal(_bits(other.grad), _bits(add_w))
+
+    def test_backward_peak_holds_one_table_gradient(self):
+        tracemalloc = pytest.importorskip("tracemalloc")
+        vocab, width = 20_000, 16
+        rng = np.random.default_rng(3)
+        table = nc.Parameter("table", rng.normal(0, 1, (vocab, width)).astype(np.float32))
+        with nc.Tape() as tape:
+            reads = [nc.embedding_lookup(table, rng.integers(0, vocab, 300)) for _ in range(3)]
+            loss = nc.sum_all(nc.concat(reads))
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * table.data.nbytes, peak
 
 
 class TestBackward:
@@ -355,6 +420,16 @@ class TestBackward:
             y = nc.mul(x, x)
             with pytest.raises(ShapeError):
                 tape.backward(y)
+
+    def test_tape_runs_backward_once(self):
+        x = nc.Parameter("x", np.array([2.0]))
+        with nc.Tape() as tape:
+            loss = nc.sum_all(nc.mul(x, x))
+            tape.backward(loss)
+            assert len(tape.nodes) == 2 and all(node.backward is None for node in tape.nodes)
+            with pytest.raises(RuntimeError):
+                tape.backward(loss)
+        assert x.grad.tolist() == [4.0]
 
     def test_reused_tensor_accumulates(self):
         x = nc.Parameter("x", np.array([2.0]))

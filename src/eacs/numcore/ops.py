@@ -306,7 +306,7 @@ _NO_START = Tensor(np.zeros(0))
 
 
 def _batch_major(a: np.ndarray, back) -> np.ndarray:
-    """Time-major (T, B, ...) rows in run order as a C-contiguous (B, T, ...) in input order."""
+    """Time-major (T, B, ...) rows in sorted order as a C-contiguous (B, T, ...) in input order."""
     a = a.swapaxes(0, 1)
     # Fancy indexing gathers from the strided view; np.take would copy it first.
     return np.ascontiguousarray(a) if isinstance(back, slice) else a[back]
@@ -345,8 +345,14 @@ def lstm_over(
     sequence at step t are a prefix. The states are time-major (T+1, B, H),
     so each step reads and writes contiguous blocks, and the input
     projection is one GEMM over the live (t, row) pairs only, packed
-    time-major. Forward keeps no gates: each step writes them into one
-    (B, 4H) scratch, and backward rebuilds them from the saved tanh values.
+    time-major. Forward steps in runs of steps with one live count: one run
+    for a batch without padding, and one per distinct length (plus one if
+    no sequence fills all T steps) for a ragged batch. A run takes its
+    views of the packed rows, the states and the scratch once, so each of
+    its steps only calls ufuncs, and the rows that have finished carry
+    their state by one block copy per run. Forward keeps no gates: each step
+    writes them into one (B, 4H) scratch, and backward rebuilds them from
+    the saved tanh values.
     Backward runs BPTT in one loop, collecting dz as (B*T, 4H), then forms
     dx, dWx, dWh and db with one GEMM or reduction each (Appleyard et al.,
     arXiv 1604.01946).
@@ -377,11 +383,13 @@ def lstm_over(
             f"h0{shape(h0)} c0{shape(c0)} lengths{np.shape(lengths)}"
         )
     # The live[t] rows still inside their sequence at step t are a prefix of
-    # the run order; `back` restores the input order. Forward steps at least
-    # two rows, so every recurrent product takes the GEMM path, whose rows
-    # do not depend on how many there are.
+    # the sorted order; `back` restores the input order. Forward steps at
+    # least two rows, so every recurrent product takes the GEMM path, whose
+    # rows do not depend on how many there are. `runs` holds (live rows,
+    # first step, end step) for each stretch of steps with one live count.
     order = back = slice(None)
     live = [n] * steps
+    runs = [(n, 0, steps)]
     floor = min(n, 2)
     ragged = False
     if lengths is not None and n:
@@ -393,10 +401,13 @@ def lstm_over(
     if ragged:
         order = np.argsort(-lengths, kind="stable")
         back = np.argsort(order)
-        runs = lengths[order] > np.arange(steps)[:, None]  # (T, B) in run order
-        live = runs.sum(axis=1).tolist()
-        runs[:, :floor] = True
-        rows = (order * steps + np.arange(steps)[:, None])[runs]
+        inside = lengths[order] > np.arange(steps)[:, None]  # (T, B) in sorted order
+        counts = inside.sum(axis=1)
+        live = counts.tolist()
+        cuts = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), steps]
+        runs = [(live[first], first, end) for first, end in zip(cuts, cuts[1:])]
+        inside[:, :floor] = True
+        rows = (order * steps + np.arange(steps)[:, None])[inside]
         xs_run = np.take(xs.reshape(n * steps, width), rows, axis=0)
     else:
         xs_run = xs.swapaxes(0, 1).reshape(n * steps, width)
@@ -414,33 +425,54 @@ def lstm_over(
     hs[0] = 0 if h0 is None else h0.data[order]
     cs[0] = 0 if c0 is None else c0.data[order]
     tcs = np.empty((len(xw), hidden), dtype=dtype)  # tanh(c), packed like xw
-    gates = np.empty((n, 4 * hidden), dtype=dtype)  # one step's i, f, g, o
-    spans = []  # per step: its live rows of xw and tcs
+    gates = np.empty((n, 4 * hidden), dtype=dtype)  # one step's h @ wh, then i, f, g, o
+    w = wh.data
     row = 0
-    for t, k in enumerate(live):
+    for k, first, end in runs:
+        # A run's steps share their row count m, so the run takes its views
+        # once and each step only calls ufuncs, with `out` passed by
+        # position (the keyword costs about 0.1 us a call). A one-step run,
+        # as every decoder step is, takes its views directly: reshaping and
+        # zipping them made such a call about 8% slower.
         m = max(k, floor)
-        a = xw[row : row + m]
-        a += hs[t, :m] @ wh.data
-        a *= scale[:m]
-        np.tanh(a, out=a)
-        step = np.multiply(a, scale[:m], out=gates[:m])
-        step += shift[:m]
+        stop = row + (end - first) * m
+        step, sc, sh = gates[:m], scale[:m], shift[:m]
         i, f, g, o = step[:, ci], step[:, cf], step[:, cg], step[:, co]
-        c = np.multiply(f, cs[t, :m], out=cs[t + 1, :m])
-        c += i * g
-        tc = np.tanh(c, out=tcs[row : row + m])
-        np.multiply(o, tc, out=hs[t + 1, :m])
+        h, c = hs[first, :m], cs[first, :m]
+        if end - first == 1:
+            run = ((xw[row:stop], tcs[row:stop], hs[end, :m], cs[end, :m]),)
+        else:
+            run = zip(
+                xw[row:stop].reshape(end - first, m, 4 * hidden),
+                tcs[row:stop].reshape(end - first, m, hidden),
+                hs[first + 1 : end + 1, :m],
+                cs[first + 1 : end + 1, :m],
+            )
+        for a, tc, h_next, c_next in run:
+            np.matmul(h, w, step)
+            a += step
+            a *= sc
+            np.tanh(a, a)
+            np.multiply(a, sc, step)
+            step += sh
+            np.multiply(f, c, c_next)
+            np.multiply(i, g, tc)  # i * g, until tanh(c) overwrites it
+            c_next += tc
+            np.tanh(c_next, tc)
+            np.multiply(o, tc, h_next)
+            h, c = h_next, c_next
         if k < n:
-            # Finished rows, a floor row past its end among them, carry their state.
-            hs[t + 1, k:] = hs[t, k:]
-            cs[t + 1, k:] = cs[t, k:]
-        spans.append(slice(row, row + k))
-        row += m
+            # Finished rows, a floor row past its end among them, carry
+            # their state. A floor row is stepped inside the run from the
+            # state of the step before, but nothing reads its results.
+            hs[first + 1 : end + 1, k:] = hs[first, k:]
+            cs[first + 1 : end + 1, k:] = cs[first, k:]
+        row = stop
     out = Tensor(_batch_major(hs[1:], back) if collect else hs[steps, back].copy())
     c_out = Tensor(cs[steps, back].copy())
 
     def backward(gs):
-        # Elementwise work runs on the live prefix, in run order, of a scratch
+        # Elementwise work runs on the live prefix, in sorted order, of a scratch
         # whose dead rows stay zero. The recurrent product reads a contiguous
         # dz_t in input order over all B rows, as the every-row loop did: the
         # bits of its columns can depend on their count, their position and
@@ -461,11 +493,13 @@ def lstm_over(
         np.subtract(1.0, da, out=da)
         dtanh = tcs * tcs
         np.subtract(1.0, dtanh, out=dtanh)
+        row = len(xw)
         for t in reversed(range(steps)):
             if collect:
                 dh += g_out[:, t]
             k = live[t]
-            live_rows = spans[t]
+            row -= max(k, floor)
+            live_rows = slice(row, row + k)
             step = all_gates[live_rows]
             i, f, g, o = step[:, ci], step[:, cf], step[:, cg], step[:, co]
             tc = tcs[live_rows]

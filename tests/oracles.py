@@ -3,8 +3,9 @@
 Everything here is written from the metric definitions with no shared code:
 full-table LCS, Counter-based n-gram stats, per-type assignment enumeration
 for the METEOR alignment, and a standalone copy of the greedy labeling rule.
-The decoder references drive a model's own ``decode_step`` one hypothesis at
-a time, so they check the batched search and loss, not the model.
+The decoder references run ``decode_step_reference``, the earlier
+lookup-and-concat decoder step that ``decode_step`` must match bit for bit,
+one hypothesis at a time, so they check the batched search and loss.
 ``alignment_reference``, ``packed_links_reference``, ``adamw_reference``,
 ``scatter_add_reference``, ``java_fragments_reference`` and
 ``tokenize_code_reference`` are the earlier, plainer implementations that
@@ -22,6 +23,7 @@ from collections import Counter
 
 import numpy as np
 
+from eacs import numcore as nc
 from eacs.abstracter import LOGPROB_CLAMP, DecodeResult, fuse
 from eacs.corpus import BOS, EOS
 
@@ -277,6 +279,20 @@ def best_subset_informativity(statement_tokens, comment):
     return best
 
 
+def decode_step_reference(model, y_prev, h_prev, c_prev, u):
+    """The earlier ``AbstracterModel.decode_step``: one decoder step over k
+    hypotheses whose input is two embedding lookups joined by ``concat``.
+
+    Takes previous ids (k,), h and c (k, H) and the fused context u (1, H);
+    returns (h, c, distributions over the vocabulary), each with k rows.
+    """
+    emb = nc.embedding_lookup(model.embedding, y_prev)
+    inp = nc.concat([emb, nc.embedding_lookup(u, np.zeros(len(y_prev), np.int64))])
+    h, c = nc.lstm_cell(inp, h_prev, c_prev, model.dec_wx, model.dec_wh, model.dec_b)
+    logits = nc.add(nc.matmul(h, model.out_w), model.out_b)
+    return h, c, nc.softmax(logits)
+
+
 def step_distributions(model, sample):
     """Inference-mode per-step distributions under teacher forcing, one step at a time."""
     e_ex = model.encode_extractive(sample.important_ids)
@@ -284,13 +300,13 @@ def step_distributions(model, sample):
     h, c, u = model.init_decoder(fuse(e_ex, e_ab, model.config.fusion))
     out = []
     for y_prev in sample.comment_ids[:-1]:
-        h, c, probs = model.decode_step(np.array([y_prev]), h, c, u)
+        h, c, probs = decode_step_reference(model, np.array([y_prev]), h, c, u)
         out.append(probs.data[0].copy())
     return out
 
 
 def beam_reference(model, e_fu, vocab, max_len, width):
-    """Beam search that runs ``decode_step`` on one hypothesis at a time."""
+    """Beam search that runs ``decode_step_reference`` on one hypothesis at a time."""
     h0, c0, u = model.init_decoder(e_fu)
     # hypothesis: (ids, step log-probs, total, h, c, finished)
     beams = [((), (), 0.0, h0, c0, False)]
@@ -303,7 +319,7 @@ def beam_reference(model, e_fu, vocab, max_len, width):
                 candidates.append((ids, lps, total, h, c, True))
                 continue
             y_prev = ids[-1] if ids else BOS
-            h2, c2, probs = model.decode_step(np.array([y_prev]), h, c, u)
+            h2, c2, probs = decode_step_reference(model, np.array([y_prev]), h, c, u)
             dist = np.log(np.maximum(probs.data[0], LOGPROB_CLAMP))
             for tok in np.argsort(-dist, kind="stable")[:width]:
                 tok = int(tok)

@@ -20,7 +20,13 @@ from eacs.abstracter import (
 from eacs.corpus import BOS, EOS, PAD, RESERVED_TOKENS, Vocabulary, load_corpus
 from eacs.errors import EmptyInput, ShapeError, VocabMismatch
 
-from .oracles import RecordingRng, adamw_reference, beam_reference, step_distributions
+from .oracles import (
+    RecordingRng,
+    adamw_reference,
+    beam_reference,
+    decode_step_reference,
+    step_distributions,
+)
 
 TINY = AbstracterConfig(embed_dim=8, hidden_dim=8, dropout=0.0, epochs=3, seed=7)
 
@@ -109,7 +115,7 @@ class TestDecodeStep:
             "abex",
         )
         h, c, u = tiny_model.init_decoder(e_fu)
-        h, c, probs = tiny_model.decode_step(np.array([BOS]), h, c, u)
+        h, c, probs = tiny_model.decode_step(np.array([BOS]), h, c, tiny_model.decoder_input(u, 1))
         assert abs(probs.data.sum() - 1.0) < 1e-6
 
     def test_zero_output_projection_is_uniform(self, tiny_model):
@@ -121,7 +127,7 @@ class TestDecodeStep:
             "abex",
         )
         h, c, u = tiny_model.init_decoder(e_fu)
-        _, _, probs = tiny_model.decode_step(np.array([BOS]), h, c, u)
+        _, _, probs = tiny_model.decode_step(np.array([BOS]), h, c, tiny_model.decoder_input(u, 1))
         assert np.allclose(probs.data, 1.0 / 10)
 
     def test_repeat_call_is_deterministic(self, tiny_model):
@@ -131,8 +137,9 @@ class TestDecodeStep:
             "abex",
         )
         h, c, u = tiny_model.init_decoder(e_fu)
-        one = tiny_model.decode_step(np.array([4]), h, c, u)[2].data
-        two = tiny_model.decode_step(np.array([4]), h, c, u)[2].data
+        inp = tiny_model.decoder_input(u, 1)
+        one = tiny_model.decode_step(np.array([4]), h, c, inp)[2].data
+        two = tiny_model.decode_step(np.array([4]), h, c, inp)[2].data
         assert np.array_equal(one, two)
 
     def test_invalid_token_index(self, tiny_model):
@@ -143,7 +150,39 @@ class TestDecodeStep:
         )
         h, c, u = tiny_model.init_decoder(e_fu)
         with pytest.raises(IndexError):
-            tiny_model.decode_step(np.array([99]), h, c, u)
+            tiny_model.decode_step(np.array([99]), h, c, tiny_model.decoder_input(u, 1))
+
+    def test_negative_token_index(self, tiny_model):
+        # np.take would read -1 as the last row.
+        e_fu = fuse(
+            tiny_model.encode_extractive(np.array([4])),
+            tiny_model.encode_abstractive(np.array([5])),
+            "abex",
+        )
+        h, c, u = tiny_model.init_decoder(e_fu)
+        with pytest.raises(IndexError):
+            tiny_model.decode_step(np.array([-1]), h, c, tiny_model.decoder_input(u, 1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_lookup_and_concat_bit_for_bit(self, dtype):
+        # The buffer is written at k = 8 first, so every smaller k reads
+        # rows and columns an earlier step left behind.
+        model = AbstracterModel(10, TINY, np.random.default_rng(3), dtype=dtype)
+        e_fu = fuse(
+            model.encode_extractive(np.array([4, 7])),
+            model.encode_abstractive(np.array([5, 6, 9])),
+            "abex",
+        )
+        _, _, u = model.init_decoder(e_fu)
+        inp = model.decoder_input(u, 8)
+        rng = np.random.default_rng(11)
+        for k in range(8, 0, -1):
+            ids = rng.integers(0, 10, k)
+            h, c = (nc.Tensor(rng.normal(0, 0.5, (k, 8)).astype(dtype)) for _ in range(2))
+            got = model.decode_step(ids, h, c, inp)
+            want = decode_step_reference(model, ids, h, c, u)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype == dtype and np.array_equal(g.data, w.data), k
 
 
 class TestLoss:

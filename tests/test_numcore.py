@@ -171,6 +171,13 @@ class TestLstmOverBits:
     of the packed input projection and the dWh operand (one sequence shorter
     than T, whose packed product must keep two rows; one step, whose dWh
     operand keeps a row stride of 2H) and an extractor-sized token batch.
+
+    Forward steps in runs of steps that share a live count. "runs" lengths
+    are 1, 4 or 7, so steps share a count in runs of three or more. Further
+    examples pin a batch of one over T = 120 (one run of 120 steps), and
+    lengths (4, 1, 1) of T = 7 in both input orders: a length-1 sequence is
+    the floor row, stepped and then carried through a three-step run, and
+    a three-step run has no live row at all.
     """
 
     @given(
@@ -179,7 +186,7 @@ class TestLstmOverBits:
         steps=st.integers(1, 7),
         hidden=st.sampled_from([1, 4, 5, 16, 33, 64]),
         width=st.integers(1, 12),
-        shape=st.sampled_from(["ragged", "equal", "ones"]),
+        shape=st.sampled_from(["ragged", "runs", "equal", "ones"]),
         collect=st.booleans(),
         start=st.booleans(),
         dtype=st.sampled_from([np.float32, np.float64]),
@@ -192,13 +199,24 @@ class TestLstmOverBits:
              start=True, dtype=np.float64)
     @example(seed=101, n=90, steps=30, hidden=64, width=64, shape="ragged", collect=False,
              start=False, dtype=np.float32)
+    @example(seed=5, n=1, steps=120, hidden=64, width=64, shape="equal", collect=False,
+             start=False, dtype=np.float32)
+    @example(seed=5, n=1, steps=120, hidden=64, width=64, shape="equal", collect=False,
+             start=False, dtype=np.float64)
+    # Seed 2 gives lengths (4, 1, 1) and seed 11 gives (1, 1, 4).
+    @example(seed=2, n=3, steps=7, hidden=4, width=3, shape="runs", collect=False,
+             start=False, dtype=np.float64)
+    @example(seed=11, n=3, steps=7, hidden=5, width=3, shape="runs", collect=True,
+             start=True, dtype=np.float32)
     def test_matches_every_row_loop(
         self, seed, n, steps, hidden, width, shape, collect, start, dtype
     ):
         rng = np.random.default_rng(seed)
         draw = lambda *s, scale=1.0: rng.normal(0, scale, s).astype(dtype)
+        ragged = rng.integers(1, steps + 1, n)
         lengths = {
-            "ragged": rng.integers(1, steps + 1, n),
+            "ragged": ragged,
+            "runs": ragged - (ragged - 1) % 3,
             "equal": np.full(n, steps),
             "ones": np.ones(n, dtype=np.int64),
         }[shape]

@@ -30,10 +30,10 @@ def lcs_masks(a: Sequence[Hashable]) -> dict:
     return masks
 
 
-def lcs_len_ids(a: Sequence[Hashable], b: Sequence[Hashable], masks: Optional[dict] = None) -> int:
+def lcs_len_ids(a: Sequence[Hashable], b: Sequence[Hashable], masks: Optional[dict]) -> int:
     """LCS length of two token sequences (strings, ids, anything hashable).
 
-    ``masks`` is ``lcs_masks(a)`` when the caller has it already.
+    ``masks`` is ``lcs_masks(a)`` when the caller has it already, else None.
     """
     if masks is None:
         masks = lcs_masks(a)

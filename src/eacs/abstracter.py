@@ -103,7 +103,7 @@ class AbstracterModel(nc.Model):
         return h0, c0, u
 
     def decode_teacher_forced(
-        self, inputs: Batch, e_fu: nc.Tensor, rng: Optional[np.random.Generator] = None
+        self, inputs: Batch, e_fu: nc.Tensor, rng: Optional[np.random.Generator]
     ) -> nc.Tensor:
         """(B, T, H) decoder states over padded previous-token ids, as one node;
         the embeddings are dropped out with ``rng`` when given."""
@@ -255,10 +255,6 @@ def train_abstracter(
 class DecodeResult:
     tokens: list[str]
     step_log_probs: list[float] = field(default_factory=list)
-
-    @property
-    def total_log_prob(self) -> float:
-        return float(sum(self.step_log_probs))
 
 
 def beam_decode(

@@ -56,16 +56,13 @@ def _read_token_lines(path: str) -> list[list[str]]:
 
 def _config_from_args(args) -> RunConfig:
     overrides = {
-        "epochs": getattr(args, "epochs", None),
-        "seed": getattr(args, "seed", None),
-        "language": getattr(args, "lang", None),
+        "epochs": args.epochs,
+        "seed": args.seed,
+        "language": args.lang,
+        # train-extractor has no --fusion flag.
         "fusion": getattr(args, "fusion", None),
     }
-    return make_run_config(
-        preset=getattr(args, "preset", "desk"),
-        config_path=getattr(args, "config", None),
-        overrides=overrides,
-    )
+    return make_run_config(args.preset, args.config, overrides)
 
 
 def _cmd_segment(args) -> int:
@@ -162,15 +159,15 @@ def _cmd_evaluate(args) -> int:
         buckets = ("code", [len(p.code.splitlines()) for p in load_corpus(args.codes)])
     # Each reference is profiled once, for --hyps and --compare alike.
     profiles = [profile_reference(r) for r in refs]
-    report = evaluate_corpus(refs, hyps, buckets=buckets, profiles=profiles)
+    report = evaluate_corpus(refs, hyps, profiles, buckets)
     for entry in report.meteor_bounded:
         entry["file"] = "hyps"
     compare = None
     if args.compare:
-        other = evaluate_corpus(refs, _read_token_lines(args.compare), profiles=profiles)
+        other = evaluate_corpus(refs, _read_token_lines(args.compare), profiles)
         compare = {k: mann_whitney_u_test(v, other.scores[k]) for k, v in report.scores.items()}
         report.meteor_bounded += [dict(entry, file="compare") for entry in other.meteor_bounded]
-    emit_report(report, compare=compare, path=args.out)
+    emit_report(report, compare, args.out)
     return 0
 
 
@@ -180,7 +177,7 @@ def _cmd_gradcheck(args) -> int:
     if args.max_coords < 1:
         raise UsageError(f"--max-coords must be >= 1, got {args.max_coords}")
     failures = 0
-    for res in run_all(max_coords=args.max_coords):
+    for res in run_all(args.max_coords):
         status = "PASS" if res.passed else "FAIL"
         failures += not res.passed
         print(f"{status}  {res.name:<18} max_rel_err={res.max_rel_error:.3e}  tol={TOLERANCE:g}")

@@ -127,18 +127,14 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def make_run_config(
-    preset: str = "desk",
-    config_path: Optional[str] = None,
-    overrides: Optional[dict] = None,
-) -> RunConfig:
-    """Layer preset < config file < explicit flags."""
+def make_run_config(preset: str, config_path: Optional[str], overrides: dict) -> RunConfig:
+    """Layer preset < config file < explicit flags; a None override is unset."""
     if preset not in PRESETS:
         raise UsageError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
     values = dict(PRESETS[preset])
     if config_path:
         values.update(parse_config_file(config_path))
-    for key, val in (overrides or {}).items():
+    for key, val in overrides.items():
         if val is None:
             continue
         if key not in FIELD_TYPES:

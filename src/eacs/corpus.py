@@ -135,9 +135,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.index_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_index
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Vocabulary) and self.index_to_token == other.index_to_token
 

@@ -150,7 +150,7 @@ def abstracter_loss_check() -> tuple[str, Callable[[], nc.Tensor], list[nc.Param
     return "abstracter_loss", loss_fn, model.parameters()
 
 
-def run_all(max_coords: int = 48) -> list[CheckResult]:
+def run_all(max_coords: int) -> list[CheckResult]:
     checks = op_checks() + [extractor_loss_check(), abstracter_loss_check()]
     results = []
     for name, loss_fn, params in checks:

@@ -74,8 +74,9 @@ def rouge_l(r: TokenSeq, g: TokenSeq, masks: Optional[dict] = None) -> float:
     return (1.0 + b2) * r_lcs * p_lcs / (r_lcs + b2 * p_lcs)
 
 
-def rouge_l_recall(r: TokenSeq, g: TokenSeq, masks: Optional[dict] = None) -> float:
-    """LCS recall: LCS(r, g) / |r|. The informativity measure of the oracle."""
+def rouge_l_recall(r: TokenSeq, g: TokenSeq, masks: dict) -> float:
+    """LCS recall: LCS(r, g) / |r|, the informativity measure of the oracle;
+    ``masks`` is ``_kernels.lcs_masks(r)``."""
     if not r:
         raise EmptyInput("rouge_l_recall requires a non-empty reference")
     if not g:
@@ -154,10 +155,7 @@ def bleu4(r: TokenSeq, g: TokenSeq, stats: Optional[Sequence[tuple[int, int]]] =
 
 
 def alignment_stats(
-    r: TokenSeq,
-    g: TokenSeq,
-    counts: Optional[tuple[int, int]] = None,
-    bounded: Optional[list] = None,
+    r: TokenSeq, g: TokenSeq, counts: Optional[tuple[int, int]], bounded: Optional[list]
 ) -> tuple[int, int]:
     """Exact-match alignment statistics for METEOR: (matches, chunks).
 
@@ -511,23 +509,17 @@ class MetricReport:
 
 
 def score_pair(
-    r: TokenSeq,
-    g: TokenSeq,
-    profile: Optional[RefProfile] = None,
-    bounded: Optional[list] = None,
+    r: TokenSeq, g: TokenSeq, profile: RefProfile, bounded: Optional[list]
 ) -> tuple[float, float, float]:
     """BLEU-4, METEOR and ROUGE-L of one pair; an empty hypothesis scores 0
     on all three (an empty reference still raises :class:`EmptyInput`).
 
-    ``profile`` is ``profile_reference(r)``, when the caller has it. The
-    hypothesis's n-grams are counted once: BLEU's clipped unigram and bigram
-    matches are METEOR's m and bigram bound. ``bounded`` goes to
-    :func:`alignment_stats`.
+    ``profile`` is ``profile_reference(r)``. The hypothesis's n-grams are
+    counted once: BLEU's clipped unigram and bigram matches are METEOR's m
+    and bigram bound. ``bounded`` goes to :func:`alignment_stats`.
     """
     if r and not g:
         return 0.0, 0.0, 0.0
-    if profile is None:
-        profile = profile_reference(r)
     stats = profile.ngram_stats(g)
     return (
         bleu4(r, g, stats),
@@ -539,8 +531,8 @@ def score_pair(
 def evaluate_corpus(
     refs: Sequence[TokenSeq],
     hyps: Sequence[TokenSeq],
+    profiles: Sequence[RefProfile],
     buckets: Optional[tuple[str, Sequence[int]]] = None,
-    profiles: Optional[Sequence[RefProfile]] = None,
 ) -> MetricReport:
     """Score each (reference, hypothesis) pair and aggregate.
 
@@ -557,9 +549,7 @@ def evaluate_corpus(
         raise EmptyInput("evaluate_corpus needs at least one pair")
     if buckets is not None and len(buckets[1]) != len(refs):
         raise ShapeError(f"{len(buckets[1])} bucket lengths vs {len(refs)} pairs")
-    if profiles is None:
-        profiles = [profile_reference(r) for r in refs]
-    elif len(profiles) != len(refs):
+    if len(profiles) != len(refs):
         raise ShapeError(f"{len(refs)} references vs {len(profiles)} profiles")
     rows, meteor_bounded, found = [], [], []
     for i, (r, g, profile) in enumerate(zip(refs, hyps, profiles)):

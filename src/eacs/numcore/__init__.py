@@ -40,14 +40,14 @@ def rng_streams(seed: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
 
 
-def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
+def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.ndarray:
     fan_in, fan_out = shape[0], shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
 def init_parameters(
-    shapes: dict[str, tuple[int, ...]], rng: np.random.Generator, dtype=np.float32
+    shapes: dict[str, tuple[int, ...]], rng: np.random.Generator, dtype
 ) -> list[Parameter]:
     """Parameters in declaration order: Xavier-uniform matrices, zero vectors."""
     params = []

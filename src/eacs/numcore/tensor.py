@@ -45,9 +45,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
@@ -122,7 +119,7 @@ class Tape:
         stack = getattr(_tls, "stack", None)
         return stack[-1] if stack else None
 
-    def backward(self, loss: Tensor, params: Sequence[Tensor] = ()) -> None:
+    def backward(self, loss: Tensor, params: Sequence[Tensor]) -> None:
         """Reverse-accumulate gradients of a scalar loss into leaf tensors.
 
         One pass over the nodes, last first: a node's output gradients are

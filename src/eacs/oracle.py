@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ._kernels import lcs_masks
 from .metrics import rouge_l_recall
@@ -32,15 +32,12 @@ class LabeledSnippet:
 
 
 def informativity(
-    selected: Sequence[int],
-    snippet: SegmentedSnippet,
-    comment: Sequence[str],
-    masks: Optional[dict] = None,
+    selected: Sequence[int], snippet: SegmentedSnippet, comment: Sequence[str], masks: dict
 ) -> float:
     """LCS recall of the selected statements, concatenated in source order.
 
     ``selected`` lists distinct statement indices in ascending order.
-    ``masks`` is ``_kernels.lcs_masks(comment)``, when the caller has it.
+    ``masks`` is ``_kernels.lcs_masks(comment)``.
     """
     tokens: list[str] = []
     for i in selected:

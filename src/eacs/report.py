@@ -39,9 +39,7 @@ def format_significance(compare: dict[str, SignificanceResult]) -> str:
 
 
 def emit_report(
-    report: MetricReport,
-    compare: Optional[dict[str, SignificanceResult]] = None,
-    path: Optional[str] = None,
+    report: MetricReport, compare: Optional[dict[str, SignificanceResult]], path: str
 ) -> None:
     """Print the aligned table (and bucket sub-tables) and write the record file."""
     record = report.to_record()

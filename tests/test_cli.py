@@ -313,7 +313,7 @@ class TestEvaluateRuns:
         assert [(e["file"], e["index"]) for e in bounded] == [("hyps", 0), ("hyps", 1)]
         low, high = bounded[1]["links"]
         monkeypatch.setattr(metrics, "SEARCH_NODES", 10**7)
-        m, chunks = metrics.alignment_stats(*map(list, self.HARD[1]))
+        m, chunks = metrics.alignment_stats(*map(list, self.HARD[1]), None, None)
         assert low <= m - chunks == 13 <= high
         counts = [line for line in out.splitlines() if "lower bound" in line]
         assert counts == [
@@ -625,7 +625,7 @@ class TestAllocator:
         def forward_and_backward():
             with nc.Tape() as tape:
                 out, _ = nc.lstm_over(x, wx, wh, b, lengths, collect=True)
-                tape.backward(nc.sum_all(out))
+                tape.backward(nc.sum_all(out), ())
 
         faults = []
         for _ in range(10):
@@ -652,7 +652,7 @@ class TestAllocator:
             "from eacs.config import make_run_config\n"
             "from eacs.corpus import load_corpus\n"
             "from eacs.extractor import train_extractor\n"
-            f"result = train_extractor(load_corpus(sys.argv[1]), make_run_config(overrides={flags!r}))\n"
+            f"result = train_extractor(load_corpus(sys.argv[1]), make_run_config('desk', None, {flags!r}))\n"
             "save_model(result.model, result.vocab, sys.argv[2])\n"
             "assert cli.keep_freed_heap.cache_info().currsize == 0\n"
         )

@@ -1,16 +1,25 @@
+import ast
+import pathlib
+from dataclasses import fields
+
 import pytest
 
-from eacs.config import make_run_config, parse_config_file
+import eacs
+from eacs.config import RunConfig, make_run_config, parse_config_file
 from eacs.errors import UsageError
+
+# Defaulted parameters in src/eacs, plus RunConfig fields, plus environment
+# variable reads. A new knob, or one removed, is a deliberate edit here.
+SETTABLE_VALUES = 39
 
 
 class TestPresets:
     def test_desk_defaults(self):
-        cfg = make_run_config()
+        cfg = make_run_config("desk", None, {})
         assert cfg.embed_dim == 64 and cfg.hidden_dim == 64
 
     def test_full_preset_matches_published_setup(self):
-        cfg = make_run_config(preset="full")
+        cfg = make_run_config("full", None, {})
         assert cfg.embed_dim == 512
         assert cfg.hidden_dim == 512
         assert cfg.batch_size == 32
@@ -19,14 +28,14 @@ class TestPresets:
 
     def test_unknown_preset(self):
         with pytest.raises(UsageError):
-            make_run_config(preset="huge")
+            make_run_config("huge", None, {})
 
 
 class TestConfigFile:
     def test_parse_and_layering(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("epochs = 7\nlr = 0.01  # fast\nfusion = exab\n")
-        cfg = make_run_config(config_path=str(path))
+        cfg = make_run_config("desk", str(path), {})
         assert cfg.epochs == 7 and cfg.lr == 0.01 and cfg.fusion == "exab"
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -44,7 +53,7 @@ class TestConfigFile:
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("epochs = 7\n")
-        cfg = make_run_config(config_path=str(path), overrides={"epochs": 3})
+        cfg = make_run_config("desk", str(path), {"epochs": 3})
         assert cfg.epochs == 3
 
     @pytest.mark.parametrize("key", ["share_embeddings", "max_statement_tokens"])
@@ -52,7 +61,7 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = 30\n")
         with pytest.raises(UsageError, match=f"unknown config key '{key}'"):
-            make_run_config(config_path=str(path))
+            make_run_config("desk", str(path), {})
 
 
 class TestEnvironment:
@@ -60,18 +69,18 @@ class TestEnvironment:
         monkeypatch.setenv("EACS_SEED", "99")
         path = tmp_path / "run.cfg"
         path.write_text("seed = 4\n")
-        assert make_run_config(config_path=str(path)).seed == 4
-        assert make_run_config(overrides={"seed": 7}).seed == 7
+        assert make_run_config("desk", str(path), {}).seed == 4
+        assert make_run_config("desk", None, {"seed": 7}).seed == 7
 
 
 class TestValidation:
     def test_bad_fusion(self):
         with pytest.raises(UsageError):
-            make_run_config(overrides={"fusion": "both"})
+            make_run_config("desk", None, {"fusion": "both"})
 
     def test_bad_dropout(self):
         with pytest.raises(UsageError):
-            make_run_config(overrides={"dropout": 1.5})
+            make_run_config("desk", None, {"dropout": 1.5})
 
     @pytest.mark.parametrize(
         "key, value",
@@ -82,14 +91,40 @@ class TestValidation:
     )
     def test_bad_limits(self, key, value):
         with pytest.raises(UsageError):
-            make_run_config(overrides={key: value})
+            make_run_config("desk", None, {key: value})
 
     @pytest.mark.parametrize("key", ["lr", "weight_decay"])
     @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), float("-inf")])
     def test_bad_rates_name_the_key(self, key, value):
         with pytest.raises(UsageError, match=f"^{key} must be finite and >= 0"):
-            make_run_config(overrides={key: value})
+            make_run_config("desk", None, {key: value})
 
     @pytest.mark.parametrize("key, value", [("lr", 0.0), ("lr", 1e39), ("weight_decay", 0.0), ("seed", 0)])
     def test_edge_values_accepted(self, key, value):
-        assert getattr(make_run_config(overrides={key: value}), key) == value
+        assert getattr(make_run_config("desk", None, {key: value}), key) == value
+
+
+def _settable_values() -> list[str]:
+    """One entry per value a caller can leave out or set from outside: each
+    defaulted parameter of a function in src/eacs, each RunConfig field, and
+    each place src/eacs reads ``os.environ`` or ``os.getenv``."""
+    found = [f"RunConfig.{f.name}" for f in fields(RunConfig)]
+    src = pathlib.Path(eacs.__file__).parent
+    for path in sorted(src.rglob("*.py")):
+        where = path.relative_to(src)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                found.append(f"{where}:{node.lineno} os.{node.attr}")
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            named = positional[len(positional) - len(a.defaults):]
+            named += [k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            found += [f"{where} {getattr(node, 'name', 'lambda')}({k.arg}=)" for k in named]
+    return found
+
+
+def test_settable_values():
+    found = _settable_values()
+    assert len(found) == SETTABLE_VALUES, "\n".join(found)

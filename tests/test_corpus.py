@@ -131,7 +131,7 @@ class TestVocabulary:
     def test_min_freq_filter(self):
         vocab = C.build_vocabulary(_pairs({"aa": 5, "bb": 1}), min_freq=2, max_size=10)
         assert vocab.index_to_token[:4] == list(C.RESERVED_TOKENS)
-        assert "aa" in vocab and "bb" not in vocab
+        assert "aa" in vocab.token_to_index and "bb" not in vocab.token_to_index
 
     def test_reserved_only_at_max_size_four(self):
         vocab = C.build_vocabulary(_pairs({"aa": 5}), min_freq=1, max_size=4)

@@ -16,12 +16,12 @@ class TestLcsKernel:
     @given(TOKENS, TOKENS)
     def test_matches_brute_force_on_random_tokens(self, a, b):
         expected = lcs_brute(a, b)
-        assert _kernels.lcs_len_ids(a, b) == expected
-        assert _kernels.lcs_len_ids(b, a) == expected
+        assert _kernels.lcs_len_ids(a, b, None) == expected
+        assert _kernels.lcs_len_ids(b, a, None) == expected
         assert _kernels.lcs_len_ids(a, b, _kernels.lcs_masks(a)) == expected
 
     def test_empty_inputs(self):
         empty = np.array([], dtype=np.int64)
         one = np.array([3], dtype=np.int64)
-        assert _kernels.lcs_len_ids(empty, one) == 0
-        assert _kernels.lcs_len_ids(one, empty) == 0
+        assert _kernels.lcs_len_ids(empty, one, None) == 0
+        assert _kernels.lcs_len_ids(one, empty, None) == 0

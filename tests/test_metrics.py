@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eacs import metrics as M
+from eacs._kernels import lcs_masks
 from eacs.errors import EmptyInput, ShapeError
 
 from .oracles import (
@@ -24,6 +25,11 @@ from .oracles import (
 )
 
 tokens = st.lists(st.sampled_from("abcdefghij"), min_size=1, max_size=15)
+
+
+def profiled(refs):
+    """One ``profile_reference`` per reference, as ``evaluate_corpus`` takes them."""
+    return [M.profile_reference(r) for r in refs]
 
 
 def repetitive_pairs(alphabets, max_size):
@@ -86,11 +92,12 @@ class TestRougeL:
             M.rouge_l(["a"], [])
 
     def test_recall(self):
-        assert M.rouge_l_recall(list("abcd"), list("abcd")) == 1.0
-        assert M.rouge_l_recall(["a"], []) == 0.0
-        assert M.rouge_l_recall(list("abcd"), ["a", "d"]) == 0.5
+        abcd = list("abcd")
+        assert M.rouge_l_recall(abcd, abcd, lcs_masks(abcd)) == 1.0
+        assert M.rouge_l_recall(["a"], [], lcs_masks(["a"])) == 0.0
+        assert M.rouge_l_recall(abcd, ["a", "d"], lcs_masks(abcd)) == 0.5
         with pytest.raises(EmptyInput):
-            M.rouge_l_recall([], ["a"])
+            M.rouge_l_recall([], ["a"], lcs_masks([]))
 
 
 class TestBleu4:
@@ -135,17 +142,17 @@ class TestMeteor:
     def test_chunk_minimizing_alignment(self):
         # Greedy left-to-right matching would produce 3 chunks here; the
         # minimum is 2 ([a at r2] plus the [a,b] run).
-        assert M.alignment_stats(["a", "b", "a"], ["a", "a", "b"]) == (3, 2)
+        assert M.alignment_stats(["a", "b", "a"], ["a", "a", "b"], None, None) == (3, 2)
 
     def test_packing_off_by_one_chunk(self):
         # Leftmost-greedy packing takes [a,a] at r0/g1 and leaves 3 chunks;
         # [b,a] plus [a] at r1 gives 2.
-        assert M.alignment_stats(["a", "a", "b", "a"], ["b", "a", "a", "a"]) == (4, 2)
+        assert M.alignment_stats(["a", "a", "b", "a"], ["b", "a", "a", "a"], None, None) == (4, 2)
 
     def test_bigram_bound_not_reached(self):
         # Both bigrams are shared (UB = 2), but they overlap in g, so the
         # search has to show that only one link fits.
-        assert M.alignment_stats(["b", "a", "a", "b"], ["b", "a", "b"]) == (3, 2)
+        assert M.alignment_stats(["b", "a", "a", "b"], ["b", "a", "b"], None, None) == (3, 2)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
@@ -162,7 +169,7 @@ class TestMeteor:
         start = time.perf_counter()
         score = M.meteor(*pair)
         assert time.perf_counter() - start < 0.1
-        assert M.alignment_stats(*pair) == (len(pair[0]), 1)
+        assert M.alignment_stats(*pair, None, None) == (len(pair[0]), 1)
         assert score == pytest.approx(1.0 - 0.5 / len(pair[0]) ** 3, abs=1e-12)
 
     def test_alignment_leaves_no_garbage(self):
@@ -178,7 +185,7 @@ class TestMeteor:
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                assert M.alignment_stats(*pair) == want
+                assert M.alignment_stats(*pair, None, None) == want
                 left = tracemalloc.get_traced_memory()[0] - before
             finally:
                 tracemalloc.stop()
@@ -188,12 +195,12 @@ class TestMeteor:
     @given(repetitive_pairs(["ab", "abc"], 8))
     @settings(max_examples=400, deadline=None)
     def test_alignment_matches_enumeration(self, pair):
-        assert M.alignment_stats(*pair) == meteor_alignment_brute(*pair)
+        assert M.alignment_stats(*pair, None, None) == meteor_alignment_brute(*pair)
 
     @given(repetitive_pairs(["ab", "abc", "abcd"], 12))
     @settings(max_examples=300, deadline=None)
     def test_alignment_matches_memoized_search(self, pair):
-        assert M.alignment_stats(*pair) == alignment_reference(*pair)
+        assert M.alignment_stats(*pair, None, None) == alignment_reference(*pair)
 
 
 class TestPackedLinks:
@@ -309,31 +316,31 @@ class TestMannWhitney:
 class TestEvaluateCorpus:
     def test_identity_corpus(self):
         refs = [list("abcd"), ["x", "y", "z"]]
-        report = M.evaluate_corpus(refs, refs)
+        report = M.evaluate_corpus(refs, refs, profiled(refs))
         means = report.to_record()["means"]
         assert means["bleu"] == pytest.approx(1.0)
         assert means["rouge_l"] == pytest.approx(1.0)
         assert means["meteor"] < 1.0  # fragmentation penalty at chunks=1
 
     def test_single_pair_mean_equals_sample(self):
-        report = M.evaluate_corpus([list("abcd")], [list("abce")])
+        report = M.evaluate_corpus([list("abcd")], [list("abce")], profiled([list("abcd")]))
         assert report.to_record()["means"]["bleu"] == pytest.approx(float(report.scores["bleu"][0]))
 
     def test_disjoint_pairs(self):
         refs = [["a", "b"], ["c", "d"]]
         hyps = [["x", "y"], ["z", "w"]]
-        report = M.evaluate_corpus(refs, hyps)
+        report = M.evaluate_corpus(refs, hyps, profiled(refs))
         means = report.to_record()["means"]
         assert means["bleu"] == 0.0
         assert means["rouge_l"] == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            M.evaluate_corpus([["a"]], [["a"], ["b"]])
+            M.evaluate_corpus([["a"]], [["a"], ["b"]], profiled([["a"]]))
 
     def test_comment_buckets(self):
         refs = [["a"] * 3, ["b"] * 8, ["c"] * 12]
-        report = M.evaluate_corpus(refs, refs, buckets=("comment", [3, 8, 12]))
+        report = M.evaluate_corpus(refs, refs, profiled(refs), buckets=("comment", [3, 8, 12]))
         assert set(report.buckets) == {"comment 1-5", "comment 6-10", "comment 11-15"}
         assert len(report.buckets["comment 1-5"].scores["bleu"]) == 1
 
@@ -341,16 +348,16 @@ class TestEvaluateCorpus:
         # One line count per pair: a --codes corpus of another size is rejected.
         for lengths in ([], [25, 25]):
             with pytest.raises(ShapeError):
-                M.evaluate_corpus([["a"]], [["a"]], buckets=("code", lengths))
-        report = M.evaluate_corpus([["a"]], [["a"]], buckets=("code", [25]))
+                M.evaluate_corpus([["a"]], [["a"]], profiled([["a"]]), buckets=("code", lengths))
+        report = M.evaluate_corpus([["a"]], [["a"]], profiled([["a"]]), buckets=("code", [25]))
         assert list(report.buckets) == ["code 21-30"]
 
     def test_order_independence(self):
         rng = np.random.default_rng(3)
         refs = [[str(i) for i in rng.integers(0, 9, 6)] for _ in range(8)]
         hyps = [[str(i) for i in rng.integers(0, 9, 6)] for _ in range(8)]
-        fwd = M.evaluate_corpus(refs, hyps)
-        rev = M.evaluate_corpus(refs[::-1], hyps[::-1])
+        fwd = M.evaluate_corpus(refs, hyps, profiled(refs))
+        rev = M.evaluate_corpus(refs[::-1], hyps[::-1], profiled(refs[::-1]))
         assert fwd.to_record()["means"] == rev.to_record()["means"]
 
 
@@ -380,14 +387,14 @@ class TestSharedProfiles:
         profile = M.profile_reference(r)
         # Two hypothesis files against one profile, an exact copy, one token.
         for g in (g1, g2, list(r), g1[:1]):
-            got = M.score_pair(r, g, profile)
+            got = M.score_pair(r, g, profile, None)
             if not g:
                 assert got == (0.0, 0.0, 0.0)
                 continue
-            assert got == M.score_pair(r, g)
+            assert got == M.score_pair(r, g, M.profile_reference(r), None)
             assert got == (M.bleu4(r, g), M.meteor(r, g), M.rouge_l(r, g))
             assert got == (bleu4_brute(r, g), meteor_brute(r, g), rouge_l_brute(r, g))
-            assert M.alignment_stats(r, g) == meteor_alignment_brute(r, g)
+            assert M.alignment_stats(r, g, None, None) == meteor_alignment_brute(r, g)
 
     @given(profiled_cases())
     @settings(max_examples=100, deadline=None)
@@ -396,8 +403,8 @@ class TestSharedProfiles:
         refs = [r, list(r), r]
         profiles = [M.profile_reference(x) for x in refs]
         for hyps in ([g1, g2, list(r)], [g2, g1, []]):
-            report = M.evaluate_corpus(refs, hyps, profiles=profiles)
-            rows = np.array([M.score_pair(x, g) for x, g in zip(refs, hyps)])
+            report = M.evaluate_corpus(refs, hyps, profiles)
+            rows = np.array([M.score_pair(x, g, M.profile_reference(x), None) for x, g in zip(refs, hyps)])
             for k, name in enumerate(M.METRICS):
                 assert report.scores[name].tolist() == rows[:, k].tolist()
             assert report.meteor_bounded == []
@@ -405,7 +412,7 @@ class TestSharedProfiles:
 
     def test_profiles_must_align_with_references(self):
         with pytest.raises(ShapeError):
-            M.evaluate_corpus([["a"], ["b"]], [["a"], ["b"]], profiles=[M.profile_reference(["a"])])
+            M.evaluate_corpus([["a"], ["b"]], [["a"], ["b"]], profiled([["a"]]))
 
 
 class TestSearchBudget:
@@ -417,9 +424,9 @@ class TestSearchBudget:
         bounded = []
         m, chunks = M.alignment_stats(*self.HARD, None, bounded)
         assert bounded == [(11, 17)] and (m, chunks) == (18, 18 - 11)
-        assert M.alignment_stats(*self.HARD) == (m, chunks)  # the same without a sink
+        assert M.alignment_stats(*self.HARD, None, None) == (m, chunks)  # the same without a sink
         monkeypatch.setattr(M, "SEARCH_NODES", 10**7)
-        exact = M.alignment_stats(*self.HARD)
+        exact = M.alignment_stats(*self.HARD, None, None)
         assert exact == (18, 18 - 13)
         low, high = bounded[0]
         assert low <= m - exact[1] <= high
@@ -438,8 +445,8 @@ class TestSearchBudget:
     def test_bounded_pairs_are_recorded_by_index(self):
         refs = [list("ab"), self.HARD[0], list("ab")]
         hyps = [list("ab"), self.HARD[1], list("ba")]
-        report = M.evaluate_corpus(refs, hyps, buckets=("comment", [len(r) for r in refs]))
+        report = M.evaluate_corpus(refs, hyps, profiled(refs), buckets=("comment", [len(r) for r in refs]))
         record = report.to_record()
         assert record["meteor_bounded"] == [{"index": 1, "links": [11, 17]}]
         assert all("meteor_bounded" not in sub for sub in record["buckets"].values())
-        assert "meteor_bounded" not in M.evaluate_corpus(refs[:1], hyps[:1]).to_record()
+        assert "meteor_bounded" not in M.evaluate_corpus(refs[:1], hyps[:1], profiled(refs[:1])).to_record()

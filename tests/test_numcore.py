@@ -60,7 +60,7 @@ class TestOps:
         ids = np.array([[1, 3, 1], [0, 1, 1]])
         with nc.Tape() as tape:
             out = nc.embedding_lookup(table, ids)
-            tape.backward(nc.sum_all(out))
+            tape.backward(nc.sum_all(out), ())
         assert out.shape == (2, 3, 2)
         assert table.grad[:, 0].tolist() == [1.0, 4.0, 0.0, 1.0]
 
@@ -135,7 +135,7 @@ class TestLstmOver:
         x = nc.Parameter("x", rng.normal(0, 1, (2, 4, 3)))
         with nc.Tape() as tape:
             out, _ = nc.lstm_over(x, wx, wh, b, np.array([2, 4]), collect=True)
-            tape.backward(nc.sum_all(out))
+            tape.backward(nc.sum_all(out), ())
         assert not x.grad[0, 2:].any() and x.grad[0, :2].all() and x.grad[1].all()
 
     def test_shape_validation(self):
@@ -368,7 +368,7 @@ class TestRowGradBuffer:
                 else nc.mul(nc.embedding_lookup(table, read[0]), read[1])
                 for read in reads
             ]
-            tape.backward(nc.sum_all(nc.concat([nc.reshape(t, (-1,)) for t in terms])))
+            tape.backward(nc.sum_all(nc.concat([nc.reshape(t, (-1,)) for t in terms])), ())
         want = None
         for g in reversed(contributions):  # backward reaches the last reader first
             want = g if want is None else want + g
@@ -385,7 +385,7 @@ class TestRowGradBuffer:
             loss = nc.sum_all(nc.concat(reads))
         tracemalloc.start()
         try:
-            tape.backward(loss)
+            tape.backward(loss, ())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -398,7 +398,7 @@ class TestBackward:
         y = nc.Parameter("y", np.array([5.0]))
         with nc.Tape() as tape:
             loss = nc.sum_all(nc.mul(x, y))
-            tape.backward(loss)
+            tape.backward(loss, ())
         assert x.grad.tolist() == [5.0] and y.grad.tolist() == [3.0]
 
     def test_softmax_cross_entropy_grad_is_probs_minus_onehot(self):
@@ -409,7 +409,7 @@ class TestBackward:
             probs = nc.softmax(logits)
             picked = nc.gather_rows(probs, np.array([gold]))
             loss = nc.mul(nc.sum_all(nc.log(picked)), -1.0)
-            tape.backward(loss)
+            tape.backward(loss, ())
         expected = nc.softmax(nc.Tensor(logits.data)).data.copy()
         expected[0, gold] -= 1.0
         assert np.allclose(logits.grad, expected, atol=1e-12)
@@ -420,7 +420,7 @@ class TestBackward:
         w = np.arange(5.0).reshape(1, 5)
         with nc.Tape() as tape:
             loss = nc.sum_all(nc.mul(nc.concat([a, b]), w))
-            tape.backward(loss)
+            tape.backward(loss, ())
         assert a.grad.tolist() == [[0.0, 1.0]]
         assert b.grad.tolist() == [[2.0, 3.0, 4.0]]
 
@@ -437,23 +437,23 @@ class TestBackward:
         with nc.Tape() as tape:
             y = nc.mul(x, x)
             with pytest.raises(ShapeError):
-                tape.backward(y)
+                tape.backward(y, ())
 
     def test_tape_runs_backward_once(self):
         x = nc.Parameter("x", np.array([2.0]))
         with nc.Tape() as tape:
             loss = nc.sum_all(nc.mul(x, x))
-            tape.backward(loss)
+            tape.backward(loss, ())
             assert len(tape.nodes) == 2 and all(node.backward is None for node in tape.nodes)
             with pytest.raises(RuntimeError):
-                tape.backward(loss)
+                tape.backward(loss, ())
         assert x.grad.tolist() == [4.0]
 
     def test_reused_tensor_accumulates(self):
         x = nc.Parameter("x", np.array([2.0]))
         with nc.Tape() as tape:
             loss = nc.sum_all(nc.add(nc.mul(x, x), nc.mul(x, 3.0)))  # x^2 + 3x
-            tape.backward(loss)
+            tape.backward(loss, ())
         assert x.grad.tolist() == [7.0]  # 2x + 3
 
     def test_shared_gradient_array_accumulates_without_aliasing(self):
@@ -567,7 +567,7 @@ class TestDeterminism:
         def run():
             rng = np.random.default_rng(123)
             x = nc.Tensor(rng.normal(0, 1, (4, 8)).astype(np.float32))
-            w = nc.Tensor(nc.xavier_uniform(rng, (8, 8)))
+            w = nc.Tensor(nc.xavier_uniform(rng, (8, 8), np.float32))
             h = nc.tanh(nc.matmul(x, w))
             d = nc.dropout(h, nc.keep_mask(np.random.default_rng(9), h.shape, 0.2, h.dtype))
             return nc.softmax(d).data.tobytes()

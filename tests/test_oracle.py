@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eacs import oracle
+from eacs._kernels import lcs_masks
 from eacs.corpus import tokenize_comment
 from eacs.oracle import informativity, label_statements
 from eacs.segmenter import SegmentedSnippet, Statement
@@ -21,17 +22,17 @@ def make_snippet(statement_tokens):
 class TestInformativity:
     def test_empty_selection(self):
         snip = make_snippet([["a", "b"]])
-        assert informativity([], snip, ["a"]) == 0.0
+        assert informativity([], snip, ["a"], lcs_masks(["a"])) == 0.0
 
     def test_full_cover(self):
         snip = make_snippet([["x", "a", "b", "y"]])
-        assert informativity([0], snip, ["a", "b"]) == 1.0
+        assert informativity([0], snip, ["a", "b"], lcs_masks(["a", "b"])) == 1.0
 
     def test_two_of_three_matches_dp(self):
         snip = make_snippet([["a", "b"], ["z"], ["c", "d"]])
         comment = ["a", "c", "d", "q"]
         # LCS([a,c,d,q], [a,b,c,d]) = 3 -> 3/4
-        assert informativity([0, 2], snip, comment) == pytest.approx(0.75)
+        assert informativity([0, 2], snip, comment, lcs_masks(comment)) == pytest.approx(0.75)
 
 
 class TestLabelStatements:
@@ -117,7 +118,7 @@ class TestGreedyRegression:
 
     def test_scan_stops_at_first_statement_without_comment_tokens(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(oracle, "rouge_l_recall", lambda r, g, masks=None: calls.append(g) or 0.0)
+        monkeypatch.setattr(oracle, "rouge_l_recall", lambda r, g, masks: calls.append(g) or 0.0)
         label_statements(make_snippet([["x"], ["y"], ["z"]]), ["a"])
         # Three individual scores and no joint one.
         assert len(calls) == 3

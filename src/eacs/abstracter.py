@@ -21,7 +21,7 @@ from . import numcore as nc
 from .config import RunConfig
 from .corpus import BOS, EOS, Batch, RawPair, Vocabulary
 from .errors import EmptyInput, ShapeError, UsageError, VocabMismatch
-from .extractor import MAX_STATEMENT_TOKENS, ExtractorModel, TrainResult, fit, predict_important
+from .extractor import ExtractorModel, TrainResult, fit, predict_important
 from .segmenter import SegmentedSnippet, segment, segment_pairs
 
 log = logging.getLogger(__name__)
@@ -208,9 +208,8 @@ def abstracter_input(
     snippet: SegmentedSnippet, extractor: ExtractorModel, vocab: Vocabulary, config: RunConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """(important_ids, code_ids), the two encoders' inputs, for training and inference."""
-    selected, _ = predict_important(snippet, extractor, vocab)
-    important = [tok for st in selected for tok in st.tokens[:MAX_STATEMENT_TOKENS]]
-    return vocab.encode(important), vocab.encode(snippet.full_tokens[: config.max_code_tokens])
+    _, important_ids = predict_important(snippet, extractor, vocab)
+    return important_ids, vocab.encode(snippet.full_tokens[: config.max_code_tokens])
 
 
 def build_abstracter_dataset(

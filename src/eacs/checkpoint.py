@@ -52,17 +52,14 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         "vocabulary": ckpt.vocabulary,
     }
     header_line = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    try:
-        with replace_on_success(path, "wb") as fh:
-            fh.write(header_line.encode("utf-8") + b"\n")
-            for name, arr in ckpt.params:
-                if " " in name:
-                    raise ValueError(f"parameter name {name!r} contains a space")
-                shape = " ".join(str(d) for d in arr.shape)
-                fh.write(f"{name} {shape}\n".encode("utf-8"))
-                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    except OSError as exc:
-        raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
+    with replace_on_success(path, "wb") as fh:
+        fh.write(header_line.encode("utf-8") + b"\n")
+        for name, arr in ckpt.params:
+            if " " in name:
+                raise ValueError(f"parameter name {name!r} contains a space")
+            shape = " ".join(str(d) for d in arr.shape)
+            fh.write(f"{name} {shape}\n".encode("utf-8"))
+            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 def _read_line(fh, path: str) -> bytes:

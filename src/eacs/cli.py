@@ -21,9 +21,9 @@ from .abstracter import generate_summary, train_abstracter
 from .checkpoint import load_model, save_model
 from .config import FUSIONS, RunConfig, make_run_config
 from .corpus import load_corpus
-from .errors import EacsError, FormatError, IoError, UsageError
+from .errors import EacsError, FormatError, UsageError
 from .extractor import predict_important, train_extractor
-from .fileio import replace_on_success
+from .fileio import read_text, replace_on_success
 from .metrics import evaluate_corpus, mann_whitney_u_test, profile_reference
 from .oracle import label_statements
 from .report import emit_report
@@ -38,20 +38,10 @@ MMAP_THRESHOLD_BYTES = 4 << 20
 TRIM_THRESHOLD_BYTES = 8 << 20
 
 
-def _read_text(path: str) -> str:
-    try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-
-
 def _read_token_lines(path: str) -> list[list[str]]:
     """One token list per line, blank lines included, so line i of every file
     is pair i."""
-    return [line.split() for line in _read_text(path).splitlines()]
+    return [line.split() for line in read_text(path).splitlines()]
 
 
 def _config_from_args(args) -> RunConfig:
@@ -66,7 +56,7 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _cmd_segment(args) -> int:
-    snippet = segment(_read_text(args.code), args.lang)
+    snippet = segment(read_text(args.code), args.lang)
     for st in snippet.statements:
         print(" ".join(st.text.split()))
     return 0
@@ -75,7 +65,7 @@ def _cmd_segment(args) -> int:
 def _cmd_label(args) -> int:
     corpus = load_corpus(args.corpus)
     written = 0
-    with replace_on_success(args.out, "w", encoding="utf-8") as fh:
+    with replace_on_success(args.out, "w") as fh:
         for pair, snippet, comment in segment_pairs(corpus, args.lang):
             labeled = label_statements(snippet, comment)
             record = {
@@ -106,10 +96,10 @@ def _cmd_train_extractor(args) -> int:
 
 def _cmd_extract(args) -> int:
     model, vocab = load_model(args.ckpt, "extractor")
-    snippet = segment(_read_text(args.code), args.lang)
-    statements, indices = predict_important(snippet, model, vocab)
-    for idx, st in zip(indices, statements):
-        print(f"{idx}\t{' '.join(st.text.split())}")
+    snippet = segment(read_text(args.code), args.lang)
+    indices, _ = predict_important(snippet, model, vocab)
+    for i in indices:
+        print(f"{i}\t{' '.join(snippet.statements[i].text.split())}")
     return 0
 
 
@@ -131,7 +121,7 @@ def _cmd_summarize(args) -> int:
     ex_model, ex_vocab = load_model(args.extractor, "extractor")
     ab_model, ab_vocab = load_model(args.abstracter, "abstracter")
     result = generate_summary(
-        _read_text(args.code),
+        read_text(args.code),
         ex_model,
         ex_vocab,
         ab_model,

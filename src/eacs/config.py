@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .errors import IoError, UsageError
+from .errors import UsageError
+from .fileio import read_text
 from .segmenter import LANGUAGES
 
 # The two orders in which the abstracter concatenates its encodings.
@@ -108,13 +109,8 @@ def _coerce(key: str, raw: str):
 
 def parse_config_file(path: str) -> dict:
     """Flat ``key = value`` lines; '#' starts a comment; unknown keys rejected."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read config file {path}: {exc}") from exc
     out: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

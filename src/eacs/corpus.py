@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyComment, FormatError, IoError
+from .errors import EmptyComment, FormatError
+from .fileio import read_lines
 
 log = logging.getLogger(__name__)
 
@@ -73,49 +74,41 @@ def tokenize_comment(text: str) -> list[str]:
 
 
 def load_corpus(path: str) -> Corpus:
-    """Read a JSON-lines corpus file in order.
+    """Read a JSON-lines corpus file in order, one line at a time.
 
     Malformed lines (bad JSON, missing or non-string fields) raise
     :class:`FormatError` with the 1-based line number. Lines whose content
     fails preprocessing (blank code, empty comment after the first-sentence
     rule) are skipped and counted, so large corpora ingest robustly.
     """
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read corpus file {path}: {exc}") from exc
     pairs: list[RawPair] = []
     skipped = 0
-    try:
-        with fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise FormatError(f"invalid JSON ({exc.msg})", line=lineno) from exc
-                except RecursionError as exc:
-                    raise FormatError(f"JSON nested too deeply in {path}", line=lineno) from exc
-                if not isinstance(record, dict):
-                    raise FormatError("record is not an object", line=lineno)
-                for fld in ("code", "comment"):
-                    if fld not in record:
-                        raise FormatError(f"missing `{fld}` field", line=lineno)
-                    if not isinstance(record[fld], str):
-                        raise FormatError(f"`{fld}` is not a string", line=lineno)
-                code, comment = record["code"], record["comment"]
-                if not code.strip():
-                    skipped += 1
-                    continue
-                try:
-                    tokenize_comment(comment)
-                except EmptyComment:
-                    skipped += 1
-                    continue
-                pairs.append(RawPair(id=len(pairs), code=code, comment=comment))
-    except UnicodeDecodeError as exc:
-        raise IoError(f"cannot read corpus file {path}: {exc}") from exc
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"invalid JSON ({exc.msg})", line=lineno) from exc
+        except RecursionError as exc:
+            raise FormatError(f"JSON nested too deeply in {path}", line=lineno) from exc
+        if not isinstance(record, dict):
+            raise FormatError("record is not an object", line=lineno)
+        for fld in ("code", "comment"):
+            if fld not in record:
+                raise FormatError(f"missing `{fld}` field", line=lineno)
+            if not isinstance(record[fld], str):
+                raise FormatError(f"`{fld}` is not a string", line=lineno)
+        code, comment = record["code"], record["comment"]
+        if not code.strip():
+            skipped += 1
+            continue
+        try:
+            tokenize_comment(comment)
+        except EmptyComment:
+            skipped += 1
+            continue
+        pairs.append(RawPair(id=len(pairs), code=code, comment=comment))
     if skipped:
         log.info("skipped %d line(s) that failed preprocessing", skipped)
     return Corpus(pairs, skipped=skipped)

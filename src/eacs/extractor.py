@@ -24,7 +24,7 @@ from .config import RunConfig
 from .corpus import Batch, RawPair, Vocabulary, build_vocabulary
 from .errors import EmptyCorpus, EmptyInput, NonFiniteLoss, ShapeError
 from .oracle import label_statements
-from .segmenter import SegmentedSnippet, Statement, segment_pairs
+from .segmenter import SegmentedSnippet, segment_pairs
 
 log = logging.getLogger(__name__)
 
@@ -308,11 +308,13 @@ def train_extractor(corpus: Sequence[RawPair], config: RunConfig) -> TrainResult
 
 def predict_important(
     snippet: SegmentedSnippet, model: ExtractorModel, vocab: Vocabulary
-) -> tuple[list[Statement], list[int]]:
-    """Statements of a segmented snippet predicted important, in source order.
+) -> tuple[list[int], np.ndarray]:
+    """Indices of the statements of a segmented snippet predicted important,
+    in source order, and those statements' token ids as the model read them,
+    concatenated in the same order.
 
     A tie at exactly P=0.5 resolves to label 0; when nothing is labeled 1 the
-    single highest-P(1) statement is returned so downstream encoders always
+    single highest-P(1) statement is chosen so downstream encoders always
     receive input.
     """
     snippet, stmt_ids = extractor_input(snippet, vocab, model.config)
@@ -320,4 +322,4 @@ def predict_important(
     indices = [i for i in range(len(snippet.statements)) if probs[i, 1] > probs[i, 0]]
     if not indices:
         indices = [int(np.argmax(probs[:, 1]))]
-    return [snippet.statements[i] for i in indices], indices
+    return indices, np.concatenate([stmt_ids[i] for i in indices])

@@ -20,8 +20,8 @@ from .errors import EmptyInput, ShapeError
 
 TokenSeq = Sequence[str]
 
-# Score names, in the column order of score_pair.
-METRICS = ("bleu", "meteor", "rouge_l")
+# Score names, in the column order of score_pair, and their report labels.
+METRICS = {"bleu": "BLEU-4", "meteor": "METEOR", "rouge_l": "ROUGE-L"}
 PERCENTILES = (5, 25, 50, 75, 95)
 
 # ROUGE-L's recall weight; METEOR's precision/recall weight, fragmentation
@@ -493,7 +493,7 @@ class MetricReport:
     def to_record(self) -> dict:
         """Sample count, means, percentiles and samples, bucket records nested."""
         rec = {
-            "n_samples": len(self.scores[METRICS[0]]),
+            "n_samples": len(self.scores["bleu"]),
             "means": {k: float(v.mean()) for k, v in self.scores.items()},
             "percentiles": {
                 k: dict(zip(map(str, PERCENTILES), np.percentile(v, PERCENTILES).tolist()))

@@ -26,13 +26,11 @@ def _pair(a, b) -> tuple[Tensor, Tensor]:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``g`` summed over the leading axes that broadcasting ``shape`` added."""
     if g.shape == shape:
         return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
-    for ax, s in enumerate(shape):
-        if s == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
     return g.reshape(shape)
 
 

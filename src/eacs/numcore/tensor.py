@@ -25,10 +25,10 @@ _tls = threading.local()
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.asarray(data)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad
+        self.requires_grad = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -55,7 +55,8 @@ class Parameter(Tensor):
     __slots__ = ("name",)
 
     def __init__(self, name: str, data):
-        super().__init__(data, requires_grad=True)
+        super().__init__(data)
+        self.requires_grad = True
         self.name = name
 
     def __repr__(self) -> str:

@@ -6,11 +6,8 @@ import json
 from dataclasses import asdict
 from typing import Optional
 
-from .errors import IoError
 from .fileio import replace_on_success
-from .metrics import PERCENTILES, MetricReport, SignificanceResult
-
-METRIC_LABELS = (("bleu", "BLEU-4"), ("meteor", "METEOR"), ("rouge_l", "ROUGE-L"))
+from .metrics import METRICS, PERCENTILES, MetricReport, SignificanceResult
 
 
 def format_table(record: dict, title: str) -> str:
@@ -20,7 +17,7 @@ def format_table(record: dict, title: str) -> str:
         f"[{title}]  n={record['n_samples']}",
         f"{'':<9}{'mean':>8}" + "".join(f"p{p:<2}".rjust(8) for p in PERCENTILES),
     ]
-    for key, label in METRIC_LABELS:
+    for key, label in METRICS.items():
         row = f"{label:<9}{means[key] * 100:>8.2f}"
         row += "".join(f"{pcts[key][str(p)] * 100:>8.2f}" for p in PERCENTILES)
         lines.append(row)
@@ -29,7 +26,7 @@ def format_table(record: dict, title: str) -> str:
 
 def format_significance(compare: dict[str, SignificanceResult]) -> str:
     lines = ["significance vs comparison hypotheses (two-tailed rank-sum):"]
-    for key, label in METRIC_LABELS:
+    for key, label in METRICS.items():
         res = compare[key]
         lines.append(
             f"{label:<9} U={res.u_statistic:<10.1f} p={res.p_value:<12.6g} "
@@ -57,9 +54,6 @@ def emit_report(
         print(f"METEOR is a lower bound on {len(bounded)} pair(s): the alignment search "
               "ran out of its budget (see meteor_bounded)")
     if path:
-        try:
-            with replace_on_success(path, "w", encoding="utf-8") as fh:
-                json.dump(record, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            raise IoError(f"cannot write report {path}: {exc}") from exc
+        with replace_on_success(path, "w") as fh:
+            json.dump(record, fh, indent=2, sort_keys=True)
+            fh.write("\n")

@@ -486,18 +486,20 @@ class TestConfigValues:
         assert len(err.strip().splitlines()) == 1
 
 
-class TestSummarize:
-    @pytest.fixture()
-    def checkpoints(self, tmp_path):
-        vocab = Vocabulary(list(RESERVED_TOKENS) + ["int", "a", "=", "1", ";"])
-        config = RunConfig(embed_dim=4, hidden_dim=4)
-        ex, ab = str(tmp_path / "ex.ckpt"), str(tmp_path / "ab.ckpt")
-        save_model(ExtractorModel(len(vocab), config, np.random.default_rng(0)), vocab, ex)
-        save_model(AbstracterModel(len(vocab), config, np.random.default_rng(1)), vocab, ab)
-        code = tmp_path / "snippet.java"
-        code.write_text("int a = 1;")
-        return ex, ab, str(code)
+@pytest.fixture()
+def checkpoints(tmp_path):
+    """Tiny untrained extractor and abstracter checkpoints and a one-statement snippet."""
+    vocab = Vocabulary(list(RESERVED_TOKENS) + ["int", "a", "=", "1", ";"])
+    config = RunConfig(embed_dim=4, hidden_dim=4)
+    ex, ab = str(tmp_path / "ex.ckpt"), str(tmp_path / "ab.ckpt")
+    save_model(ExtractorModel(len(vocab), config, np.random.default_rng(0)), vocab, ex)
+    save_model(AbstracterModel(len(vocab), config, np.random.default_rng(1)), vocab, ab)
+    code = tmp_path / "snippet.java"
+    code.write_text("int a = 1;")
+    return ex, ab, str(code)
 
+
+class TestSummarize:
     def test_zero_max_len_exits_two_with_one_line(self, capsys, checkpoints):
         ex, ab, code = checkpoints
         argv = ["summarize", "--extractor", ex, "--abstracter", ab, "--code", code]
@@ -547,6 +549,124 @@ class TestNonUtf8:
         assert code == 1
         assert len(err.strip().splitlines()) == 1
         assert str(bad) in err
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.fixture()
+def stdin_from(tmp_path):
+    """Point fd 0, which ``--code -`` reads, at the given bytes until the test ends."""
+    saved = os.dup(0)
+
+    def feed(data: bytes) -> None:
+        path = tmp_path / "stdin"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            os.dup2(fh.fileno(), 0)
+
+    yield feed
+    os.dup2(saved, 0)
+    os.close(saved)
+
+
+class TestByteOrderMark:
+    """Text inputs are UTF-8 with an optional leading BOM: the BOM changes no output."""
+
+    SNIPPET = b"int a = 1;\nint b = a;\n"
+
+    @staticmethod
+    def runs(capsys, argv, write, out=None):
+        """One run with the plain input and one with it BOM-prefixed: exit
+        code, stdout, stderr and the bytes of ``out``, if given."""
+        results = []
+        for prefix in (b"", BOM):
+            write(prefix)
+            results.append(run(capsys, *argv) + ((out.read_bytes(),) if out else ()))
+        return results
+
+    @pytest.mark.parametrize("command", ["segment", "extract", "summarize"])
+    def test_code_file_and_stdin(self, capsys, tmp_path, checkpoints, stdin_from, command):
+        ex, ab, _ = checkpoints
+        argv = {
+            "segment": ["segment", "--lang", "java"],
+            "extract": ["extract", "--ckpt", ex],
+            "summarize": ["summarize", "--extractor", ex, "--abstracter", ab],
+        }[command]
+        src = tmp_path / "snippet.java"
+        from_file = self.runs(
+            capsys, argv + ["--code", str(src)], lambda p: src.write_bytes(p + self.SNIPPET))
+        from_stdin = self.runs(
+            capsys, argv + ["--code", "-"], lambda p: stdin_from(p + self.SNIPPET))
+        assert from_file[0][0] == 0 and from_file[0][1]
+        assert from_file + from_stdin == [from_file[0]] * 4
+
+    @pytest.mark.parametrize("flag", ["--refs", "--hyps", "--compare"])
+    def test_evaluate_files(self, capsys, tmp_path, flag):
+        texts = {
+            "--refs": "add two numbers .\nremove the cached key .\n",
+            "--hyps": "add the numbers .\nremove a key .\n",
+            "--compare": "add numbers .\ncached key .\n",
+        }
+        paths = {name: tmp_path / f"{name[2:]}.txt" for name in texts}
+        for name, text in texts.items():
+            paths[name].write_text(text)
+        out = tmp_path / "report.json"
+        argv = ["evaluate", "--out", str(out)] + [str(x) for kv in paths.items() for x in kv]
+        plain = texts[flag].encode()
+        results = self.runs(capsys, argv, lambda p: paths[flag].write_bytes(p + plain), out)
+        assert results[0][0] == 0 and results[1] == results[0]
+
+    def test_config(self, capsys, tmp_path, toy_corpus_path):
+        cfg, ckpt = tmp_path / "run.cfg", tmp_path / "ex.ckpt"
+        argv = ["train-extractor", "--corpus", toy_corpus_path, "--config", str(cfg),
+                "--out", str(ckpt)]
+        text = b"epochs = 1\nembed_dim = 8\nhidden_dim = 8\n"
+        results = self.runs(capsys, argv, lambda p: cfg.write_bytes(p + text), ckpt)
+        assert results[0][0] == 0 and results[1] == results[0]
+
+    @pytest.mark.parametrize("command", ["label", "train-extractor", "evaluate-codes"])
+    def test_corpus(self, capsys, tmp_path, toy_corpus_path, command):
+        corpus, out, refs = tmp_path / "pairs.jsonl", tmp_path / "out", tmp_path / "refs.txt"
+        refs.write_text("compute the sum .\n" * 32)
+        argv = {
+            "label": ["label", "--corpus", str(corpus), "--out", str(out)],
+            "train-extractor": ["train-extractor", "--corpus", str(corpus), "--epochs", "1",
+                                "--out", str(out)],
+            "evaluate-codes": ["evaluate", "--refs", str(refs), "--hyps", str(refs),
+                               "--buckets", "code", "--codes", str(corpus), "--out", str(out)],
+        }[command]
+        with open(toy_corpus_path, "rb") as fh:
+            plain = fh.read()
+        results = self.runs(capsys, argv, lambda p: corpus.write_bytes(p + plain), out)
+        assert results[0][0] == 0 and results[1] == results[0]
+
+
+class TestFailedWrite:
+    """A write that fails exits 1 with one stderr line naming ``--out`` as
+    given, the same in every run, and leaves no file behind."""
+
+    @pytest.mark.parametrize("target", ["missing/out", "a_directory"])
+    @pytest.mark.parametrize("command", ["label", "evaluate", "train-extractor"])
+    def test_names_the_out_path(self, capsys, tmp_path, toy_corpus_path, command, target):
+        (tmp_path / "a_directory").mkdir()
+        refs = tmp_path / "refs.txt"
+        refs.write_text("a b c\n")
+        out = str(tmp_path / target)
+        argv = {
+            "label": ["label", "--corpus", toy_corpus_path, "--out", out],
+            "evaluate": ["evaluate", "--refs", str(refs), "--hyps", str(refs), "--out", out],
+            "train-extractor": ["train-extractor", "--corpus", toy_corpus_path, "--epochs", "1",
+                                "--out", out],
+        }[command]
+        before = sorted(tmp_path.rglob("*"))
+        errs = [run(capsys, *argv)[::2] for _ in range(2)]
+        assert errs[0] == errs[1]
+        code, err = errs[0]
+        assert code == 1 and len(err.splitlines()) == 1
+        assert err.startswith(f"eacs {command}: error: cannot write {out}: ")
+        assert ".tmp" not in err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestDeepNesting:

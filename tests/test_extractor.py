@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from eacs import numcore as nc
 from eacs.config import RunConfig
-from eacs.corpus import PAD, load_corpus
+from eacs.corpus import PAD, build_vocabulary, load_corpus
 from eacs.errors import EmptyCorpus, ShapeError
 from eacs.extractor import (
     ExtractorModel,
@@ -14,8 +15,10 @@ from eacs.extractor import (
     dataset_loss,
     extractor_batch_loss,
     extractor_loss,
+    fit,
     label_accuracy,
     predict_important,
+    split_validation,
     train_extractor,
 )
 from eacs.segmenter import segment
@@ -193,24 +196,23 @@ class TestPredict:
 
         vocab = build_vocabulary(toy_corpus, min_freq=1, max_size=40)
         model = self._forced([-5.0, 5.0])
-        statements, indices = predict_important(segment(self.CODE, "java"), model, vocab)
-        assert len(statements) == 3
-        assert indices == sorted(indices)
+        indices, _ = predict_important(segment(self.CODE, "java"), model, vocab)
+        assert indices == [0, 1, 2]
 
     def test_all_negative_falls_back_to_best_single(self, toy_corpus):
         from eacs.corpus import build_vocabulary
 
         vocab = build_vocabulary(toy_corpus, min_freq=1, max_size=40)
         model = self._forced([5.0, -5.0])
-        statements, indices = predict_important(segment(self.CODE, "java"), model, vocab)
-        assert len(statements) == 1
+        indices, _ = predict_important(segment(self.CODE, "java"), model, vocab)
+        assert len(indices) == 1
 
     def test_exact_tie_resolves_to_label_zero(self, toy_corpus):
         from eacs.corpus import build_vocabulary
 
         vocab = build_vocabulary(toy_corpus, min_freq=1, max_size=40)
         model = self._forced([0.0, 0.0])  # every row is exactly [0.5, 0.5]
-        _, indices = predict_important(segment(self.CODE, "java"), model, vocab)
+        indices, _ = predict_important(segment(self.CODE, "java"), model, vocab)
         assert len(indices) == 1  # fallback, not all three
 
 
@@ -252,6 +254,55 @@ class TestTraining:
         assert losses[-1] < losses[0]
 
 
+class TestValidationSplit:
+    def test_held_out_quarter_is_validated_and_best_epoch_restored(self, toy_corpus):
+        """At val_fraction 0.25, fit trains on the first three quarters, logs
+        the last quarter's mean loss as the validation loss, and restores the
+        weights of the epoch where that loss was lowest. The held-out labels
+        are flipped, so validation loss rises as training goes on and the best
+        epoch is not the last."""
+        pairs = list(toy_corpus)[:8]
+        cfg = RunConfig(embed_dim=8, hidden_dim=8, epochs=6, batch_size=4, seed=5,
+                        vocab_size=100, val_fraction=0.25)
+        vocab = build_vocabulary(pairs, min_freq=1, max_size=100)
+        samples = build_extractor_dataset(pairs, "java", vocab, cfg)
+        samples[6:] = [dataclasses.replace(s, labels=1 - s.labels) for s in samples[6:]]
+        train_set, val_set = split_validation(samples, cfg.val_fraction)
+        assert [s.pair_id for s in train_set] == list(range(6))
+        assert [s.pair_id for s in val_set] == [6, 7]
+
+        # Pair ids of each training batch; pair ids and weights of each evaluation batch.
+        trained, evaluated = [], []
+
+        def recording_loss(model, batch, train=False, rng=None):
+            ids = [s.pair_id for s in batch]
+            if train:
+                trained.append(ids)
+            else:
+                evaluated.append((ids, [p.data.copy() for p in model.parameters()]))
+            return extractor_batch_loss(model, batch, train, rng)
+
+        model = ExtractorModel(len(vocab), cfg, nc.rng_streams(cfg.seed)[0])
+        result = fit(model, vocab, recording_loss, samples, cfg)
+        assert sorted(i for ids in trained for i in ids) == sorted(list(range(6)) * cfg.epochs)
+        val_weights = [weights for ids, weights in evaluated if ids == [6, 7]]
+        assert len(val_weights) == cfg.epochs
+
+        best = int(np.argmin(result.history.val_loss))
+        assert result.best_epoch == best < cfg.epochs - 1
+        for p, w in zip(result.model.parameters(), val_weights[best]):
+            assert np.array_equal(p.data, w)
+        assert not all(
+            np.array_equal(p.data, w) for p, w in zip(result.model.parameters(), val_weights[-1])
+        )
+        for weights, logged in zip(val_weights, result.history.val_loss):
+            probe = ExtractorModel.from_parameters(
+                len(vocab), cfg, [nc.Parameter(p.name, w) for p, w in zip(model.parameters(), weights)]
+            )
+            losses = [extractor_batch_loss(probe, [s]).item() for s in val_set]
+            assert logged == pytest.approx(np.mean(losses), rel=1e-5)
+
+
 def test_dataset_drops_unsegmentable_pair(overfit_run, unsegmentable_corpus_path):
     ex = overfit_run.extractor
     corpus = load_corpus(unsegmentable_corpus_path)
@@ -272,7 +323,7 @@ class TestOverfit:
         ex = overfit_run.extractor
         samples = build_extractor_dataset(list(toy_corpus), "java", ex.vocab, ex.model.config)
         for s in samples:
-            _, indices = predict_important(
+            indices, _ = predict_important(
                 segment(toy_corpus[s.pair_id].code, "java"), ex.model, ex.vocab
             )
             assert indices == [i for i, l in enumerate(s.labels) if l == 1]

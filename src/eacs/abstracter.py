@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .config import RunConfig
 from .corpus import BOS, EOS, Batch, RawPair, Vocabulary
 from .errors import EmptyInput, ShapeError, UsageError, VocabMismatch
 from .extractor import ExtractorModel, TrainResult, fit, predict_important
-from .segmenter import SegmentedSnippet, segment, segment_pairs
+from .segmenter import PreparedPair, SegmentedSnippet, segment, segment_pairs
 
 log = logging.getLogger(__name__)
 
@@ -213,15 +213,14 @@ def abstracter_input(
 
 
 def build_abstracter_dataset(
-    pairs: Sequence[RawPair],
-    language: str,
+    prepared: Iterable[PreparedPair],
     vocab: Vocabulary,
     extractor: ExtractorModel,
     config: RunConfig,
 ) -> list[AbstracterSample]:
     """Encode pairs; important statements come from the frozen extractor."""
     samples = []
-    for pair, snippet, comment in segment_pairs(pairs, language):
+    for pair, snippet, comment in prepared:
         important_ids, code_ids = abstracter_input(snippet, extractor, vocab, config)
         comment_core = list(vocab.encode(comment[: config.max_comment_tokens - 2]))
         samples.append(
@@ -245,7 +244,8 @@ def train_abstracter(
     The extractor stays frozen: its selections are computed once up front and
     its parameters are never handed to the optimizer.
     """
-    samples = build_abstracter_dataset(corpus, config.language, vocab, extractor, config)
+    prepared = segment_pairs(corpus, config.language)
+    samples = build_abstracter_dataset(prepared, vocab, extractor, config)
     model = AbstracterModel(len(vocab), config, nc.rng_streams(config.seed)[0])
     return fit(model, vocab, abstracter_loss, samples, config)
 

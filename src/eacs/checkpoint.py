@@ -73,7 +73,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     try:
         fh = open(path, "rb")
     except OSError as exc:
-        raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
+        raise IoError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from exc
     with fh:
         size = os.fstat(fh.fileno()).st_size
         try:

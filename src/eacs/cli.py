@@ -76,19 +76,17 @@ def _cmd_label(args) -> int:
             }
             fh.write(json.dumps(record) + "\n")
             written += 1
-    skipped = corpus.skipped + len(corpus) - written
-    print(f"labeled {written} pair(s), skipped {skipped}, wrote {args.out}")
+    print(f"labeled {written} pair(s), skipped {len(corpus) - written}, wrote {args.out}")
     return 0
 
 
 def _cmd_train_extractor(args) -> int:
     run = _config_from_args(args)
-    corpus = load_corpus(args.corpus)
-    result = train_extractor(corpus, run)
+    result = train_extractor(load_corpus(args.corpus), run)
     save_model(result.model, result.vocab, args.out)
     best = min(result.history.val_loss) if result.history.val_loss else float("nan")
     print(
-        f"trained extractor on {len(corpus)} pair(s): best epoch {result.best_epoch}, "
+        f"trained extractor on {result.pairs} pair(s): best epoch {result.best_epoch}, "
         f"val loss {best:.6f}, checkpoint {args.out}"
     )
     return 0
@@ -105,13 +103,12 @@ def _cmd_extract(args) -> int:
 
 def _cmd_train_abstracter(args) -> int:
     run = _config_from_args(args)
-    corpus = load_corpus(args.corpus)
     ex_model, ex_vocab = load_model(args.extractor, "extractor")
-    result = train_abstracter(corpus, ex_model, ex_vocab, run)
+    result = train_abstracter(load_corpus(args.corpus), ex_model, ex_vocab, run)
     save_model(result.model, result.vocab, args.out)
     best = min(result.history.val_loss) if result.history.val_loss else float("nan")
     print(
-        f"trained abstracter ({run.fusion}) on {len(corpus)} pair(s): best epoch "
+        f"trained abstracter ({run.fusion}) on {result.pairs} pair(s): best epoch "
         f"{result.best_epoch}, val loss {best:.6f}, checkpoint {args.out}"
     )
     return 0
@@ -138,7 +135,7 @@ def _cmd_evaluate(args) -> int:
     refs = _read_token_lines(args.refs)
     for lineno, ref in enumerate(refs, start=1):
         if not ref:
-            raise FormatError(f"empty reference in {args.refs}", line=lineno)
+            raise FormatError("empty reference", args.refs, lineno)
     hyps = _read_token_lines(args.hyps)
     buckets = None
     if args.buckets == "comment":

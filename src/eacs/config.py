@@ -91,20 +91,15 @@ PRESETS: dict[str, dict] = {
 FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
-def _coerce(key: str, raw: str):
+def _coerce(key: str, raw: str, where: str):
     kind = FIELD_TYPES[key]
-    raw = raw.strip()
-    if kind == "int":
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise UsageError(f"config key {key}: expected an integer, got {raw!r}") from exc
-    if kind == "float":
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise UsageError(f"config key {key}: expected a number, got {raw!r}") from exc
-    return raw
+    if kind == "str":
+        return raw
+    try:
+        return int(raw) if kind == "int" else float(raw)
+    except ValueError as exc:
+        expected = "an integer" if kind == "int" else "a number"
+        raise UsageError(f"{where}: config key {key}: expected {expected}, got {raw!r}") from exc
 
 
 def parse_config_file(path: str) -> dict:
@@ -119,7 +114,7 @@ def parse_config_file(path: str) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in FIELD_TYPES:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = _coerce(key, raw)
+        out[key] = _coerce(key, raw, f"{path}:{lineno}")
     return out
 
 

@@ -9,7 +9,6 @@ kept as single-character tokens). Comments keep only their first sentence.
 from __future__ import annotations
 
 import json
-import logging
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -19,8 +18,6 @@ import numpy as np
 
 from .errors import EmptyComment, FormatError
 from .fileio import read_lines
-
-log = logging.getLogger(__name__)
 
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>")
@@ -39,14 +36,6 @@ class RawPair:
     id: int
     code: str
     comment: str
-
-
-class Corpus(list[RawPair]):
-    """Loaded code/comment pairs plus the count of lines skipped in preprocessing."""
-
-    def __init__(self, pairs: Iterable[RawPair], skipped: int):
-        super().__init__(pairs)
-        self.skipped = skipped
 
 
 def tokenize_code(text: str) -> list[str]:
@@ -73,45 +62,34 @@ def tokenize_comment(text: str) -> list[str]:
     return tokens
 
 
-def load_corpus(path: str) -> Corpus:
+def load_corpus(path: str) -> list[RawPair]:
     """Read a JSON-lines corpus file in order, one line at a time.
 
-    Malformed lines (bad JSON, missing or non-string fields) raise
-    :class:`FormatError` with the 1-based line number. Lines whose content
-    fails preprocessing (blank code, empty comment after the first-sentence
-    rule) are skipped and counted, so large corpora ingest robustly.
+    Blank lines are ignored, and each record's id is its index among the
+    records. A malformed line (bad JSON, missing or non-string fields) raises
+    :class:`FormatError` naming ``path`` and the 1-based line. Content is not
+    checked here: :func:`eacs.segmenter.segment_pairs` skips the pairs that
+    fail preprocessing.
     """
     pairs: list[RawPair] = []
-    skipped = 0
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON ({exc.msg})", line=lineno) from exc
+            raise FormatError(f"invalid JSON ({exc.msg})", path, lineno) from exc
         except RecursionError as exc:
-            raise FormatError(f"JSON nested too deeply in {path}", line=lineno) from exc
+            raise FormatError("JSON nested too deeply", path, lineno) from exc
         if not isinstance(record, dict):
-            raise FormatError("record is not an object", line=lineno)
+            raise FormatError("record is not an object", path, lineno)
         for fld in ("code", "comment"):
             if fld not in record:
-                raise FormatError(f"missing `{fld}` field", line=lineno)
+                raise FormatError(f"missing `{fld}` field", path, lineno)
             if not isinstance(record[fld], str):
-                raise FormatError(f"`{fld}` is not a string", line=lineno)
-        code, comment = record["code"], record["comment"]
-        if not code.strip():
-            skipped += 1
-            continue
-        try:
-            tokenize_comment(comment)
-        except EmptyComment:
-            skipped += 1
-            continue
-        pairs.append(RawPair(id=len(pairs), code=code, comment=comment))
-    if skipped:
-        log.info("skipped %d line(s) that failed preprocessing", skipped)
-    return Corpus(pairs, skipped=skipped)
+                raise FormatError(f"`{fld}` is not a string", path, lineno)
+        pairs.append(RawPair(id=len(pairs), code=record["code"], comment=record["comment"]))
+    return pairs
 
 
 class Vocabulary:
@@ -143,8 +121,10 @@ class Vocabulary:
         return [self.index_to_token[int(i)] for i in ids if i not in (PAD, BOS, EOS)]
 
 
-def build_vocabulary(pairs: Sequence[RawPair], min_freq: int, max_size: int) -> Vocabulary:
-    """Joint vocabulary over code and comment tokens.
+def build_vocabulary(
+    sequences: Iterable[Sequence[str]], min_freq: int, max_size: int
+) -> Vocabulary:
+    """Vocabulary of the tokens in ``sequences``, counted over all of them.
 
     Tokens with frequency >= ``min_freq`` are kept, most frequent first with
     lexicographic tie-breaks, truncated to ``max_size`` entries including the
@@ -153,12 +133,8 @@ def build_vocabulary(pairs: Sequence[RawPair], min_freq: int, max_size: int) -> 
     if max_size < 4:
         raise ValueError("max_size must leave room for the reserved tokens")
     counts: Counter[str] = Counter()
-    for pair in pairs:
-        counts.update(tokenize_code(pair.code))
-        try:
-            counts.update(tokenize_comment(pair.comment))
-        except EmptyComment:
-            continue
+    for tokens in sequences:
+        counts.update(tokens)
     ranked = sorted(
         (t for t, c in counts.items() if c >= min_freq and t not in RESERVED_TOKENS),
         key=lambda t: (-counts[t], t),

@@ -14,10 +14,13 @@ class IoError(EacsError):
 
 
 class FormatError(EacsError):
-    """A line of a corpus or of a reference file is not a well-formed record."""
+    """A line of a corpus or of a reference file is not a well-formed record.
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    The message reads ``<path>:<line>: <message>``, as a config file's errors do.
+    """
+
+    def __init__(self, message: str, path: str, line: int):
+        super().__init__(f"{path}:{line}: {message}")
         self.line = line
 
 

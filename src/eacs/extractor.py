@@ -12,10 +12,11 @@ abstracter.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .config import RunConfig
 from .corpus import Batch, RawPair, Vocabulary, build_vocabulary
 from .errors import EmptyCorpus, EmptyInput, NonFiniteLoss, ShapeError
 from .oracle import label_statements
-from .segmenter import SegmentedSnippet, segment_pairs
+from .segmenter import PreparedPair, SegmentedSnippet, segment_pairs
 
 log = logging.getLogger(__name__)
 
@@ -145,11 +146,7 @@ def truncate_snippet(snippet: SegmentedSnippet, max_statements: int) -> Segmente
     log.warning(
         "snippet truncated from %d to %d statements", len(snippet.statements), max_statements
     )
-    return SegmentedSnippet(
-        language=snippet.language,
-        statements=snippet.statements[:max_statements],
-        full_tokens=snippet.full_tokens,
-    )
+    return dataclasses.replace(snippet, statements=snippet.statements[:max_statements])
 
 
 def extractor_input(
@@ -163,13 +160,10 @@ def extractor_input(
 
 
 def build_extractor_dataset(
-    pairs: Sequence[RawPair],
-    language: str,
-    vocab: Vocabulary,
-    config: RunConfig,
+    prepared: Iterable[PreparedPair], vocab: Vocabulary, config: RunConfig
 ) -> list[ExtractorSample]:
     samples = []
-    for pair, snippet, comment in segment_pairs(pairs, language):
+    for pair, snippet, comment in prepared:
         snippet, stmt_ids = extractor_input(snippet, vocab, config)
         labeled = label_statements(snippet, comment)
         samples.append(
@@ -226,6 +220,7 @@ class TrainResult:
     vocab: Vocabulary
     history: TrainHistory
     best_epoch: int
+    pairs: int  # samples trained and validated on
 
 
 def fit(
@@ -282,7 +277,9 @@ def fit(
                 best_state = [p.data.copy() for p in params]
     for p, data in zip(params, best_state):
         p.data = data
-    return TrainResult(model=model, vocab=vocab, history=history, best_epoch=best_epoch)
+    return TrainResult(
+        model=model, vocab=vocab, history=history, best_epoch=best_epoch, pairs=len(samples)
+    )
 
 
 def label_accuracy(model: ExtractorModel, samples: Sequence[ExtractorSample]) -> float:
@@ -299,9 +296,15 @@ def label_accuracy(model: ExtractorModel, samples: Sequence[ExtractorSample]) ->
 
 def train_extractor(corpus: Sequence[RawPair], config: RunConfig) -> TrainResult:
     """Oracle labeling + minibatch AdamW on the pairs of ``config.language``;
-    returns the best-validation model."""
-    vocab = build_vocabulary(corpus, min_freq=config.min_freq, max_size=config.vocab_size)
-    samples = build_extractor_dataset(corpus, config.language, vocab, config)
+    returns the best-validation model. The vocabulary covers the code and
+    comment tokens of the pairs :func:`segment_pairs` keeps."""
+    prepared = list(segment_pairs(corpus, config.language))
+    vocab = build_vocabulary(
+        (tokens for _, snippet, comment in prepared for tokens in (snippet.full_tokens, comment)),
+        min_freq=config.min_freq,
+        max_size=config.vocab_size,
+    )
+    samples = build_extractor_dataset(prepared, vocab, config)
     model = ExtractorModel(len(vocab), config, nc.rng_streams(config.seed)[0])
     return fit(model, vocab, extractor_batch_loss, samples, config)
 

@@ -22,7 +22,8 @@ def read_lines(path: str) -> Iterator[str]:
         with open(0 if path == "-" else path, encoding="utf-8-sig", closefd=path != "-") as fh:
             yield from fh
     except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+        # An OSError's own text repeats the path; a decode error has no strerror.
+        raise IoError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def read_text(path: str) -> str:

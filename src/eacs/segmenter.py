@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .corpus import RawPair, tokenize_code, tokenize_comment
-from .errors import EmptySnippet
+from .errors import EmptyComment, EmptySnippet
 
 LANGUAGES = ("java", "python", "generic")
 
@@ -23,14 +23,16 @@ LANGUAGES = ("java", "python", "generic")
 class Statement:
     text: str
     tokens: tuple[str, ...]
-    position: int
 
 
 @dataclass(frozen=True)
 class SegmentedSnippet:
-    language: str
     statements: tuple[Statement, ...]
     full_tokens: tuple[str, ...]
+
+
+# A pair that survived preprocessing: the pair, its snippet, its comment tokens.
+PreparedPair = tuple[RawPair, SegmentedSnippet, list[str]]
 
 
 # A string or char literal (backslash escapes; unclosed runs to the end), a
@@ -120,27 +122,25 @@ def segment(code: str, language: str) -> SegmentedSnippet:
         tokens = tokenize_code(text)
         if not tokens:
             continue
-        statements.append(Statement(text=text, tokens=tuple(tokens), position=len(statements)))
+        statements.append(Statement(text=text, tokens=tuple(tokens)))
         full_tokens.extend(tokens)
     if not statements:
         raise EmptySnippet("no statements after segmentation")
-    return SegmentedSnippet(
-        language=language, statements=tuple(statements), full_tokens=tuple(full_tokens)
-    )
+    return SegmentedSnippet(statements=tuple(statements), full_tokens=tuple(full_tokens))
 
 
-def segment_pairs(
-    pairs: Sequence[RawPair], language: str
-) -> Iterator[tuple[RawPair, SegmentedSnippet, list[str]]]:
+def segment_pairs(pairs: Sequence[RawPair], language: str) -> Iterator[PreparedPair]:
     """Each pair with its segmented snippet and comment tokens, in order.
 
-    The one pair filter of the pipeline: pairs whose code segments to no
-    statement (:class:`EmptySnippet`) are skipped; their count is ``len(pairs)``
-    minus the number of tuples yielded.
+    The one pair filter and the one tokenization of the pipeline: a pair whose
+    code segments to no statement (:class:`EmptySnippet`, blank code included)
+    or whose comment has no token (:class:`EmptyComment`) is skipped, so the
+    skip count is ``len(pairs)`` minus the number of pairs yielded.
     """
     for pair in pairs:
         try:
             snippet = segment(pair.code, language)
-        except EmptySnippet:
+            comment = tokenize_comment(pair.comment)
+        except (EmptySnippet, EmptyComment):
             continue
-        yield pair, snippet, tokenize_comment(pair.comment)
+        yield pair, snippet, comment

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from eacs.abstracter import train_abstracter
 from eacs.config import RunConfig
-from eacs.corpus import Corpus, load_corpus
+from eacs.corpus import RawPair, Vocabulary, build_vocabulary, load_corpus
 from eacs.extractor import TrainResult, train_extractor
+from eacs.segmenter import PreparedPair, segment_pairs
 
 TYPES = ["int", "long", "float", "double"]
 OPS = [
@@ -63,14 +64,29 @@ def toy_corpus_path(tmp_path_factory) -> str:
 
 
 @pytest.fixture(scope="session")
-def toy_corpus(toy_corpus_path) -> Corpus:
+def toy_corpus(toy_corpus_path) -> list[RawPair]:
     return load_corpus(toy_corpus_path)
 
 
 @pytest.fixture(scope="session")
+def toy_prepared(toy_corpus) -> list[PreparedPair]:
+    """The toy corpus as segment_pairs prepares it: every pair is kept."""
+    return list(segment_pairs(toy_corpus, "java"))
+
+
+def vocabulary_of(prepared: list[PreparedPair], max_size: int) -> Vocabulary:
+    """The vocabulary train_extractor builds on ``prepared`` at min_freq 1."""
+    return build_vocabulary(
+        (tokens for _, snippet, comment in prepared for tokens in (snippet.full_tokens, comment)),
+        min_freq=1,
+        max_size=max_size,
+    )
+
+
+@pytest.fixture(scope="session")
 def unsegmentable_corpus_path(tmp_path_factory) -> str:
-    """The toy corpus plus a blank-code line, which load_corpus skips, and
-    pair 1, whose code ``___`` loads but segments to no statement."""
+    """The toy corpus plus record 1, whose code ``___`` segments to no
+    statement, and record 3, whose code is blank: segment_pairs skips both."""
     pairs = toy_pairs()
     pairs.insert(1, {"code": "___", "comment": "does nothing."})
     pairs.insert(3, {"code": "  ", "comment": "blank code."})

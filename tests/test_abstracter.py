@@ -19,6 +19,7 @@ from eacs.abstracter import (
 )
 from eacs.corpus import BOS, EOS, PAD, RESERVED_TOKENS, Vocabulary, load_corpus
 from eacs.errors import EmptyInput, ShapeError, VocabMismatch
+from eacs.segmenter import segment_pairs
 
 from .oracles import (
     RecordingRng,
@@ -461,17 +462,15 @@ class TestBatchedBeam:
 def test_dataset_drops_unsegmentable_pair(overfit_run, unsegmentable_corpus_path):
     ex = overfit_run.extractor
     corpus = load_corpus(unsegmentable_corpus_path)
-    samples = build_abstracter_dataset(corpus, "java", ex.vocab, ex.model, TINY)
-    assert corpus[1].code == "___"
-    assert [s.pair_id for s in samples] == [0] + list(range(2, len(corpus)))
+    samples = build_abstracter_dataset(segment_pairs(corpus, "java"), ex.vocab, ex.model, TINY)
+    assert corpus[1].code == "___" and not corpus[3].code.strip()
+    assert [s.pair_id for s in samples] == [0, 2] + list(range(4, len(corpus)))
 
 
 class TestOverfitGeneration:
-    def test_reproduces_gold_comments(self, overfit_run, toy_corpus):
+    def test_reproduces_gold_comments(self, overfit_run, toy_corpus, toy_prepared):
         ex, ab = overfit_run.extractor, overfit_run.abstracter
-        samples = build_abstracter_dataset(
-            list(toy_corpus), "java", ex.vocab, ex.model, ab.model.config
-        )
+        samples = build_abstracter_dataset(toy_prepared, ex.vocab, ex.model, ab.model.config)
         exact = 0
         for pair, s in zip(toy_corpus, samples):
             out = generate_summary(

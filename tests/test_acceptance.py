@@ -85,10 +85,9 @@ def _random_snippet(rng, force_disjoint: bool):
         for i in rng.integers(0, len(comment_vocab), size=rng.integers(1, 9))
     ]
     statements = tuple(
-        Statement(text=" ".join(t), tokens=tuple(t), position=i) for i, t in enumerate(stmts)
+        Statement(text=" ".join(t), tokens=tuple(t)) for t in stmts
     )
     snippet = SegmentedSnippet(
-        language="generic",
         statements=statements,
         full_tokens=tuple(tok for t in stmts for tok in t),
     )
@@ -128,7 +127,7 @@ def test_criterion_4_gradient_verification():
         assert time.time() - start < 120.0
 
 
-def test_criterion_5_overfit_capability(overfit_run, toy_corpus):
+def test_criterion_5_overfit_capability(overfit_run, toy_corpus, toy_prepared):
     with criterion(5, "overfit-capability"):
         assert TOY_EXTRACTOR_CONFIG.epochs <= 300
         assert TOY_ABSTRACTER_CONFIG.epochs <= 300
@@ -137,13 +136,11 @@ def test_criterion_5_overfit_capability(overfit_run, toy_corpus):
 
         ex = overfit_run.extractor
         assert len(ex.vocab) <= 200
-        samples = build_extractor_dataset(list(toy_corpus), "java", ex.vocab, ex.model.config)
+        samples = build_extractor_dataset(toy_prepared, ex.vocab, ex.model.config)
         assert label_accuracy(ex.model, samples) == 1.0
 
         ab = overfit_run.abstracter
-        ab_samples = build_abstracter_dataset(
-            list(toy_corpus), "java", ex.vocab, ex.model, ab.model.config
-        )
+        ab_samples = build_abstracter_dataset(toy_prepared, ex.vocab, ex.model, ab.model.config)
         exact = 0
         for pair, s in zip(toy_corpus, ab_samples):
             out = generate_summary(

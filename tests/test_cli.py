@@ -9,7 +9,7 @@ import pytest
 
 import eacs
 from eacs.abstracter import MAX_BEAM_WIDTH, AbstracterModel
-from eacs.checkpoint import save_model
+from eacs.checkpoint import load_model, save_model
 from eacs import cli, metrics
 from eacs.cli import build_parser, main
 from eacs.config import RunConfig
@@ -80,10 +80,10 @@ class TestLabel:
             "--out", str(out_path),
         )
         assert code == 0
-        # One blank-code line skipped at load, plus the unsegmentable pair.
-        assert out.startswith("labeled 32 pair(s), skipped 2,")
+        # Records 1 (unsegmentable) and 3 (blank code); ids are record indices.
+        assert out == f"labeled 32 pair(s), skipped 2, wrote {out_path}\n"
         records = [json.loads(l) for l in out_path.read_text().splitlines()]
-        assert [r["id"] for r in records] == [0] + list(range(2, 33))
+        assert [r["id"] for r in records] == [0, 2] + list(range(4, 34))
 
     def test_failed_run_keeps_previous_output(
         self, capsys, tmp_path, toy_corpus_path, monkeypatch
@@ -184,6 +184,26 @@ class TestEvaluate:
         assert {k: v["n_samples"] for k, v in buckets.items()} == {"code 1-10": 2, "code 11-20": 1}
         assert "code 11-20" in out
 
+    def test_code_buckets_count_every_record(self, capsys, tmp_path):
+        # Blank code and an empty comment fail training's preprocessing, yet
+        # each record is still line i of --refs.
+        refs = tmp_path / "refs.txt"
+        refs.write_text("a b\nc d\ne f\n")
+        codes = tmp_path / "codes.jsonl"
+        codes.write_text("".join(json.dumps(rec) + "\n" for rec in (
+            {"code": "a++;\n" * 12, "comment": "count ."},
+            {"code": "  ", "comment": "blank code ."},
+            {"code": "a++;", "comment": ""},
+        )))
+        report_path = tmp_path / "report.json"
+        code, _, err = run(
+            capsys, "evaluate", "--refs", str(refs), "--hyps", str(refs),
+            "--buckets", "code", "--codes", str(codes), "--out", str(report_path),
+        )
+        assert (code, err) == (0, "")
+        buckets = json.loads(report_path.read_text())["buckets"]
+        assert {k: v["n_samples"] for k, v in buckets.items()} == {"code 1-10": 2, "code 11-20": 1}
+
     def test_codes_of_another_pair_count_fail(self, capsys, tmp_path):
         refs = tmp_path / "refs.txt"
         refs.write_text("a b\nc d\n")
@@ -236,8 +256,7 @@ class TestEvaluate:
             "--out", str(report_path),
         )
         assert code == 1 and out == ""
-        assert err.startswith("eacs evaluate: error: line 2: empty reference")
-        assert len(err.strip().splitlines()) == 1
+        assert err == f"eacs evaluate: error: {refs}:2: empty reference\n"
         assert not report_path.exists()
 
     def test_empty_hypothesis_scores_zero(self, capsys, tmp_path):
@@ -476,6 +495,16 @@ class TestConfigValues:
         assert len(err.strip().splitlines()) == 1
         assert not out_path.exists()
 
+    def test_unparsable_value_names_path_and_line(self, capsys, tmp_path, toy_corpus_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# desk run\nepochs = soon\n")
+        code, out, err = run(
+            capsys, "train-extractor", "--corpus", toy_corpus_path, "--config", str(cfg),
+            "--out", str(tmp_path / "ex.ckpt"),
+        )
+        assert code == 2 and out == ""
+        assert err == f"eacs train-extractor: {cfg}:2: config key epochs: expected an integer, got 'soon'\n"
+
     def test_negative_seed_flag_exits_two_with_one_line(self, capsys, tmp_path, toy_corpus_path):
         code, out, err = run(
             capsys, "train-extractor", "--corpus", toy_corpus_path, "--seed", "-1",
@@ -679,8 +708,8 @@ class TestDeepNesting:
         corpus = tmp_path / "deep.jsonl"
         corpus.write_text('{"code": "int a;", "comment": "a."}\n{"code": ' + self.DEEP + "}\n")
         code, _, err = run(capsys, "label", "--corpus", str(corpus), "--out", str(tmp_path / "l"))
-        assert code == 1 and len(err.strip().splitlines()) == 1
-        assert "line 2" in err and str(corpus) in err and "Traceback" not in err
+        assert code == 1
+        assert err == f"eacs label: error: {corpus}:2: JSON nested too deeply\n"
 
     def test_checkpoint_header(self, capsys, tmp_path):
         ckpt = tmp_path / "deep.ckpt"
@@ -690,6 +719,93 @@ class TestDeepNesting:
         code, _, err = run(capsys, "extract", "--ckpt", str(ckpt), "--code", str(src))
         assert code == 1 and len(err.strip().splitlines()) == 1
         assert str(ckpt) in err and "invalid header" in err
+
+
+def patch_everywhere(monkeypatch, fn, replacement):
+    """Replace ``fn`` at every eacs module attribute bound to it."""
+    for name, module in list(sys.modules.items()):
+        if name == "eacs" or name.startswith("eacs."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+class TestOnePreparation:
+    """The unsegmentable corpus holds 34 records; segment_pairs skips record 1
+    (code ``___``) and record 3 (blank code), and every command counts the 32
+    pairs it keeps."""
+
+    def test_train_extractor_tokenizes_each_kept_pair_once(
+        self, capsys, tmp_path, monkeypatch, unsegmentable_corpus_path
+    ):
+        from eacs import corpus, segmenter
+
+        in_segment = []
+        comments, code_outside_segment = [], []
+        segment, tokenize_code = segmenter.segment, corpus.tokenize_code
+        tokenize_comment = corpus.tokenize_comment
+
+        def tracked_segment(*args):
+            in_segment.append(True)
+            try:
+                return segment(*args)
+            finally:
+                in_segment.pop()
+
+        def tracked_code(text):
+            if not in_segment:
+                code_outside_segment.append(text)
+            return tokenize_code(text)
+
+        def tracked_comment(text):
+            comments.append(text)
+            return tokenize_comment(text)
+
+        patch_everywhere(monkeypatch, segment, tracked_segment)
+        patch_everywhere(monkeypatch, tokenize_code, tracked_code)
+        patch_everywhere(monkeypatch, tokenize_comment, tracked_comment)
+        out_path = tmp_path / "ex.ckpt"
+        code, out, err = run(
+            capsys, "train-extractor", "--corpus", unsegmentable_corpus_path,
+            "--epochs", "1", "--out", str(out_path),
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("trained extractor on 32 pair(s): ")
+        assert len(comments) == 32 and "does nothing." not in comments
+        assert code_outside_segment == []
+        vocab = load_model(str(out_path), "extractor")[1].token_to_index
+        assert "compute" in vocab
+        assert "does" not in vocab and "nothing" not in vocab
+
+    def test_train_abstracter_counts_kept_pairs(self, capsys, tmp_path, unsegmentable_corpus_path):
+        ex, ab = str(tmp_path / "ex.ckpt"), str(tmp_path / "ab.ckpt")
+        flags = ["--corpus", unsegmentable_corpus_path, "--epochs", "1"]
+        assert run(capsys, "train-extractor", *flags, "--out", ex)[0] == 0
+        code, out, err = run(capsys, "train-abstracter", *flags, "--extractor", ex, "--out", ab)
+        assert (code, err) == (0, "")
+        assert out.startswith("trained abstracter (abex) on 32 pair(s): ")
+
+
+class TestInputErrors:
+    """A malformed line is ``<path>:<line>: <reason>``; an unreadable file names its path once."""
+
+    def test_corpus_line(self, capsys, tmp_path):
+        corpus = tmp_path / "pairs.jsonl"
+        corpus.write_text('{"code": "int a;", "comment": "a."}\nnope\n')
+        code, out, err = run(capsys, "label", "--corpus", str(corpus), "--out", str(tmp_path / "l"))
+        assert code == 1 and out == ""
+        assert err == f"eacs label: error: {corpus}:2: invalid JSON (Expecting value)\n"
+
+    @pytest.mark.parametrize("command", ["label", "extract"])
+    def test_missing_file(self, capsys, tmp_path, command):
+        missing = tmp_path / "missing"
+        argv, what = {
+            "label": (["label", "--corpus", str(missing), "--out", str(tmp_path / "l")], ""),
+            "extract": (["extract", "--ckpt", str(missing), "--code", "-"], "checkpoint "),
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"eacs {command}: error: cannot read {what}{missing}: No such file or directory\n"
 
 
 @pytest.fixture

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from eacs import corpus as C
 from eacs.errors import EmptyComment, FormatError, IoError
+from eacs.segmenter import segment_pairs
 
-from .conftest import SOURCE_TEXT
+from .conftest import SOURCE_TEXT, vocabulary_of
 from .oracles import tokenize_code_reference
 
 
@@ -77,7 +78,6 @@ class TestLoadCorpus:
         )
         corpus = C.load_corpus(path)
         assert [p.id for p in corpus] == [0, 1]
-        assert corpus.skipped == 0
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -111,43 +111,45 @@ class TestLoadCorpus:
                 json.dumps({"code": "int b;", "comment": "kept."}),
             ],
         )
+        # Loading keeps every record under its record index; segment_pairs
+        # alone skips, and the skip count is what it does not yield.
         corpus = C.load_corpus(path)
-        assert corpus.skipped == 2
-        assert len(corpus) == 1
-        assert corpus[0].id == 0
+        assert [p.id for p in corpus] == [0, 1, 2]
+        kept = [pair.id for pair, _, _ in segment_pairs(corpus, "java")]
+        assert kept == [2]
+        assert len(corpus) - len(kept) == 2
 
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(IoError):
             C.load_corpus(str(tmp_path / "missing.jsonl"))
 
 
-def _pairs(freqs):
-    # One synthetic pair whose code carries each token `freq` times.
-    code = " ".join(" ".join([tok] * n) for tok, n in freqs.items())
-    return [C.RawPair(id=0, code=code, comment="x.")]
+def _tokens(freqs):
+    # One token sequence carrying each token `freq` times.
+    return [[tok for tok, n in freqs.items() for _ in range(n)]]
 
 
 class TestVocabulary:
     def test_min_freq_filter(self):
-        vocab = C.build_vocabulary(_pairs({"aa": 5, "bb": 1}), min_freq=2, max_size=10)
+        vocab = C.build_vocabulary(_tokens({"aa": 5, "bb": 1}), min_freq=2, max_size=10)
         assert vocab.index_to_token[:4] == list(C.RESERVED_TOKENS)
         assert "aa" in vocab.token_to_index and "bb" not in vocab.token_to_index
 
     def test_reserved_only_at_max_size_four(self):
-        vocab = C.build_vocabulary(_pairs({"aa": 5}), min_freq=1, max_size=4)
+        vocab = C.build_vocabulary(_tokens({"aa": 5}), min_freq=1, max_size=4)
         assert len(vocab) == 4
 
     def test_lexicographic_tie_break(self):
-        vocab = C.build_vocabulary(_pairs({"yy": 3, "xx": 3}), min_freq=1, max_size=10)
+        vocab = C.build_vocabulary(_tokens({"yy": 3, "xx": 3}), min_freq=1, max_size=10)
         assert vocab.token_to_index["xx"] < vocab.token_to_index["yy"]
 
-    def test_deterministic(self, toy_corpus):
-        a = C.build_vocabulary(toy_corpus, min_freq=1, max_size=100)
-        b = C.build_vocabulary(toy_corpus, min_freq=1, max_size=100)
+    def test_deterministic(self, toy_prepared):
+        a = vocabulary_of(toy_prepared, max_size=100)
+        b = vocabulary_of(toy_prepared, max_size=100)
         assert a.index_to_token == b.index_to_token
 
     def test_unknown_maps_to_unk(self):
-        vocab = C.build_vocabulary(_pairs({"aa": 2}), min_freq=1, max_size=10)
+        vocab = C.build_vocabulary(_tokens({"aa": 2}), min_freq=1, max_size=10)
         assert list(vocab.encode(["nope"])) == [C.UNK]
 
 

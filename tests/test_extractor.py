@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from eacs import numcore as nc
 from eacs.config import RunConfig
-from eacs.corpus import PAD, build_vocabulary, load_corpus
+from eacs.corpus import PAD, RawPair, load_corpus
 from eacs.errors import EmptyCorpus, ShapeError
 from eacs.extractor import (
     ExtractorModel,
@@ -21,8 +22,10 @@ from eacs.extractor import (
     split_validation,
     train_extractor,
 )
-from eacs.segmenter import segment
+from eacs.oracle import label_statements
+from eacs.segmenter import segment, segment_pairs
 
+from .conftest import vocabulary_of
 from .oracles import RecordingRng
 
 TINY = RunConfig(embed_dim=8, hidden_dim=8, dropout=0.0, epochs=3, seed=7)
@@ -191,26 +194,20 @@ class TestPredict:
         model.cls_b.data[:] = bias
         return model
 
-    def test_all_positive_returns_everything(self, toy_corpus):
-        from eacs.corpus import build_vocabulary
-
-        vocab = build_vocabulary(toy_corpus, min_freq=1, max_size=40)
+    def test_all_positive_returns_everything(self, toy_prepared):
+        vocab = vocabulary_of(toy_prepared, max_size=40)
         model = self._forced([-5.0, 5.0])
         indices, _ = predict_important(segment(self.CODE, "java"), model, vocab)
         assert indices == [0, 1, 2]
 
-    def test_all_negative_falls_back_to_best_single(self, toy_corpus):
-        from eacs.corpus import build_vocabulary
-
-        vocab = build_vocabulary(toy_corpus, min_freq=1, max_size=40)
+    def test_all_negative_falls_back_to_best_single(self, toy_prepared):
+        vocab = vocabulary_of(toy_prepared, max_size=40)
         model = self._forced([5.0, -5.0])
         indices, _ = predict_important(segment(self.CODE, "java"), model, vocab)
         assert len(indices) == 1
 
-    def test_exact_tie_resolves_to_label_zero(self, toy_corpus):
-        from eacs.corpus import build_vocabulary
-
-        vocab = build_vocabulary(toy_corpus, min_freq=1, max_size=40)
+    def test_exact_tie_resolves_to_label_zero(self, toy_prepared):
+        vocab = vocabulary_of(toy_prepared, max_size=40)
         model = self._forced([0.0, 0.0])  # every row is exactly [0.5, 0.5]
         indices, _ = predict_important(segment(self.CODE, "java"), model, vocab)
         assert len(indices) == 1  # fallback, not all three
@@ -255,17 +252,17 @@ class TestTraining:
 
 
 class TestValidationSplit:
-    def test_held_out_quarter_is_validated_and_best_epoch_restored(self, toy_corpus):
+    def test_held_out_quarter_is_validated_and_best_epoch_restored(self, toy_prepared):
         """At val_fraction 0.25, fit trains on the first three quarters, logs
         the last quarter's mean loss as the validation loss, and restores the
         weights of the epoch where that loss was lowest. The held-out labels
         are flipped, so validation loss rises as training goes on and the best
         epoch is not the last."""
-        pairs = list(toy_corpus)[:8]
+        prepared = toy_prepared[:8]
         cfg = RunConfig(embed_dim=8, hidden_dim=8, epochs=6, batch_size=4, seed=5,
                         vocab_size=100, val_fraction=0.25)
-        vocab = build_vocabulary(pairs, min_freq=1, max_size=100)
-        samples = build_extractor_dataset(pairs, "java", vocab, cfg)
+        vocab = vocabulary_of(prepared, max_size=100)
+        samples = build_extractor_dataset(prepared, vocab, cfg)
         samples[6:] = [dataclasses.replace(s, labels=1 - s.labels) for s in samples[6:]]
         train_set, val_set = split_validation(samples, cfg.val_fraction)
         assert [s.pair_id for s in train_set] == list(range(6))
@@ -303,25 +300,66 @@ class TestValidationSplit:
             assert logged == pytest.approx(np.mean(losses), rel=1e-5)
 
 
+class TestTruncation:
+    def test_only_the_first_max_statements_are_read_and_labeled(self, monkeypatch, caplog):
+        """A snippet of max_statements + 3 statements: the extractor encodes,
+        predicts over and labels only the first max_statements, and logs one
+        warning each time it cuts."""
+        cfg = dataclasses.replace(TINY, max_statements=4)
+        code = "\n".join(f"int v{i} = {i};" for i in range(cfg.max_statements + 3))
+        # The comment names only a statement past the cut.
+        pair = RawPair(id=0, code=code, comment="set v6 to 6.")
+        prepared = list(segment_pairs([pair], "java"))
+        snippet = prepared[0][1]
+        assert len(snippet.statements) == cfg.max_statements + 3
+        vocab = vocabulary_of(prepared, max_size=100)
+        model = ExtractorModel(len(vocab), cfg, np.random.default_rng(0))
+        model.cls_w.data[:] = 0.0
+        model.cls_b.data[:] = [-5.0, 5.0]  # every statement read is important
+        read = []  # statements per snippet of each encode_batch call
+        encode_batch = model.encode_batch
+
+        def recording_encode(snippets, rng=None):
+            read.append([len(stmt_ids) for stmt_ids in snippets])
+            return encode_batch(snippets, rng)
+
+        monkeypatch.setattr(model, "encode_batch", recording_encode)
+
+        with caplog.at_level(logging.WARNING, logger="eacs.extractor"):
+            indices, ids = predict_important(snippet, model, vocab)
+        assert read == [[cfg.max_statements]]
+        assert indices == list(range(cfg.max_statements))
+        assert len(ids) == sum(len(st.tokens) for st in snippet.statements[: cfg.max_statements])
+        assert [r.getMessage() for r in caplog.records] == [
+            "snippet truncated from 7 to 4 statements"
+        ]
+
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="eacs.extractor"):
+            (sample,) = build_extractor_dataset(prepared, vocab, cfg)
+        assert len(caplog.records) == 1
+        assert len(sample.stmt_ids) == len(sample.labels) == cfg.max_statements
+        kept = dataclasses.replace(snippet, statements=snippet.statements[: cfg.max_statements])
+        assert sample.labels.tolist() == list(label_statements(kept, prepared[0][2]).labels)
+
+
 def test_dataset_drops_unsegmentable_pair(overfit_run, unsegmentable_corpus_path):
     ex = overfit_run.extractor
     corpus = load_corpus(unsegmentable_corpus_path)
-    samples = build_extractor_dataset(corpus, "java", ex.vocab, ex.model.config)
-    assert corpus[1].code == "___"
-    assert [s.pair_id for s in samples] == [0] + list(range(2, len(corpus)))
+    samples = build_extractor_dataset(segment_pairs(corpus, "java"), ex.vocab, ex.model.config)
+    assert corpus[1].code == "___" and not corpus[3].code.strip()
+    assert [s.pair_id for s in samples] == [0, 2] + list(range(4, len(corpus)))
 
 
 class TestOverfit:
-    def test_reaches_perfect_label_accuracy(self, overfit_run, toy_corpus):
+    def test_reaches_perfect_label_accuracy(self, overfit_run, toy_prepared):
         ex = overfit_run.extractor
-        samples = build_extractor_dataset(
-            list(toy_corpus), "java", ex.vocab, ex.model.config
-        )
+        samples = build_extractor_dataset(toy_prepared, ex.vocab, ex.model.config)
         assert label_accuracy(ex.model, samples) == 1.0
 
-    def test_reproduces_oracle_labels_per_snippet(self, overfit_run, toy_corpus):
+    def test_reproduces_oracle_labels_per_snippet(self, overfit_run, toy_corpus, toy_prepared):
         ex = overfit_run.extractor
-        samples = build_extractor_dataset(list(toy_corpus), "java", ex.vocab, ex.model.config)
+        samples = build_extractor_dataset(toy_prepared, ex.vocab, ex.model.config)
         for s in samples:
             indices, _ = predict_important(
                 segment(toy_corpus[s.pair_id].code, "java"), ex.model, ex.vocab

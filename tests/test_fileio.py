@@ -11,6 +11,13 @@ def test_leading_bom_is_dropped_and_a_later_one_kept(tmp_path):
     assert read_text(str(path)) == "a\nb\ufeff\n"
 
 
+def test_failed_read_names_the_path_once(tmp_path):
+    path = tmp_path / "missing.txt"
+    with pytest.raises(IoError) as info:
+        read_text(str(path))
+    assert str(info.value) == f"cannot read {path}: No such file or directory"
+
+
 def test_text_mode_writes_utf8(tmp_path):
     path = tmp_path / "out.txt"
     with replace_on_success(str(path), "w") as fh:

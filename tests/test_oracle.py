@@ -12,11 +12,10 @@ from .oracles import best_subset_informativity, greedy_labels_brute
 
 def make_snippet(statement_tokens):
     statements = tuple(
-        Statement(text=" ".join(toks), tokens=tuple(toks), position=i)
-        for i, toks in enumerate(statement_tokens)
+        Statement(text=" ".join(toks), tokens=tuple(toks)) for toks in statement_tokens
     )
     full = tuple(t for toks in statement_tokens for t in toks)
-    return SegmentedSnippet(language="generic", statements=statements, full_tokens=full)
+    return SegmentedSnippet(statements=statements, full_tokens=full)
 
 
 class TestInformativity:

@@ -92,10 +92,12 @@ class TestContract:
             segment("   ", "java")
 
     def test_positions_increase_and_tokens_match(self):
+        # Statements come in source order, each with its own tokens.
         snippet = segment("int a = 1; a++;", "java")
-        assert [s.position for s in snippet.statements] == [0, 1]
-        for st in snippet.statements:
-            assert st.tokens
+        assert [s.text for s in snippet.statements] == ["int a = 1;", "a++;"]
+        assert [s.tokens for s in snippet.statements] == [
+            ("int", "a", "=", "1", ";"), ("a", "+", "+", ";")
+        ]
 
     def test_deterministic(self):
         code = "public int f(int a) { return a; }"

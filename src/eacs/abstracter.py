@@ -244,7 +244,7 @@ def train_abstracter(
     The extractor stays frozen: its selections are computed once up front and
     its parameters are never handed to the optimizer.
     """
-    prepared = segment_pairs(corpus, config.language)
+    prepared = list(segment_pairs(corpus, config.language))
     samples = build_abstracter_dataset(prepared, vocab, extractor, config)
     model = AbstracterModel(len(vocab), config, nc.rng_streams(config.seed)[0])
     return fit(model, vocab, abstracter_loss, samples, config)

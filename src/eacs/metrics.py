@@ -49,39 +49,22 @@ CODE_LINE_EDGES = (10, 20, 30, 40)
 COMMENT_TOKEN_EDGES = (5, 10, 15, 20, 25)
 
 
-def lcs_length(r: TokenSeq, g: TokenSeq, masks: Optional[dict] = None) -> int:
-    """Length of a longest common subsequence of two token sequences.
-
-    ``masks`` is ``_kernels.lcs_masks(r)``, when the caller has it already.
-    """
-    return lcs_len_ids(r, g, masks)
-
-
 def rouge_l(r: TokenSeq, g: TokenSeq, masks: Optional[dict] = None) -> float:
     """LCS-based F-measure of generated tokens ``g`` against reference ``r``.
 
     Recall is weighted by beta = 1.2. Returns 0 when the sequences share no
-    common subsequence.
+    common subsequence. ``masks`` is ``_kernels.lcs_masks(r)``, when the
+    caller has it already.
     """
     if not r or not g:
         raise EmptyInput("rouge_l requires non-empty reference and hypothesis")
-    lcs = lcs_length(r, g, masks)
+    lcs = lcs_len_ids(r, g, masks)
     if lcs == 0:
         return 0.0
     r_lcs = lcs / len(r)
     p_lcs = lcs / len(g)
     b2 = ROUGE_BETA * ROUGE_BETA
     return (1.0 + b2) * r_lcs * p_lcs / (r_lcs + b2 * p_lcs)
-
-
-def rouge_l_recall(r: TokenSeq, g: TokenSeq, masks: dict) -> float:
-    """LCS recall: LCS(r, g) / |r|, the informativity measure of the oracle;
-    ``masks`` is ``_kernels.lcs_masks(r)``."""
-    if not r:
-        raise EmptyInput("rouge_l_recall requires a non-empty reference")
-    if not g:
-        return 0.0
-    return lcs_length(r, g, masks) / len(r)
 
 
 def _ngrams(seq: TokenSeq, n: int) -> Iterable:
@@ -104,11 +87,6 @@ def _clipped_ngram_stats(ref_counts: Counter, g: TokenSeq, n: int) -> tuple[int,
     return matched, total
 
 
-def modified_ngram_stats(r: TokenSeq, g: TokenSeq, n: int) -> tuple[int, int]:
-    """Raw clipped-match and total n-gram counts of ``g`` against ``r``."""
-    return _clipped_ngram_stats(Counter(_ngrams(r, n)), g, n)
-
-
 @dataclass(frozen=True)
 class RefProfile:
     """What scoring needs of one reference, counted once: its n-gram counts
@@ -118,7 +96,8 @@ class RefProfile:
     masks: dict
 
     def ngram_stats(self, g: TokenSeq) -> list[tuple[int, int]]:
-        """``modified_ngram_stats(r, g, n)`` for n = 1..4, counting g once per n."""
+        """Clipped-match and total n-gram counts of ``g`` against the
+        reference for n = 1..4, counting g once per n."""
         return [_clipped_ngram_stats(c, g, n) for n, c in enumerate(self.ngrams, start=1)]
 
 
@@ -139,12 +118,12 @@ def bleu4(r: TokenSeq, g: TokenSeq, stats: Optional[Sequence[tuple[int, int]]] =
     Precisions for n >= 2 get add-one smoothing on both numerator and
     denominator (short sentences would otherwise zero out routinely); a zero
     unigram precision short-circuits to 0. ``stats`` is
-    ``modified_ngram_stats(r, g, n)`` for n = 1..4, when the caller has it.
+    ``profile_reference(r).ngram_stats(g)``, when the caller has it.
     """
     if not r or not g:
         raise EmptyInput("bleu4 requires non-empty reference and hypothesis")
     if stats is None:
-        stats = [modified_ngram_stats(r, g, n) for n in range(1, 5)]
+        stats = profile_reference(r).ngram_stats(g)
     (m1, t1), *higher = stats
     if m1 == 0:
         return 0.0
@@ -155,9 +134,9 @@ def bleu4(r: TokenSeq, g: TokenSeq, stats: Optional[Sequence[tuple[int, int]]] =
 
 
 def alignment_stats(
-    r: TokenSeq, g: TokenSeq, counts: Optional[tuple[int, int]], bounded: Optional[list]
-) -> tuple[int, int]:
-    """Exact-match alignment statistics for METEOR: (matches, chunks).
+    r: TokenSeq, g: TokenSeq, counts: Optional[tuple[int, int]]
+) -> tuple[int, int, Optional[tuple[int, int]]]:
+    """Exact-match alignment statistics for METEOR: (matches, chunks, bound).
 
     Among all alignments with the maximum number of exact unigram matches,
     picks one with the fewest chunks, where a chunk is a maximal run of
@@ -181,32 +160,31 @@ def alignment_stats(
     NP-hard, so the search may visit at most :data:`SEARCH_NODES` nodes, and
     the packing may take at most :data:`PACK_STEPS` steps. If either runs
     out, the links packed so far stand: a valid alignment, so METEOR is a
-    lower bound, and ``(packed links, UB)`` is appended to ``bounded``.
+    lower bound, and ``bound`` is ``(packed links, UB)``; otherwise None.
 
     ``counts`` is (m, the bigram sum), BLEU's clipped unigram and bigram
     matches of the pair, when the caller has them.
     """
     if not r or not g:
-        return 0, 0
+        return 0, 0, None
     if r == g:
-        return len(r), 1
+        return len(r), 1, None
     if counts is None:
-        counts = modified_ngram_stats(r, g, 1)[0], modified_ngram_stats(r, g, 2)[0]
+        stats = profile_reference(r).ngram_stats(g)
+        counts = stats[0][0], stats[1][0]
     m, shared = counts
     if m == 0:
-        return 0, 0
+        return 0, 0, None
     upper = min(m - 1, shared)
     if upper == 0:
-        return m, m
+        return m, m, None
     lower, packed = _packed_links(r, g, upper)
     if lower < upper:
         links = _max_links(r, g, lower, upper) if packed else None
         if links is None:
-            if bounded is not None:
-                bounded.append((lower, upper))
-        else:
-            lower = links
-    return m, m - lower
+            return m, m - lower, (lower, upper)
+        lower = links
+    return m, m - lower, None
 
 
 def _packed_links(r: TokenSeq, g: TokenSeq, upper: int) -> tuple[int, bool]:
@@ -356,25 +334,24 @@ def _max_links(r: TokenSeq, g: TokenSeq, lower: int, upper: int) -> Optional[int
     return lower
 
 
-def meteor(
-    r: TokenSeq,
-    g: TokenSeq,
-    counts: Optional[tuple[int, int]] = None,
-    bounded: Optional[list] = None,
-) -> float:
+def meteor(r: TokenSeq, g: TokenSeq) -> float:
     """Unigram-alignment metric with a fragmentation penalty.
 
     Exact-token alignment only (no stemming or synonym stages), with
-    alpha=0.9, beta=3.0, gamma=0.5. ``counts`` and ``bounded`` go to
-    :func:`alignment_stats`.
+    alpha=0.9, beta=3.0, gamma=0.5.
     """
     if not r or not g:
         raise EmptyInput("meteor requires non-empty reference and hypothesis")
-    m, chunks = alignment_stats(r, g, counts, bounded)
+    m, chunks, _ = alignment_stats(r, g, None)
+    return _meteor_score(len(r), len(g), m, chunks)
+
+
+def _meteor_score(r_len: int, g_len: int, m: int, chunks: int) -> float:
+    """METEOR of a pair from its lengths and :func:`alignment_stats`."""
     if m == 0:
         return 0.0
-    p_unig = m / len(g)
-    r_unig = m / len(r)
+    p_unig = m / g_len
+    r_unig = m / r_len
     fmean = p_unig * r_unig / (METEOR_ALPHA * p_unig + (1.0 - METEOR_ALPHA) * r_unig)
     frag = chunks / m
     return (1.0 - METEOR_GAMMA * frag**METEOR_BETA) * fmean
@@ -509,23 +486,22 @@ class MetricReport:
 
 
 def score_pair(
-    r: TokenSeq, g: TokenSeq, profile: RefProfile, bounded: Optional[list]
-) -> tuple[float, float, float]:
-    """BLEU-4, METEOR and ROUGE-L of one pair; an empty hypothesis scores 0
-    on all three (an empty reference still raises :class:`EmptyInput`).
+    r: TokenSeq, g: TokenSeq, profile: RefProfile
+) -> tuple[tuple[float, float, float], Optional[tuple[int, int]]]:
+    """(BLEU-4, METEOR, ROUGE-L) of one pair and METEOR's ``bound`` from
+    :func:`alignment_stats`; an empty hypothesis scores 0 on all three (an
+    empty reference still raises :class:`EmptyInput`).
 
     ``profile`` is ``profile_reference(r)``. The hypothesis's n-grams are
     counted once: BLEU's clipped unigram and bigram matches are METEOR's m
-    and bigram bound. ``bounded`` goes to :func:`alignment_stats`.
+    and bigram bound.
     """
     if r and not g:
-        return 0.0, 0.0, 0.0
+        return (0.0, 0.0, 0.0), None
     stats = profile.ngram_stats(g)
-    return (
-        bleu4(r, g, stats),
-        meteor(r, g, (stats[0][0], stats[1][0]), bounded),
-        rouge_l(r, g, profile.masks),
-    )
+    bleu = bleu4(r, g, stats)
+    m, chunks, bound = alignment_stats(r, g, (stats[0][0], stats[1][0]))
+    return (bleu, _meteor_score(len(r), len(g), m, chunks), rouge_l(r, g, profile.masks)), bound
 
 
 def evaluate_corpus(
@@ -551,12 +527,12 @@ def evaluate_corpus(
         raise ShapeError(f"{len(buckets[1])} bucket lengths vs {len(refs)} pairs")
     if len(profiles) != len(refs):
         raise ShapeError(f"{len(refs)} references vs {len(profiles)} profiles")
-    rows, meteor_bounded, found = [], [], []
+    rows, meteor_bounded = [], []
     for i, (r, g, profile) in enumerate(zip(refs, hyps, profiles)):
-        rows.append(score_pair(r, g, profile, found))
-        if found:
-            packed, upper = found.pop()
-            meteor_bounded.append({"index": i, "links": [packed, upper]})
+        scores, bound = score_pair(r, g, profile)
+        rows.append(scores)
+        if bound:
+            meteor_bounded.append({"index": i, "links": list(bound)})
     arr = np.array(rows, dtype=np.float64)
     report = MetricReport(dict(zip(METRICS, arr.T)), meteor_bounded=meteor_bounded)
 

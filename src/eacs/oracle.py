@@ -14,8 +14,8 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._kernels import lcs_masks
-from .metrics import rouge_l_recall
+from ._kernels import lcs_len_ids, lcs_masks
+from .errors import EmptyInput
 from .segmenter import SegmentedSnippet
 
 
@@ -34,17 +34,16 @@ class LabeledSnippet:
 def informativity(
     selected: Sequence[int], snippet: SegmentedSnippet, comment: Sequence[str], masks: dict
 ) -> float:
-    """LCS recall of the selected statements, concatenated in source order.
+    """LCS recall of the selected statements, concatenated in source order:
+    LCS(comment, tokens) / |comment|.
 
     ``selected`` lists distinct statement indices in ascending order.
-    ``masks`` is ``_kernels.lcs_masks(comment)``.
+    ``masks`` is ``_kernels.lcs_masks(comment)``; ``comment`` is non-empty.
     """
     tokens: list[str] = []
     for i in selected:
         tokens.extend(snippet.statements[i].tokens)
-    if not tokens:
-        return 0.0
-    return rouge_l_recall(comment, tokens, masks)
+    return lcs_len_ids(comment, tokens, masks) / len(comment)
 
 
 def label_statements(snippet: SegmentedSnippet, comment: Sequence[str]) -> LabeledSnippet:
@@ -54,6 +53,8 @@ def label_statements(snippet: SegmentedSnippet, comment: Sequence[str]) -> Label
     positive informativity, the rank-1 statement is forcibly labeled 1 so the
     extractor always sees a positive example.
     """
+    if not comment:
+        raise EmptyInput("label_statements requires a non-empty comment")
     n = len(snippet.statements)
     masks = lcs_masks(comment)  # every call below scores against the comment
     individual = [informativity([i], snippet, comment, masks) for i in range(n)]

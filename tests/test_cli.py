@@ -332,7 +332,7 @@ class TestEvaluateRuns:
         assert [(e["file"], e["index"]) for e in bounded] == [("hyps", 0), ("hyps", 1)]
         low, high = bounded[1]["links"]
         monkeypatch.setattr(metrics, "SEARCH_NODES", 10**7)
-        m, chunks = metrics.alignment_stats(*map(list, self.HARD[1]), None, None)
+        m, chunks, _ = metrics.alignment_stats(*map(list, self.HARD[1]), None)
         assert low <= m - chunks == 13 <= high
         counts = [line for line in out.splitlines() if "lower bound" in line]
         assert counts == [
@@ -456,6 +456,22 @@ class TestTrainingFailure:
         assert err.startswith("eacs train-extractor: error: epoch 0")
         assert len(err.strip().splitlines()) == 1
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["train-extractor", "train-abstracter"])
+    def test_non_finite_loss_is_one_line_and_keeps_out(self, capsys, tmp_path, toy_corpus_path, command):
+        flags = ["--corpus", toy_corpus_path, "--epochs", "1"]
+        if command == "train-abstracter":
+            ex = str(tmp_path / "ex.ckpt")
+            assert run(capsys, "train-extractor", *flags, "--out", ex)[0] == 0
+            flags += ["--extractor", ex]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr = 1e39\n")
+        out_path = tmp_path / "previous.ckpt"
+        out_path.write_bytes(b"previous checkpoint\n")
+        code, out, err = run(capsys, command, *flags, "--config", str(cfg), "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == f"eacs {command}: error: epoch 0, batch 1: loss is nan; lower lr or check the data\n"
+        assert out_path.read_bytes() == b"previous checkpoint\n"
 
     @pytest.mark.parametrize("exc", [
         MemoryError(),

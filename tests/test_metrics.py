@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eacs import metrics as M
-from eacs._kernels import lcs_masks
+from eacs._kernels import lcs_len_ids
 from eacs.errors import EmptyInput, ShapeError
 
 from .oracles import (
@@ -49,23 +49,23 @@ COPY_22 = (
 
 class TestLcs:
     def test_identical(self):
-        assert M.lcs_length(list("abcde"), list("abcde")) == 5
+        assert lcs_len_ids(list("abcde"), list("abcde"), None) == 5
 
     def test_disjoint(self):
-        assert M.lcs_length(["a", "b"], ["c", "d"]) == 0
+        assert lcs_len_ids(["a", "b"], ["c", "d"], None) == 0
 
     def test_interleaved(self):
         # DP oracle value for [a,b,c,d] vs [a,c,b,d]
-        assert M.lcs_length(list("abcd"), list("acbd")) == 3
+        assert lcs_len_ids(list("abcd"), list("acbd"), None) == 3
 
     def test_empty(self):
-        assert M.lcs_length([], ["a"]) == 0
+        assert lcs_len_ids([], ["a"], None) == 0
 
     @given(tokens, tokens)
     @settings(max_examples=150, deadline=None)
     def test_properties(self, a, b):
-        lcs = M.lcs_length(a, b)
-        assert lcs == M.lcs_length(b, a)
+        lcs = lcs_len_ids(a, b, None)
+        assert lcs == lcs_len_ids(b, a, None)
         assert 0 <= lcs <= min(len(a), len(b))
         assert lcs == lcs_brute(a, b)
 
@@ -90,14 +90,6 @@ class TestRougeL:
             M.rouge_l([], ["a"])
         with pytest.raises(EmptyInput):
             M.rouge_l(["a"], [])
-
-    def test_recall(self):
-        abcd = list("abcd")
-        assert M.rouge_l_recall(abcd, abcd, lcs_masks(abcd)) == 1.0
-        assert M.rouge_l_recall(["a"], [], lcs_masks(["a"])) == 0.0
-        assert M.rouge_l_recall(abcd, ["a", "d"], lcs_masks(abcd)) == 0.5
-        with pytest.raises(EmptyInput):
-            M.rouge_l_recall([], ["a"], lcs_masks([]))
 
 
 class TestBleu4:
@@ -142,17 +134,17 @@ class TestMeteor:
     def test_chunk_minimizing_alignment(self):
         # Greedy left-to-right matching would produce 3 chunks here; the
         # minimum is 2 ([a at r2] plus the [a,b] run).
-        assert M.alignment_stats(["a", "b", "a"], ["a", "a", "b"], None, None) == (3, 2)
+        assert M.alignment_stats(["a", "b", "a"], ["a", "a", "b"], None) == (3, 2, None)
 
     def test_packing_off_by_one_chunk(self):
         # Leftmost-greedy packing takes [a,a] at r0/g1 and leaves 3 chunks;
         # [b,a] plus [a] at r1 gives 2.
-        assert M.alignment_stats(["a", "a", "b", "a"], ["b", "a", "a", "a"], None, None) == (4, 2)
+        assert M.alignment_stats(["a", "a", "b", "a"], ["b", "a", "a", "a"], None) == (4, 2, None)
 
     def test_bigram_bound_not_reached(self):
         # Both bigrams are shared (UB = 2), but they overlap in g, so the
         # search has to show that only one link fits.
-        assert M.alignment_stats(["b", "a", "a", "b"], ["b", "a", "b"], None, None) == (3, 2)
+        assert M.alignment_stats(["b", "a", "a", "b"], ["b", "a", "b"], None) == (3, 2, None)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
@@ -169,7 +161,7 @@ class TestMeteor:
         start = time.perf_counter()
         score = M.meteor(*pair)
         assert time.perf_counter() - start < 0.1
-        assert M.alignment_stats(*pair, None, None) == (len(pair[0]), 1)
+        assert M.alignment_stats(*pair, None) == (len(pair[0]), 1, None)
         assert score == pytest.approx(1.0 - 0.5 / len(pair[0]) ** 3, abs=1e-12)
 
     def test_alignment_leaves_no_garbage(self):
@@ -177,15 +169,15 @@ class TestMeteor:
         # stays allocated (the old search's memo for ["the"] * 10 was ~5 MB).
         # The second pair runs the exact search.
         cases = [
-            ((["the"] * 10, ["the"] * 10), (10, 1)),
-            ((["b", "a", "a", "b"], ["b", "a", "b"]), (3, 2)),
+            ((["the"] * 10, ["the"] * 10), (10, 1, None)),
+            ((["b", "a", "a", "b"], ["b", "a", "b"]), (3, 2, None)),
         ]
         for pair, want in cases:
             gc.disable()
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                assert M.alignment_stats(*pair, None, None) == want
+                assert M.alignment_stats(*pair, None) == want
                 left = tracemalloc.get_traced_memory()[0] - before
             finally:
                 tracemalloc.stop()
@@ -195,12 +187,12 @@ class TestMeteor:
     @given(repetitive_pairs(["ab", "abc"], 8))
     @settings(max_examples=400, deadline=None)
     def test_alignment_matches_enumeration(self, pair):
-        assert M.alignment_stats(*pair, None, None) == meteor_alignment_brute(*pair)
+        assert M.alignment_stats(*pair, None)[:2] == meteor_alignment_brute(*pair)
 
     @given(repetitive_pairs(["ab", "abc", "abcd"], 12))
     @settings(max_examples=300, deadline=None)
     def test_alignment_matches_memoized_search(self, pair):
-        assert M.alignment_stats(*pair, None, None) == alignment_reference(*pair)
+        assert M.alignment_stats(*pair, None)[:2] == alignment_reference(*pair)
 
 
 class TestPackedLinks:
@@ -233,9 +225,9 @@ class TestBruteForceEquivalence:
         for _ in range(200):
             r = [vocab[i] for i in rng.integers(0, 10, size=rng.integers(1, 16))]
             g = [vocab[i] for i in rng.integers(0, 10, size=rng.integers(1, 16))]
-            assert M.lcs_length(r, g) == lcs_brute(r, g)
+            assert lcs_len_ids(r, g, None) == lcs_brute(r, g)
             for n in (1, 2, 3, 4):
-                assert M.modified_ngram_stats(r, g, n) == ngram_stats_brute(r, g, n)
+                assert M.profile_reference(r).ngram_stats(g)[n - 1] == ngram_stats_brute(r, g, n)
             assert M.bleu4(r, g) == pytest.approx(bleu4_brute(r, g), abs=1e-9)
             assert M.rouge_l(r, g) == pytest.approx(rouge_l_brute(r, g), abs=1e-9)
             assert M.meteor(r, g) == pytest.approx(meteor_brute(r, g), abs=1e-9)
@@ -387,14 +379,15 @@ class TestSharedProfiles:
         profile = M.profile_reference(r)
         # Two hypothesis files against one profile, an exact copy, one token.
         for g in (g1, g2, list(r), g1[:1]):
-            got = M.score_pair(r, g, profile, None)
+            got, bound = M.score_pair(r, g, profile)
+            assert bound is None
             if not g:
                 assert got == (0.0, 0.0, 0.0)
                 continue
-            assert got == M.score_pair(r, g, M.profile_reference(r), None)
+            assert (got, bound) == M.score_pair(r, g, M.profile_reference(r))
             assert got == (M.bleu4(r, g), M.meteor(r, g), M.rouge_l(r, g))
             assert got == (bleu4_brute(r, g), meteor_brute(r, g), rouge_l_brute(r, g))
-            assert M.alignment_stats(r, g, None, None) == meteor_alignment_brute(r, g)
+            assert M.alignment_stats(r, g, None) == meteor_alignment_brute(r, g) + (None,)
 
     @given(profiled_cases())
     @settings(max_examples=100, deadline=None)
@@ -404,7 +397,7 @@ class TestSharedProfiles:
         profiles = [M.profile_reference(x) for x in refs]
         for hyps in ([g1, g2, list(r)], [g2, g1, []]):
             report = M.evaluate_corpus(refs, hyps, profiles)
-            rows = np.array([M.score_pair(x, g, M.profile_reference(x), None) for x, g in zip(refs, hyps)])
+            rows = np.array([M.score_pair(x, g, M.profile_reference(x))[0] for x, g in zip(refs, hyps)])
             for k, name in enumerate(M.METRICS):
                 assert report.scores[name].tolist() == rows[:, k].tolist()
             assert report.meteor_bounded == []
@@ -421,14 +414,12 @@ class TestSearchBudget:
     HARD = (list("baaaaabbababbaaabaaa"), list("babaaabbaabbbbaaaaba"))
 
     def test_budget_keeps_the_packing_and_reports_it(self, monkeypatch):
-        bounded = []
-        m, chunks = M.alignment_stats(*self.HARD, None, bounded)
-        assert bounded == [(11, 17)] and (m, chunks) == (18, 18 - 11)
-        assert M.alignment_stats(*self.HARD, None, None) == (m, chunks)  # the same without a sink
+        m, chunks, bound = M.alignment_stats(*self.HARD, None)
+        assert bound == (11, 17) and (m, chunks) == (18, 18 - 11)
         monkeypatch.setattr(M, "SEARCH_NODES", 10**7)
-        exact = M.alignment_stats(*self.HARD, None, None)
-        assert exact == (18, 18 - 13)
-        low, high = bounded[0]
+        exact = M.alignment_stats(*self.HARD, None)
+        assert exact == (18, 18 - 13, None)
+        low, high = bound
         assert low <= m - exact[1] <= high
 
     def test_spent_packing_keeps_its_links_and_skips_the_search(self, monkeypatch):
@@ -436,9 +427,7 @@ class TestSearchBudget:
         monkeypatch.setattr(M, "PACK_STEPS", 250)  # spent in the packing's rounds
         assert M._packed_links(*self.HARD, 17) == (10, False)
         monkeypatch.setattr(M, "SEARCH_NODES", 10**7)  # the search would find 13 links
-        bounded = []
-        assert M.alignment_stats(*self.HARD, None, bounded) == (18, 18 - 10)
-        assert bounded == [(10, 17)]
+        assert M.alignment_stats(*self.HARD, None) == (18, 18 - 10, (10, 17))
         monkeypatch.setattr(M, "PACK_STEPS", 100)  # spent while listing the blocks
         assert M._packed_links(*self.HARD, 17) == (0, False)
 

@@ -4,8 +4,9 @@ import pytest
 from eacs import oracle
 from eacs._kernels import lcs_masks
 from eacs.corpus import tokenize_comment
+from eacs.errors import EmptyInput
 from eacs.oracle import informativity, label_statements
-from eacs.segmenter import SegmentedSnippet, Statement
+from eacs.segmenter import SegmentedSnippet, Statement, segment
 
 from .oracles import best_subset_informativity, greedy_labels_brute
 
@@ -33,8 +34,20 @@ class TestInformativity:
         # LCS([a,c,d,q], [a,b,c,d]) = 3 -> 3/4
         assert informativity([0, 2], snip, comment, lcs_masks(comment)) == pytest.approx(0.75)
 
+    def test_recall(self):
+        # LCS(comment, tokens) / |comment|: full cover, no tokens, two of four.
+        abcd = list("abcd")
+        snip = make_snippet([abcd, [], ["a", "d"]])
+        assert informativity([0], snip, abcd, lcs_masks(abcd)) == 1.0
+        assert informativity([1], snip, ["a"], lcs_masks(["a"])) == 0.0
+        assert informativity([2], snip, abcd, lcs_masks(abcd)) == 0.5
+
 
 class TestLabelStatements:
+    def test_empty_comment_raises(self):
+        with pytest.raises(EmptyInput):
+            label_statements(segment("int a = 1;", "java"), [])
+
     def test_exact_statement_selected(self):
         snip = make_snippet([["x", "y"], ["a", "b"], ["q"]])
         labeled = label_statements(snip, ["a", "b"])
@@ -56,8 +69,6 @@ class TestLabelStatements:
         assert labeled.trace[-1].informativity == pytest.approx(best)
 
     def test_trace_strictly_increases(self, toy_corpus):
-        from eacs.segmenter import segment
-
         for pair in toy_corpus:
             labeled = label_statements(segment(pair.code, "java"),
                                        tokenize_comment(pair.comment))
@@ -117,7 +128,7 @@ class TestGreedyRegression:
 
     def test_scan_stops_at_first_statement_without_comment_tokens(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(oracle, "rouge_l_recall", lambda r, g, masks: calls.append(g) or 0.0)
+        monkeypatch.setattr(oracle, "lcs_len_ids", lambda a, b, masks: calls.append(b) or 0)
         label_statements(make_snippet([["x"], ["y"], ["z"]]), ["a"])
         # Three individual scores and no joint one.
         assert len(calls) == 3

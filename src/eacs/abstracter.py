@@ -178,7 +178,7 @@ def abstracter_loss(
 
     Both encoders, the decoder and the output projection each run once over
     the padded batch. Every gold probability is clamped to [1e-9, 1] before
-    the log; token t of sequence b weighs 1 / (len_b * B), padding 0.
+    the log, and the tokens are weighed by :meth:`Batch.mean_weights`.
     """
     if not samples:
         raise EmptyInput("abstracter_loss needs at least one sample")
@@ -199,9 +199,8 @@ def abstracter_loss(
     flat = nc.reshape(states, (-1, model.config.hidden_dim))
     probs = nc.softmax(nc.add(nc.matmul(flat, model.out_w), model.out_b))
     p_gold = nc.gather_rows(probs, gold.indices.reshape(-1))
-    weights = (gold.mask / (gold.lengths[:, None] * len(samples))).reshape(-1)
     log_p = nc.log(nc.clip(p_gold, LOGPROB_CLAMP, 1.0))
-    return nc.mul(nc.sum_all(nc.mul(log_p, weights)), -1.0)
+    return nc.mul(nc.sum_all(nc.mul(log_p, gold.mean_weights())), -1.0)
 
 
 def abstracter_input(
@@ -246,8 +245,7 @@ def train_abstracter(
     """
     prepared = list(segment_pairs(corpus, config.language))
     samples = build_abstracter_dataset(prepared, vocab, extractor, config)
-    model = AbstracterModel(len(vocab), config, nc.rng_streams(config.seed)[0])
-    return fit(model, vocab, abstracter_loss, samples, config)
+    return fit(AbstracterModel, vocab, abstracter_loss, samples, config)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from .checkpoint import load_model, save_model
 from .config import FUSIONS, RunConfig, make_run_config
 from .corpus import load_corpus
 from .errors import EacsError, FormatError, UsageError
-from .extractor import predict_important, train_extractor
+from .extractor import TrainResult, predict_important, train_extractor
 from .fileio import read_text, replace_on_success
 from .metrics import evaluate_corpus, mann_whitney_u_test, profile_reference
 from .oracle import label_statements
@@ -80,16 +80,20 @@ def _cmd_label(args) -> int:
     return 0
 
 
-def _cmd_train_extractor(args) -> int:
-    run = _config_from_args(args)
-    result = train_extractor(load_corpus(args.corpus), run)
-    save_model(result.model, result.vocab, args.out)
-    best = min(result.history.val_loss) if result.history.val_loss else float("nan")
+def _save_trained(what: str, result: TrainResult, path: str) -> int:
+    """Write the trained model to ``path`` and print its one summary line."""
+    save_model(result.model, result.vocab, path)
+    best = result.val_loss[result.best_epoch] if result.best_epoch >= 0 else float("nan")
     print(
-        f"trained extractor on {result.pairs} pair(s): best epoch {result.best_epoch}, "
-        f"val loss {best:.6f}, checkpoint {args.out}"
+        f"trained {what} on {result.pairs} pair(s): best epoch {result.best_epoch}, "
+        f"val loss {best:.6f}, checkpoint {path}"
     )
     return 0
+
+
+def _cmd_train_extractor(args) -> int:
+    result = train_extractor(load_corpus(args.corpus), _config_from_args(args))
+    return _save_trained("extractor", result, args.out)
 
 
 def _cmd_extract(args) -> int:
@@ -105,13 +109,7 @@ def _cmd_train_abstracter(args) -> int:
     run = _config_from_args(args)
     ex_model, ex_vocab = load_model(args.extractor, "extractor")
     result = train_abstracter(load_corpus(args.corpus), ex_model, ex_vocab, run)
-    save_model(result.model, result.vocab, args.out)
-    best = min(result.history.val_loss) if result.history.val_loss else float("nan")
-    print(
-        f"trained abstracter ({run.fusion}) on {result.pairs} pair(s): best epoch "
-        f"{result.best_epoch}, val loss {best:.6f}, checkpoint {args.out}"
-    )
-    return 0
+    return _save_trained(f"abstracter ({run.fusion})", result, args.out)
 
 
 def _cmd_summarize(args) -> int:

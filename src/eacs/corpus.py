@@ -144,10 +144,9 @@ def build_vocabulary(
 
 @dataclass
 class Batch:
-    """Padded index matrix with a non-PAD mask and the true row lengths."""
+    """Padded index matrix with the true row lengths."""
 
     indices: np.ndarray  # (batch, max_len) int64
-    mask: np.ndarray  # (batch, max_len) float, 1.0 at non-PAD positions
     lengths: np.ndarray  # (batch,) int64
 
     @classmethod
@@ -158,6 +157,12 @@ class Batch:
         rows = np.full((len(seqs), width), PAD, dtype=np.int64)
         for i, seq in enumerate(seqs):
             rows[i, : len(seq)] = seq
-        mask = (np.arange(width) < lengths[:, None]).astype(np.float64)
-        return cls(indices=rows, mask=mask, lengths=lengths)
+        return cls(indices=rows, lengths=lengths)
+
+    def mean_weights(self) -> np.ndarray:
+        """Flat (batch * max_len,) weights of the per-row mean, then the batch
+        mean: a position of row b weighs 1 / (lengths[b] * batch), padding 0."""
+        real = np.arange(self.indices.shape[1]) < self.lengths[:, None]
+        rows = np.maximum(self.lengths, 1)[:, None] * len(self.lengths)
+        return (real / rows).reshape(-1)
 

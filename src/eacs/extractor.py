@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -71,9 +71,8 @@ class ExtractorModel(nc.Model):
         each snippet's statement vectors through the context LSTM as a
         (B, S_max) batch. Returns the (B * S_max, H) rows, snippet-major and
         padded per snippet, with the statement batch whose ``lengths`` are
-        the statement counts and whose ``mask`` marks the real rows. With a
-        dropout ``rng``, the token embeddings and then the statement vectors
-        each take one mask.
+        the statement counts. With a dropout ``rng``, the token embeddings
+        and then the statement vectors each take one mask.
         """
         tokens = Batch.pad([ids for stmt_ids in snippets for ids in stmt_ids])
         offsets = np.cumsum([0] + [len(stmt_ids) for stmt_ids in snippets])
@@ -97,14 +96,11 @@ class ExtractorModel(nc.Model):
         return nc.softmax(logits)
 
 
-def extractor_loss(
-    probs: nc.Tensor, gold: np.ndarray, weights: Optional[np.ndarray] = None
-) -> nc.Tensor:
-    """Binary cross entropy of P(label=1) against 0/1 gold labels.
-
-    The mean over statements, or the ``weights``-weighted sum. Probabilities
-    are clamped to [1e-7, 1 - 1e-7] so a fully wrong statement costs about
-    16.1 rather than infinity.
+def extractor_loss(probs: nc.Tensor, gold: np.ndarray, weights: np.ndarray) -> nc.Tensor:
+    """Binary cross entropy of P(label=1) against 0/1 gold labels, summed
+    with one weight per statement. Probabilities are clamped to
+    [1e-7, 1 - 1e-7] so a fully wrong statement costs about 16.1 rather than
+    infinity.
     """
     gold = np.asarray(gold, dtype=np.float64).reshape(-1, 1)
     if probs.data.ndim != 2 or probs.shape[1] != 2 or probs.shape[0] != gold.shape[0]:
@@ -113,8 +109,6 @@ def extractor_loss(
     pos = nc.mul(nc.log(p1), gold)
     neg = nc.mul(nc.log(nc.sub(1.0, p1)), 1.0 - gold)
     terms = nc.add(pos, neg)
-    if weights is None:
-        return nc.mul(nc.mean_all(terms), -1.0)
     return nc.mul(nc.sum_all(nc.mul(terms, weights.reshape(-1, 1))), -1.0)
 
 
@@ -129,8 +123,7 @@ def extractor_batch_loss(
         raise EmptyInput("extractor_batch_loss needs at least one sample")
     emb, stmts = model.encode_batch([s.stmt_ids for s in samples], rng if train else None)
     gold = Batch.pad([s.labels for s in samples]).indices.reshape(-1)
-    weights = stmts.mask / (stmts.lengths[:, None] * len(samples))
-    return extractor_loss(model.classify_statements(emb), gold, weights.reshape(-1))
+    return extractor_loss(model.classify_statements(emb), gold, stmts.mean_weights())
 
 
 @dataclass
@@ -176,17 +169,6 @@ def build_extractor_dataset(
     return samples
 
 
-@dataclass
-class TrainHistory:
-    train_loss: list[float] = field(default_factory=list)
-    val_loss: list[float] = field(default_factory=list)
-
-    def log_epoch(self, epoch: int, train: float, val: float) -> None:
-        self.train_loss.append(train)
-        self.val_loss.append(val)
-        log.info("epoch %d: train loss %.6f, val loss %.6f", epoch, train, val)
-
-
 def split_validation(samples: list, val_fraction: float) -> tuple[list, list]:
     """Hold out the last ``val_fraction`` of the samples; with none held out,
     validation runs on the training set itself (the desk-scale default)."""
@@ -218,37 +200,38 @@ class TrainResult:
 
     model: nc.Model
     vocab: Vocabulary
-    history: TrainHistory
-    best_epoch: int
+    train_loss: list[float]  # one per epoch, dropout off
+    val_loss: list[float]
+    best_epoch: int  # -1 when no epoch ran
     pairs: int  # samples trained and validated on
 
 
 def fit(
-    model,
+    model_class: type[nc.Model],
     vocab: Vocabulary,
     batch_loss: Callable[..., nc.Tensor],
     samples: Sequence,
     config: RunConfig,
 ) -> TrainResult:
-    """The one training run of both models: minibatch AdamW on ``samples``,
-    restoring the best-validation weights.
+    """The one training run of both models: a new ``model_class`` trained
+    by minibatch AdamW on ``samples``, restoring the best-validation weights.
 
     Raises :class:`EmptyCorpus` when there are no samples, then holds out a
     validation set with :func:`split_validation`. ``batch_loss(model,
-    samples, train=..., rng=...)`` is the mean loss of a minibatch. Shuffling
-    and dropout draw from streams 1 and 2 of ``rng_streams(config.seed)``;
-    stream 0 initialises the model. A non-finite loss raises
-    :class:`NonFiniteLoss`.
+    samples, train=..., rng=...)`` is the mean loss of a minibatch. Stream 0
+    of ``rng_streams(config.seed)`` initialises the model, and shuffling and
+    dropout draw from streams 1 and 2. Each epoch's losses are logged and
+    returned. A non-finite loss raises :class:`NonFiniteLoss`.
     """
     if not samples:
         raise EmptyCorpus("no usable pairs to train on")
+    init_rng, shuffle_rng, drop_rng = nc.rng_streams(config.seed)
+    model = model_class(len(vocab), config, init_rng)
     train_set, val_set = split_validation(samples, config.val_fraction)
-    _, shuffle_rng, drop_rng = nc.rng_streams(config.seed)
     params = model.parameters()
     opt = nc.AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
-    history = TrainHistory()
+    result = TrainResult(model, vocab, [], [], best_epoch=-1, pairs=len(samples))
     best_val = float("inf")
-    best_epoch = -1
     best_state = [p.data.copy() for p in params]
     # Overflow surfaces as a NonFiniteLoss naming the batch, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -270,16 +253,16 @@ def fit(
             )
             _check_finite(train_loss, f"epoch {epoch}, training set")
             _check_finite(val_loss, f"epoch {epoch}, validation set")
-            history.log_epoch(epoch, train_loss, val_loss)
+            log.info("epoch %d: train loss %.6f, val loss %.6f", epoch, train_loss, val_loss)
+            result.train_loss.append(train_loss)
+            result.val_loss.append(val_loss)
             if val_loss < best_val:
                 best_val = val_loss
-                best_epoch = epoch
+                result.best_epoch = epoch
                 best_state = [p.data.copy() for p in params]
     for p, data in zip(params, best_state):
         p.data = data
-    return TrainResult(
-        model=model, vocab=vocab, history=history, best_epoch=best_epoch, pairs=len(samples)
-    )
+    return result
 
 
 def label_accuracy(model: ExtractorModel, samples: Sequence[ExtractorSample]) -> float:
@@ -305,8 +288,7 @@ def train_extractor(corpus: Sequence[RawPair], config: RunConfig) -> TrainResult
         max_size=config.vocab_size,
     )
     samples = build_extractor_dataset(prepared, vocab, config)
-    model = ExtractorModel(len(vocab), config, nc.rng_streams(config.seed)[0])
-    return fit(model, vocab, extractor_batch_loss, samples, config)
+    return fit(ExtractorModel, vocab, extractor_batch_loss, samples, config)
 
 
 def predict_important(

@@ -267,7 +267,9 @@ def test_criterion_9_loss_anchors():
     with criterion(9, "loss-anchors"):
         probs = nc.Tensor(np.full((6, 2), 0.5))
         gold = np.array([1, 0, 1, 1, 0, 0])
-        assert extractor_loss(probs, gold).item() == pytest.approx(math.log(2.0), abs=1e-6)
+        assert extractor_loss(probs, gold, np.full(6, 1 / 6)).item() == pytest.approx(
+            math.log(2.0), abs=1e-6
+        )
 
         from eacs.abstracter import AbstracterConfig, AbstracterModel, AbstracterSample, abstracter_loss
         from eacs.corpus import BOS, EOS

@@ -208,34 +208,80 @@ def _edit_first_value(value):
     return edit
 
 
+def _edit_vocabulary(tokens):
+    def edit(header, params):
+        header["vocabulary"] = tokens
+        return header, params
+
+    return edit
+
+
+def _not_an_object(header, params):
+    return [1], params
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "edit, reason",
     [
-        _edit_header(embed_dim=None),
-        _edit_header(hidden_dim="big"),
-        _edit_header(embed_dim=-3),
-        _edit_header(hyperparameters="x"),
-        _edit_first_param_line(b"embedding -5 64"),
-        _edit_first_param_line(b"embedding 99999999999999999999 64"),
-        _edit_header(hidden_dim=1000),
-        _edit_first_value(np.nan),
-        _edit_first_value(-np.inf),
-        _edit_header(embed_dim=True),
-        _edit_header(dropout=True),
-        _swap_eos_with_next_token,
+        (_edit_header(embed_dim=None), "hyperparameter embed_dim missing"),
+        (_edit_header(hidden_dim="big"), "hyperparameter hidden_dim = 'big' is not int"),
+        (_edit_header(embed_dim=-3), "dimensions must be positive"),
+        (_edit_header(hyperparameters="x"), "hyperparameters are not a JSON object"),
+        (_edit_first_param_line(b"embedding -5 64"), "negative dimension in 'embedding'(-5, 64)"),
+        (_edit_first_param_line(b"embedding 99999999999999999999 64"),
+         "truncated values for 'embedding'"),
+        (_edit_header(hidden_dim=1000), "parameter 'tok_wx'(6, 24) does not match 'tok_wx'(6, 4000)"),
+        (_edit_first_value(np.nan), "parameter 'embedding' holds a NaN or infinite value"),
+        (_edit_first_value(-np.inf), "parameter 'embedding' holds a NaN or infinite value"),
+        (_edit_header(embed_dim=True), "hyperparameter embed_dim = True is not int"),
+        (_edit_header(dropout=True), "hyperparameter dropout = True is not float"),
+        (_swap_eos_with_next_token, "vocabulary does not begin with <pad> <unk> <bos> <eos>"),
+        (_not_an_object, "header is not a JSON object"),
+        (_edit_vocabulary([0, 1, 2, 3]), "vocabulary is not a list of strings"),
+        (_edit_first_param_line(b"embedding 9 x"), "bad parameter header b'embedding 9 x\\n'"),
+        (_edit_header(vocab_size=5), "vocab_size 5 but 12 vocabulary tokens"),
     ],
     ids=["missing-embed-dim", "string-dim", "negative-dim", "hyperparameters-not-object",
          "negative-shape", "huge-shape", "width-disagrees-with-arrays", "nan-value",
-         "infinite-value", "bool-int", "bool-float", "reserved-tokens-reordered"],
+         "infinite-value", "bool-int", "bool-float", "reserved-tokens-reordered",
+         "header-not-object", "vocabulary-not-strings", "non-integer-dim",
+         "vocab-size-disagrees"],
 )
-def test_corrupt_header_exits_one_line(tmp_path, capsys, vocab, ex_model, edit):
-    from eacs.cli import main
-
+def test_corrupt_header_exits_one_line(tmp_path, capsys, vocab, ex_model, edit, reason):
     path = tmp_path / "ex.ckpt"
     save_model(ex_model, vocab, str(path))
     header, params = path.read_bytes().split(b"\n", 1)
     header, params = edit(json.loads(header), params)
     path.write_bytes(json.dumps(header).encode() + b"\n" + params)
+    assert _rejected_in_one_line(path, tmp_path, capsys) == f"eacs extract: error: {path}: {reason}\n"
+
+
+# The extractor's last parameter, cls_b, is two float32 values.
+LAST_PARAMETER_BYTES = len(b"cls_b 2\n") + 2 * 4
+
+
+@pytest.mark.parametrize(
+    "cut, reason",
+    [
+        (lambda blob: blob[: blob.index(b"\n")], "truncated before end of a header line"),
+        (lambda blob: blob[: blob.index(b"\n") + len(b"\nembedding")],
+         "truncated parameter header"),
+        (lambda blob: blob[:-LAST_PARAMETER_BYTES], "8 parameters, expected 9"),
+    ],
+    ids=["header-without-newline", "inside-first-parameter-line", "last-parameter-missing"],
+)
+def test_truncated_file_exits_one_line(tmp_path, capsys, vocab, ex_model, cut, reason):
+    path = tmp_path / "ex.ckpt"
+    save_model(ex_model, vocab, str(path))
+    path.write_bytes(cut(path.read_bytes()))
+    assert _rejected_in_one_line(path, tmp_path, capsys) == f"eacs extract: error: {path}: {reason}\n"
+
+
+def _rejected_in_one_line(path, tmp_path, capsys) -> str:
+    """``load_model`` raises CorruptCheckpoint without allocating the header's
+    width, and ``extract`` exits 1; returns its stderr."""
+    from eacs.cli import main
+
     tracemalloc.start()
     try:
         with pytest.raises(CorruptCheckpoint):
@@ -247,5 +293,4 @@ def test_corrupt_header_exits_one_line(tmp_path, capsys, vocab, ex_model, edit):
     code_path = tmp_path / "snippet.java"
     code_path.write_text("int a = 1; return a;")
     assert main(["extract", "--ckpt", str(path), "--code", str(code_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("eacs extract: error:") and len(err.strip().splitlines()) == 1
+    return capsys.readouterr().err

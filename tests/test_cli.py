@@ -10,9 +10,10 @@ import pytest
 import eacs
 from eacs.abstracter import MAX_BEAM_WIDTH, AbstracterModel
 from eacs.checkpoint import load_model, save_model
-from eacs import cli, metrics
+from eacs import cli, gradsuite, metrics
+from eacs import numcore as nc
 from eacs.cli import build_parser, main
-from eacs.config import RunConfig
+from eacs.config import RunConfig, make_run_config
 from eacs.corpus import RESERVED_TOKENS, Vocabulary
 from eacs.errors import IoError
 from eacs.extractor import ExtractorModel
@@ -84,6 +85,15 @@ class TestLabel:
         assert out == f"labeled 32 pair(s), skipped 2, wrote {out_path}\n"
         records = [json.loads(l) for l in out_path.read_text().splitlines()]
         assert [r["id"] for r in records] == [0, 2] + list(range(4, 34))
+
+    def test_blank_lines_are_not_records(self, capsys, tmp_path):
+        corpus = tmp_path / "pairs.jsonl"
+        record = json.dumps({"code": "int a = 1;", "comment": "set a."})
+        corpus.write_text(f"{record}\n\n   \n\t\n{record}\n")
+        out_path = tmp_path / "labels.jsonl"
+        code, out, _ = run(capsys, "label", "--corpus", str(corpus), "--out", str(out_path))
+        assert (code, out) == (0, f"labeled 2 pair(s), skipped 0, wrote {out_path}\n")
+        assert [json.loads(l)["id"] for l in out_path.read_text().splitlines()] == [0, 1]
 
     def test_failed_run_keeps_previous_output(
         self, capsys, tmp_path, toy_corpus_path, monkeypatch
@@ -442,6 +452,13 @@ class TestGradcheck:
         assert err.startswith("eacs gradcheck: --max-coords")
         assert len(err.strip().splitlines()) == 1
 
+    def test_failing_check_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(gradsuite, "run_all", lambda _: [gradsuite.CheckResult("matmul", 0.5)])
+        code, out, err = run(capsys, "gradcheck")
+        assert code == 1
+        assert out == "FAIL  matmul             max_rel_err=5.000e-01  tol=0.0001\n"
+        assert err == "1 gradient check(s) failed\n"
+
 
 class TestTrainingFailure:
     def test_non_finite_loss_exits_one_without_checkpoint(self, capsys, tmp_path, toy_corpus_path):
@@ -494,9 +511,33 @@ class TestTrainingFailure:
         assert "Traceback" not in err
 
 
+class TestZeroEpochs:
+    def test_trainers_save_the_initial_models(self, capsys, tmp_path, toy_corpus_path):
+        """With no epoch run there is no best epoch, and each checkpoint holds
+        the weights stream 0 of the seed drew."""
+        ex, ab = str(tmp_path / "ex.ckpt"), str(tmp_path / "ab.ckpt")
+        flags = ["--corpus", toy_corpus_path, "--epochs", "0"]
+        assert run(capsys, "train-extractor", *flags, "--out", ex) == (
+            0, f"trained extractor on 32 pair(s): best epoch -1, val loss nan, checkpoint {ex}\n", ""
+        )
+        assert run(capsys, "train-abstracter", *flags, "--extractor", ex, "--out", ab) == (
+            0,
+            f"trained abstracter (abex) on 32 pair(s): best epoch -1, val loss nan, checkpoint {ab}\n",
+            "",
+        )
+        cfg = make_run_config("desk", None, {"epochs": 0})
+        for path, cls in ((ex, ExtractorModel), (ab, AbstracterModel)):
+            model, vocab = load_model(path, cls.KIND)
+            fresh = cls(len(vocab), cfg, nc.rng_streams(cfg.seed)[0])
+            for saved, init in zip(model.parameters(), fresh.parameters(), strict=True):
+                assert np.array_equal(saved.data, init.data)
+
+
 class TestConfigValues:
     @pytest.mark.parametrize("line, key", [
         ("seed = -1", "seed"), ("lr = -1", "lr"), ("lr = nan", "lr"), ("weight_decay = inf", "weight_decay"),
+        # One check covers both values and names batch_size first.
+        ("batch_size = 0", "batch_size"), ("epochs = -1", "batch_size"),
     ])
     def test_bad_config_value_exits_two_with_one_line(self, capsys, tmp_path, toy_corpus_path, line, key):
         cfg = tmp_path / "run.cfg"
@@ -520,6 +561,22 @@ class TestConfigValues:
         )
         assert code == 2 and out == ""
         assert err == f"eacs train-extractor: {cfg}:2: config key epochs: expected an integer, got 'soon'\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("epochs 7\n", "{cfg}:1: expected `key = value`"),
+        ("language = cobol\n", "unknown language 'cobol'"),
+    ])
+    def test_bad_line_or_language_exits_two_with_one_line(
+        self, capsys, tmp_path, toy_corpus_path, text, message
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = run(
+            capsys, "train-extractor", "--corpus", toy_corpus_path, "--config", str(cfg),
+            "--out", str(tmp_path / "ex.ckpt"),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"eacs train-extractor: {message.format(cfg=cfg)}\n"
 
     def test_negative_seed_flag_exits_two_with_one_line(self, capsys, tmp_path, toy_corpus_path):
         code, out, err = run(
@@ -807,10 +864,15 @@ class TestInputErrors:
 
     def test_corpus_line(self, capsys, tmp_path):
         corpus = tmp_path / "pairs.jsonl"
-        corpus.write_text('{"code": "int a;", "comment": "a."}\nnope\n')
-        code, out, err = run(capsys, "label", "--corpus", str(corpus), "--out", str(tmp_path / "l"))
-        assert code == 1 and out == ""
-        assert err == f"eacs label: error: {corpus}:2: invalid JSON (Expecting value)\n"
+        for text, reason in [
+            ('{"code": "int a;", "comment": "a."}\nnope\n', "2: invalid JSON (Expecting value)"),
+            ("[1, 2]\n", "1: record is not an object"),
+            ('{"code": 1, "comment": "x"}\n', "1: `code` is not a string"),
+        ]:
+            corpus.write_text(text)
+            code, out, err = run(capsys, "label", "--corpus", str(corpus), "--out", str(tmp_path / "l"))
+            assert code == 1 and out == ""
+            assert err == f"eacs label: error: {corpus}:{reason}\n"
 
     @pytest.mark.parametrize("command", ["label", "extract"])
     def test_missing_file(self, capsys, tmp_path, command):

@@ -158,7 +158,7 @@ class TestEncodeAndPad:
         batch = C.Batch.pad([[5, 6, 7], [], [8]])
         assert batch.indices.tolist() == [[5, 6, 7], [C.PAD] * 3, [8, C.PAD, C.PAD]]
         assert batch.lengths.tolist() == [3, 0, 1]
-        assert batch.mask.tolist() == [[1, 1, 1], [0, 0, 0], [1, 0, 0]]
+        assert batch.mean_weights().tolist() == [1 / 9] * 3 + [0] * 3 + [1 / 3, 0, 0]
 
     @given(st.lists(st.sampled_from("abc"), min_size=0, max_size=5))
     @settings(max_examples=60, deadline=None)

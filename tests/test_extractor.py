@@ -76,25 +76,30 @@ class TestForward:
             tiny_model.classify_statements(nc.Tensor(np.zeros((2, 5))))
 
 
+def uniform(n):
+    """Weights of the mean over ``n`` statements."""
+    return np.full(n, 1.0 / n)
+
+
 class TestLoss:
     def test_uniform_predictions_cost_ln2(self):
         probs = nc.Tensor(np.full((4, 2), 0.5))
-        assert extractor_loss(probs, np.array([1, 0, 1, 0])).item() == pytest.approx(
+        assert extractor_loss(probs, np.array([1, 0, 1, 0]), uniform(4)).item() == pytest.approx(
             math.log(2.0), abs=1e-9
         )
 
     def test_confident_wrong_is_clamped(self):
         probs = nc.Tensor(np.array([[1.0, 0.0]]))
-        loss = extractor_loss(probs, np.array([1])).item()
+        loss = extractor_loss(probs, np.array([1]), uniform(1)).item()
         assert loss == pytest.approx(-math.log(1e-7), rel=1e-6)
 
     def test_perfect_predictions_cost_about_zero(self):
         probs = nc.Tensor(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert extractor_loss(probs, np.array([1, 0])).item() < 1e-6
+        assert extractor_loss(probs, np.array([1, 0]), uniform(2)).item() < 1e-6
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            extractor_loss(nc.Tensor(np.full((2, 2), 0.5)), np.array([1]))
+            extractor_loss(nc.Tensor(np.full((2, 2), 0.5)), np.array([1]), uniform(1))
 
     def test_loss_nonnegative_on_random_inputs(self):
         rng = np.random.default_rng(0)
@@ -102,7 +107,7 @@ class TestLoss:
             p1 = rng.uniform(0, 1, (5, 1))
             probs = nc.Tensor(np.hstack([1 - p1, p1]))
             gold = rng.integers(0, 2, 5)
-            assert extractor_loss(probs, gold).item() >= 0.0
+            assert extractor_loss(probs, gold, uniform(5)).item() >= 0.0
 
 
 def _grads(model, loss_fn):
@@ -143,7 +148,9 @@ class TestBatchedLoss:
         samples = self._samples()
         loss, batched = _grads(model, lambda: extractor_batch_loss(model, samples))
         singles = [
-            _grads(model, lambda s=s: extractor_loss(statement_probs(model, s.stmt_ids), s.labels))
+            _grads(model, lambda s=s: extractor_loss(
+                statement_probs(model, s.stmt_ids), s.labels, uniform(len(s.labels))
+            ))
             for s in samples
         ]
         assert loss == pytest.approx(np.mean([l for l, _ in singles]), abs=1e-12)
@@ -244,7 +251,7 @@ class TestTraining:
             dropout=0.0, seed=3, vocab_size=100,
         )
         result = train_extractor(pairs, cfg)
-        losses = result.history.train_loss
+        losses = result.train_loss
         regressions = [b - a for a, b in zip(losses, losses[1:]) if b > a]
         assert len(regressions) <= max(1, int(0.05 * len(losses)))
         assert all(r < 1e-3 for r in regressions)
@@ -279,22 +286,22 @@ class TestValidationSplit:
                 evaluated.append((ids, [p.data.copy() for p in model.parameters()]))
             return extractor_batch_loss(model, batch, train, rng)
 
-        model = ExtractorModel(len(vocab), cfg, nc.rng_streams(cfg.seed)[0])
-        result = fit(model, vocab, recording_loss, samples, cfg)
+        result = fit(ExtractorModel, vocab, recording_loss, samples, cfg)
         assert sorted(i for ids in trained for i in ids) == sorted(list(range(6)) * cfg.epochs)
         val_weights = [weights for ids, weights in evaluated if ids == [6, 7]]
         assert len(val_weights) == cfg.epochs
 
-        best = int(np.argmin(result.history.val_loss))
+        best = int(np.argmin(result.val_loss))
         assert result.best_epoch == best < cfg.epochs - 1
         for p, w in zip(result.model.parameters(), val_weights[best]):
             assert np.array_equal(p.data, w)
         assert not all(
             np.array_equal(p.data, w) for p, w in zip(result.model.parameters(), val_weights[-1])
         )
-        for weights, logged in zip(val_weights, result.history.val_loss):
+        for weights, logged in zip(val_weights, result.val_loss):
             probe = ExtractorModel.from_parameters(
-                len(vocab), cfg, [nc.Parameter(p.name, w) for p, w in zip(model.parameters(), weights)]
+                len(vocab), cfg,
+                [nc.Parameter(p.name, w) for p, w in zip(result.model.parameters(), weights)],
             )
             losses = [extractor_batch_loss(probe, [s]).item() for s in val_set]
             assert logged == pytest.approx(np.mean(losses), rel=1e-5)

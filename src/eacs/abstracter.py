@@ -28,9 +28,10 @@ log = logging.getLogger(__name__)
 
 LOGPROB_CLAMP = 1e-9
 # The widest beam search. Each step ranks up to width x vocabulary candidates.
-# At desk width (vocabulary 143) a width-256 summary takes about 0.3 s from a
-# model that emits <eos> early, and about 3.4 s at max_len 30 from a decoder
-# that never emits it, almost all of it in the candidate loop and sort.
+# At desk width (vocabulary 143; a 2-core shared x86-64 VM, one OpenBLAS
+# thread) a width-256 summary takes 0.07-0.16 s from a model that emits <eos>
+# early, and 1.7-2.8 s at max_len 30 from a decoder that never emits it,
+# almost all of it in the candidate loop and sort.
 MAX_BEAM_WIDTH = 256
 
 
@@ -117,35 +118,102 @@ class AbstracterModel(nc.Model):
             lengths=inputs.lengths, h0=h0, c0=c0, collect=True,
         )[0]
 
-    def decoder_input(self, u: nc.Tensor, rows: int) -> np.ndarray:
-        """A (rows, E+H) input buffer for :meth:`decode_step`: its last H
-        columns hold the fused context u (1, H) in every row."""
-        e = self.embedding.shape[1]
-        inp = np.empty((rows, e + u.shape[1]), dtype=self.embedding.dtype)
-        inp[:, e:] = u.data
-        return inp
-
     def decode_step(
-        self, y_prev: np.ndarray, h_prev: nc.Tensor, c_prev: nc.Tensor, inp: np.ndarray
-    ) -> tuple[nc.Tensor, nc.Tensor, nc.Tensor]:
-        """One decoder step over k hypotheses: previous ids (k,), h and c (k, H)
-        and a :meth:`decoder_input` buffer of at least k rows.
+        self, y_prev: np.ndarray, parents: list[int], state: DecoderState
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One decoder step over k hypotheses: their previous ids (k,) and the
+        rows of their parents' states among the last step's rows in ``state``.
 
         The ids' embeddings are gathered into the first E columns of the
-        buffer's first k rows, beside the fused context written once per
-        decode, so a step makes no lookup or concat. Its input is therefore
-        a constant, overwritten by the next step: no gradient reaches the
-        embedding or u, and training runs :meth:`decode_teacher_forced`.
-        Returns (h, c, distributions over the vocabulary), each with k rows.
+        state's first k input rows, beside the fused context written once
+        per decode, so a step makes no lookup or concat. It runs on arrays,
+        records nothing and is for inference only: training runs
+        :meth:`decode_teacher_forced`. Returns (h, c, distributions over the
+        vocabulary), each k rows of the state's buffers, which the next step
+        overwrites.
         """
-        table = self.embedding.data
         if y_prev.min() < 0:  # np.take wraps negative ids; it raises past the table
             raise IndexError("embedding id out of range")
-        x = inp[: len(y_prev)]
-        np.take(table, y_prev, axis=0, out=x[:, : table.shape[1]])
-        h, c = nc.lstm_cell(nc.Tensor(x), h_prev, c_prev, self.dec_wx, self.dec_wh, self.dec_b)
-        logits = nc.add(nc.matmul(h, self.out_w), self.out_b)
-        return h, c, nc.softmax(logits)
+        k = len(y_prev)
+        x, emb, xw, tc, logits, probs, views = state.rows(k)
+        np.take(state.table, y_prev, axis=0, out=emb)
+        h, c = state.select(parents)
+        np.matmul(x, state.wx, xw)
+        xw += state.b
+        nc.lstm_run(((xw, tc, h, c),), h, c, state.wh, views)
+        np.matmul(h, state.out_w, logits)
+        logits += state.out_b
+        # The ops of numcore.softmax, in its order and in place: the same bits.
+        logits -= logits.max(axis=-1, keepdims=True)
+        np.exp(logits, probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        return h, c, probs
+
+
+class DecoderState:
+    """One decode of up to ``width`` hypotheses: its buffers, the decoder's
+    weights and its views, set up once, so that each
+    :meth:`AbstracterModel.decode_step` only computes.
+
+    It holds the (width, E+H) input rows with the fused context u written
+    into their last H columns once, the (width, 4H) x Wx + b rows, the
+    (width, 4H) gate scratch and gate constants of a
+    :class:`numcore.LSTMScratch`, the (width, H) tanh(c) rows, the (width, V)
+    logit and probability rows, and two (width, H) buffers each for h and c.
+    A step whose parents are rows 0..k-1 steps them in place; any other step
+    first gathers its parents into the other buffer, so the gather never
+    reads a row it has written. Every product runs over the step's k rows
+    only.
+    """
+
+    def __init__(self, model: AbstracterModel, e_fu: nc.Tensor, width: int):
+        h0, c0, u = model.init_decoder(e_fu)
+        self.table = model.embedding.data
+        self.wx, self.wh, self.b = model.dec_wx.data, model.dec_wh.data, model.dec_b.data
+        self.out_w, self.out_b = model.out_w.data, model.out_b.data
+        vocab, e = self.table.shape
+        hidden, dtype = self.wh.shape[0], self.table.dtype
+        self.x = np.empty((width, e + hidden), dtype=dtype)
+        self.x[:, e:] = u.data
+        self.xw = np.empty((width, 4 * hidden), dtype=dtype)
+        self.tc = np.empty((width, hidden), dtype=dtype)
+        self.logits = np.empty((width, vocab), dtype=dtype)
+        self.probs = np.empty_like(self.logits)
+        self.h = np.empty((2, width, hidden), dtype=dtype)
+        self.c = np.empty_like(self.h)
+        self._scratch = nc.LSTMScratch(hidden, dtype, width)
+        self._rows: dict[int, tuple] = {}
+        self.start(h0.data, c0.data)
+
+    def start(self, h: np.ndarray, c: np.ndarray) -> None:
+        """Make the k rows of ``h`` and ``c`` (k, H) the state of hypotheses 0..k-1."""
+        self.cur = 0
+        self.h[0, : len(h)] = h
+        self.c[0, : len(c)] = c
+
+    def rows(self, k: int) -> tuple:
+        """The first k rows of the input, its embedding columns, the x Wx + b,
+        tanh(c), logit and probability buffers, and the scratch views of
+        :func:`numcore.lstm_run`, sliced once per k."""
+        views = self._rows.get(k)
+        if views is None:
+            e = self.table.shape[1]
+            views = self._rows[k] = (
+                self.x[:k], self.x[:k, :e], self.xw[:k], self.tc[:k],
+                self.logits[:k], self.probs[:k], self._scratch.views(k),
+            )
+        return views
+
+    def select(self, parents: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The (h, c) rows of the k hypotheses whose parents sit at rows
+        ``parents`` of the last step's state, which the next step overwrites."""
+        k = len(parents)
+        if parents != list(range(k)):
+            # mode="clip" writes straight into the buffer; "raise" would buffer.
+            np.take(self.h[self.cur], parents, axis=0, out=self.h[1 - self.cur, :k], mode="clip")
+            np.take(self.c[self.cur], parents, axis=0, out=self.c[1 - self.cur, :k], mode="clip")
+            self.cur = 1 - self.cur
+        return self.h[self.cur, :k], self.c[self.cur, :k]
 
 
 def fuse(e_ex: nc.Tensor, e_ab: nc.Tensor, order: str) -> nc.Tensor:
@@ -259,10 +327,11 @@ def beam_decode(
 ) -> DecodeResult:
     """Beam search from one fused vector; width 1 is greedy decoding.
 
-    Each step runs the k live hypotheses through one batched decode_step.
-    Every live row proposes its ``width`` most likely next tokens, finished
-    hypotheses carry over unchanged, and the ``width`` candidates with the
-    highest total log-prob survive, ties going to the lower token ids.
+    A :class:`DecoderState` is set up once, and each step runs the k live
+    hypotheses through one batched decode_step. Every live row proposes its
+    ``width`` most likely next tokens, finished hypotheses carry over
+    unchanged, and the ``width`` candidates with the highest total log-prob
+    survive, ties going to the lower token ids.
     Probabilities are clamped at 1e-9 before the log. A width outside
     [1, MAX_BEAM_WIDTH] or a ``max_len`` below 1 is a :class:`UsageError`.
     """
@@ -270,20 +339,18 @@ def beam_decode(
         raise UsageError(f"beam width must be in [1, {MAX_BEAM_WIDTH}], got {width}")
     if max_len < 1:
         raise UsageError(f"max_len must be >= 1, got {max_len}")
-    h, c, u = model.init_decoder(e_fu)
-    inp = model.decoder_input(u, width)
+    state = DecoderState(model, e_fu, width)
     # hypothesis: (ids, step log-probs, total, finished, row of h and c)
     beams = [((), (), 0.0, False, 0)]
     for _ in range(max_len):
         live = [b for b in beams if not b[3]]
         if not live:
             break
-        rows = [b[4] for b in live]
+        parents = [b[4] for b in live]
         y_prev = np.array([b[0][-1] if b[0] else BOS for b in live], dtype=np.int64)
-        h, c, probs = model.decode_step(
-            y_prev, nc.Tensor(h.data[rows]), nc.Tensor(c.data[rows]), inp
-        )
-        dist = np.log(np.maximum(probs.data, LOGPROB_CLAMP))
+        probs = model.decode_step(y_prev, parents, state)[2]
+        # The log-probs overwrite the state's probabilities, which nothing else reads.
+        dist = np.log(np.maximum(probs, LOGPROB_CLAMP, out=probs), out=probs)
         top = np.argsort(-dist, axis=-1, kind="stable")[:, :width]
         candidates = [b for b in beams if b[3]]
         for row, (ids, lps, total, _, _) in enumerate(live):

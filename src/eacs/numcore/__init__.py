@@ -10,6 +10,7 @@ import numpy as np
 
 from .gradcheck import finite_difference_check
 from .ops import (
+    LSTMScratch,
     add,
     clip,
     concat,
@@ -20,6 +21,7 @@ from .ops import (
     log,
     lstm_cell,
     lstm_over,
+    lstm_run,
     matmul,
     mean_all,
     mul,
@@ -96,6 +98,7 @@ class Model:
 
 __all__ = [
     "AdamW",
+    "LSTMScratch",
     "Model",
     "Parameter",
     "Tape",
@@ -113,6 +116,7 @@ __all__ = [
     "log",
     "lstm_cell",
     "lstm_over",
+    "lstm_run",
     "matmul",
     "mean_all",
     "mul",

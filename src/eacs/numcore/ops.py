@@ -299,6 +299,56 @@ def _gate_constants(hidden: int, dtype: np.dtype, rows: int):
     return scale, shift, slope, columns
 
 
+class LSTMScratch:
+    """What :func:`lstm_run` steps with, set up once for up to ``rows`` rows:
+    a (rows, 4H) gate scratch, which each step fills with h @ wh and then
+    the gates i, f, g, o, and the gate constants of :func:`_gate_constants`.
+    """
+
+    def __init__(self, hidden: int, dtype: np.dtype, rows: int):
+        self.gates = np.empty((rows, 4 * hidden), dtype=dtype)
+        # Rows rounded up to a power of two, so a few sizes serve every batch.
+        rows_up = 1 << (rows - 1).bit_length()
+        self.scale, self.shift, self.slope, self.columns = _gate_constants(hidden, dtype, rows_up)
+
+    def views(self, m: int) -> tuple:
+        """The first m rows of the scratch, its four gates' columns among
+        them, and of the scale and shift: the views :func:`lstm_run` takes."""
+        step = self.gates[:m]
+        ci, cf, cg, co = self.columns
+        gates = (step[:, ci], step[:, cf], step[:, cg], step[:, co])
+        return step, gates, self.scale[:m], self.shift[:m]
+
+
+def lstm_run(steps, h: np.ndarray, c: np.ndarray, wh: np.ndarray, views: tuple) -> None:
+    """Step an LSTM through a run of steps that share their m rows, in place:
+    the one copy of the gate math, which :func:`lstm_over` and decoding run.
+
+    ``h`` and ``c`` (m, H) are the state before the run, ``wh`` the (H, 4H)
+    recurrent weights and ``views`` :meth:`LSTMScratch.views` for m rows.
+    ``steps`` yields each step's (a, tc, h_next, c_next): ``a`` (m, 4H)
+    holds x Wx + b on entry and the tanh of the scaled pre-activations on
+    exit, which a backward reads; ``tc`` (m, H) receives tanh(c), and
+    ``h_next`` and ``c_next`` (m, H) the new state. A step may write its new
+    state over the state it reads. Each step only calls ufuncs, with ``out``
+    passed by position (the keyword costs about 0.1 us a call).
+    """
+    step, (i, f, g, o), sc, sh = views
+    for a, tc, h_next, c_next in steps:
+        np.matmul(h, wh, step)
+        a += step
+        a *= sc
+        np.tanh(a, a)
+        np.multiply(a, sc, step)
+        step += sh
+        np.multiply(f, c, c_next)
+        np.multiply(i, g, tc)  # i * g, until tanh(c) overwrites it
+        c_next += tc
+        np.tanh(c_next, tc)
+        np.multiply(o, tc, h_next)
+        h, c = h_next, c_next
+
+
 # Stands in on the tape for an omitted h0 or c0: a constant, so it gets no gradient.
 _NO_START = Tensor(np.zeros(0))
 
@@ -313,8 +363,9 @@ def _batch_major(a: np.ndarray, back) -> np.ndarray:
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, wx: Tensor, wh: Tensor, b: Tensor):
     """One LSTM step over a (B, D) input from (h_prev, c_prev): returns (h, c).
 
-    It is :func:`lstm_over` over one time step, so decoding runs the same
-    step code as teacher-forced training.
+    It is :func:`lstm_over` over one time step, as a tape node, so its
+    gradient is checked as one op. Decoding needs no tape: it calls
+    :func:`lstm_run`, the step code of :func:`lstm_over`, directly.
     """
     return lstm_over(x, wx, wh, b, h0=h_prev, c0=c_prev)
 
@@ -346,11 +397,11 @@ def lstm_over(
     time-major. Forward steps in runs of steps with one live count: one run
     for a batch without padding, and one per distinct length (plus one if
     no sequence fills all T steps) for a ragged batch. A run takes its
-    views of the packed rows, the states and the scratch once, so each of
-    its steps only calls ufuncs, and the rows that have finished carry
-    their state by one block copy per run. Forward keeps no gates: each step
-    writes them into one (B, 4H) scratch, and backward rebuilds them from
-    the saved tanh values.
+    views of the packed rows, the states and the scratch once and hands
+    them to :func:`lstm_run`, whose steps only call ufuncs, and the rows
+    that have finished carry their state by one block copy per run.
+    Forward keeps no gates: each step writes them into one (B, 4H) scratch,
+    and backward rebuilds them from the saved tanh values.
     Backward runs BPTT in one loop, collecting dz as (B*T, 4H), then forms
     dx, dWx, dWh and db with one GEMM or reduction each (Appleyard et al.,
     arXiv 1604.01946).
@@ -415,28 +466,19 @@ def lstm_over(
     xw = xs_run @ wx.data
     xw += b.data
     dtype = xw.dtype
-    # Rows rounded up to a power of two, so a few sizes serve every batch.
-    rows_up = 1 << (n - 1).bit_length()
-    scale, shift, slope, (ci, cf, cg, co) = _gate_constants(hidden, dtype, rows_up)
+    step_scratch = LSTMScratch(hidden, dtype, n)
     hs = np.empty((steps + 1, n, hidden), dtype=dtype)
     cs = np.empty_like(hs)
     hs[0] = 0 if h0 is None else h0.data[order]
     cs[0] = 0 if c0 is None else c0.data[order]
     tcs = np.empty((len(xw), hidden), dtype=dtype)  # tanh(c), packed like xw
-    gates = np.empty((n, 4 * hidden), dtype=dtype)  # one step's h @ wh, then i, f, g, o
-    w = wh.data
     row = 0
     for k, first, end in runs:
-        # A run's steps share their row count m, so the run takes its views
-        # once and each step only calls ufuncs, with `out` passed by
-        # position (the keyword costs about 0.1 us a call). A one-step run,
-        # as every decoder step is, takes its views directly: reshaping and
-        # zipping them made such a call about 8% slower.
+        # A one-step run, as every lstm_cell call is, takes its views
+        # directly: reshaping and zipping them made such a call about 8%
+        # slower.
         m = max(k, floor)
         stop = row + (end - first) * m
-        step, sc, sh = gates[:m], scale[:m], shift[:m]
-        i, f, g, o = step[:, ci], step[:, cf], step[:, cg], step[:, co]
-        h, c = hs[first, :m], cs[first, :m]
         if end - first == 1:
             run = ((xw[row:stop], tcs[row:stop], hs[end, :m], cs[end, :m]),)
         else:
@@ -446,19 +488,7 @@ def lstm_over(
                 hs[first + 1 : end + 1, :m],
                 cs[first + 1 : end + 1, :m],
             )
-        for a, tc, h_next, c_next in run:
-            np.matmul(h, w, step)
-            a += step
-            a *= sc
-            np.tanh(a, a)
-            np.multiply(a, sc, step)
-            step += sh
-            np.multiply(f, c, c_next)
-            np.multiply(i, g, tc)  # i * g, until tanh(c) overwrites it
-            c_next += tc
-            np.tanh(c_next, tc)
-            np.multiply(o, tc, h_next)
-            h, c = h_next, c_next
+        lstm_run(run, hs[first, :m], cs[first, :m], wh.data, step_scratch.views(m))
         if k < n:
             # Finished rows, a floor row past its end among them, carry
             # their state. A floor row is stepped inside the run from the
@@ -476,6 +506,8 @@ def lstm_over(
         # bits of its columns can depend on their count, their position and
         # the layout. dz_t is then stored batch-major, the layout the weight
         # GEMMs read.
+        scale, shift, slope = step_scratch.scale, step_scratch.shift, step_scratch.slope
+        ci, cf, cg, co = step_scratch.columns
         dz = np.empty((n, steps, 4 * hidden), dtype=dtype)
         scratch = np.zeros((n, 4 * hidden), dtype=dtype)
         dz_t = np.empty_like(scratch) if ragged else scratch

@@ -5,7 +5,9 @@ full-table LCS, Counter-based n-gram stats, per-type assignment enumeration
 for the METEOR alignment, and a standalone copy of the greedy labeling rule.
 The decoder references run ``decode_step_reference``, the earlier
 lookup-and-concat decoder step that ``decode_step`` must match bit for bit,
-one hypothesis at a time, so they check the batched search and loss.
+one hypothesis at a time, so they check the batched search and loss;
+``beam_decode_reference`` is the earlier batched search on it, which
+``beam_decode`` must match bit for bit.
 ``alignment_reference``, ``packed_links_reference``, ``adamw_reference``,
 ``scatter_add_reference``, ``java_fragments_reference`` and
 ``tokenize_code_reference`` are the earlier, plainer implementations that
@@ -330,6 +332,35 @@ def beam_reference(model, e_fu, vocab, max_len, width):
     best = min(beams, key=lambda b: (-b[2], b[0]))
     ids = [i for i in best[0] if i != EOS]
     return DecodeResult(tokens=vocab.decode(ids), step_log_probs=list(best[1]))
+
+
+def beam_decode_reference(model, e_fu, vocab, max_len, width):
+    """The earlier batched ``beam_decode``: each step runs its k live
+    hypotheses through one ``decode_step_reference`` call on their parents'
+    gathered (h, c) rows, and ranks candidates by today's rule."""
+    h, c, u = model.init_decoder(e_fu)
+    # hypothesis: (ids, step log-probs, total, finished, row of h and c)
+    beams = [((), (), 0.0, False, 0)]
+    for _ in range(max_len):
+        live = [b for b in beams if not b[3]]
+        if not live:
+            break
+        rows = [b[4] for b in live]
+        y_prev = np.array([b[0][-1] if b[0] else BOS for b in live], dtype=np.int64)
+        h, c, probs = decode_step_reference(
+            model, y_prev, nc.Tensor(h.data[rows]), nc.Tensor(c.data[rows]), u
+        )
+        dist = np.log(np.maximum(probs.data, LOGPROB_CLAMP))
+        top = np.argsort(-dist, axis=-1, kind="stable")[:, :width]
+        candidates = [b for b in beams if b[3]]
+        for row, (ids, lps, total, _, _) in enumerate(live):
+            for tok in top[row].tolist():
+                lp = float(dist[row, tok])
+                candidates.append((ids + (tok,), lps + (lp,), total + lp, tok == EOS, row))
+        candidates.sort(key=lambda b: (-b[2], b[0]))
+        beams = candidates[:width]
+    ids, lps = beams[0][:2]
+    return DecodeResult(tokens=vocab.decode(ids), step_log_probs=list(lps))
 
 
 def lstm_reference(x, wx, wh, b, lengths, h0, c0):

@@ -10,6 +10,7 @@ from eacs.abstracter import (
     AbstracterConfig,
     AbstracterModel,
     AbstracterSample,
+    DecoderState,
     abstracter_loss,
     beam_decode,
     build_abstracter_dataset,
@@ -24,6 +25,7 @@ from eacs.segmenter import segment_pairs
 from .oracles import (
     RecordingRng,
     adamw_reference,
+    beam_decode_reference,
     beam_reference,
     decode_step_reference,
     step_distributions,
@@ -115,9 +117,9 @@ class TestDecodeStep:
             tiny_model.encode_abstractive(np.array([5, 6])),
             "abex",
         )
-        h, c, u = tiny_model.init_decoder(e_fu)
-        h, c, probs = tiny_model.decode_step(np.array([BOS]), h, c, tiny_model.decoder_input(u, 1))
-        assert abs(probs.data.sum() - 1.0) < 1e-6
+        state = DecoderState(tiny_model, e_fu, 1)
+        h, c, probs = tiny_model.decode_step(np.array([BOS]), [0], state)
+        assert abs(probs.sum() - 1.0) < 1e-6
 
     def test_zero_output_projection_is_uniform(self, tiny_model):
         tiny_model.out_w.data[:] = 0.0
@@ -127,9 +129,9 @@ class TestDecodeStep:
             tiny_model.encode_abstractive(np.array([5])),
             "abex",
         )
-        h, c, u = tiny_model.init_decoder(e_fu)
-        _, _, probs = tiny_model.decode_step(np.array([BOS]), h, c, tiny_model.decoder_input(u, 1))
-        assert np.allclose(probs.data, 1.0 / 10)
+        state = DecoderState(tiny_model, e_fu, 1)
+        _, _, probs = tiny_model.decode_step(np.array([BOS]), [0], state)
+        assert np.allclose(probs, 1.0 / 10)
 
     def test_repeat_call_is_deterministic(self, tiny_model):
         e_fu = fuse(
@@ -137,10 +139,8 @@ class TestDecodeStep:
             tiny_model.encode_abstractive(np.array([5])),
             "abex",
         )
-        h, c, u = tiny_model.init_decoder(e_fu)
-        inp = tiny_model.decoder_input(u, 1)
-        one = tiny_model.decode_step(np.array([4]), h, c, inp)[2].data
-        two = tiny_model.decode_step(np.array([4]), h, c, inp)[2].data
+        one = tiny_model.decode_step(np.array([4]), [0], DecoderState(tiny_model, e_fu, 1))[2]
+        two = tiny_model.decode_step(np.array([4]), [0], DecoderState(tiny_model, e_fu, 1))[2]
         assert np.array_equal(one, two)
 
     def test_invalid_token_index(self, tiny_model):
@@ -149,9 +149,9 @@ class TestDecodeStep:
             tiny_model.encode_abstractive(np.array([5])),
             "abex",
         )
-        h, c, u = tiny_model.init_decoder(e_fu)
+        state = DecoderState(tiny_model, e_fu, 1)
         with pytest.raises(IndexError):
-            tiny_model.decode_step(np.array([99]), h, c, tiny_model.decoder_input(u, 1))
+            tiny_model.decode_step(np.array([99]), [0], state)
 
     def test_negative_token_index(self, tiny_model):
         # np.take would read -1 as the last row.
@@ -160,13 +160,13 @@ class TestDecodeStep:
             tiny_model.encode_abstractive(np.array([5])),
             "abex",
         )
-        h, c, u = tiny_model.init_decoder(e_fu)
+        state = DecoderState(tiny_model, e_fu, 1)
         with pytest.raises(IndexError):
-            tiny_model.decode_step(np.array([-1]), h, c, tiny_model.decoder_input(u, 1))
+            tiny_model.decode_step(np.array([-1]), [0], state)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_lookup_and_concat_bit_for_bit(self, dtype):
-        # The buffer is written at k = 8 first, so every smaller k reads
+        # The state is written at k = 8 first, so every smaller k reads
         # rows and columns an earlier step left behind.
         model = AbstracterModel(10, TINY, np.random.default_rng(3), dtype=dtype)
         e_fu = fuse(
@@ -175,15 +175,16 @@ class TestDecodeStep:
             "abex",
         )
         _, _, u = model.init_decoder(e_fu)
-        inp = model.decoder_input(u, 8)
+        state = DecoderState(model, e_fu, 8)
         rng = np.random.default_rng(11)
         for k in range(8, 0, -1):
             ids = rng.integers(0, 10, k)
             h, c = (nc.Tensor(rng.normal(0, 0.5, (k, 8)).astype(dtype)) for _ in range(2))
-            got = model.decode_step(ids, h, c, inp)
+            state.start(h.data, c.data)
+            got = model.decode_step(ids, list(range(k)), state)
             want = decode_step_reference(model, ids, h, c, u)
             for g, w in zip(got, want):
-                assert g.dtype == w.dtype == dtype and np.array_equal(g.data, w.data), k
+                assert g.dtype == w.dtype == dtype and np.array_equal(g, w.data), k
 
 
 class TestLoss:
@@ -428,8 +429,25 @@ class _RecordingVocabulary(Vocabulary):
         return super().decode(ids)
 
 
+def _beam_setup(seed, vocab_size, sharpness, dtype=np.float64):
+    """A random decoder whose output scores scale with ``sharpness``, its
+    fused vector, and two vocabularies that record the decoded ids."""
+    config = AbstracterConfig(embed_dim=5, hidden_dim=4, dropout=0.0)
+    model = AbstracterModel(vocab_size, config, np.random.default_rng(seed), dtype=dtype)
+    model.out_w.data *= sharpness
+    model.out_b.data[:] = np.random.default_rng(seed + 1).normal(0.0, sharpness, vocab_size)
+    words = list(RESERVED_TOKENS) + [f"w{i}" for i in range(vocab_size - 4)]
+    e_fu = fuse(
+        model.encode_extractive(np.array([4])),
+        model.encode_abstractive(np.array([vocab_size - 1, 4])),
+        "abex",
+    )
+    return model, e_fu, _RecordingVocabulary(words), _RecordingVocabulary(words)
+
+
 class TestBatchedBeam:
-    """One batched decode_step per beam step against one call per hypothesis."""
+    """The batched search against one decode_step_reference call per
+    hypothesis, and against the earlier batched search bit for bit."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -440,23 +458,37 @@ class TestBatchedBeam:
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_one_hypothesis_at_a_time(self, seed, vocab_size, sharpness, max_len, width):
-        config = AbstracterConfig(embed_dim=5, hidden_dim=4, dropout=0.0)
-        model = AbstracterModel(vocab_size, config, np.random.default_rng(seed), dtype=np.float64)
-        model.out_w.data *= sharpness
-        model.out_b.data[:] = np.random.default_rng(seed + 1).normal(0.0, sharpness, vocab_size)
-        words = list(RESERVED_TOKENS) + [f"w{i}" for i in range(vocab_size - 4)]
-        batched_vocab, reference_vocab = _RecordingVocabulary(words), _RecordingVocabulary(words)
-        e_fu = fuse(
-            model.encode_extractive(np.array([4])),
-            model.encode_abstractive(np.array([vocab_size - 1, 4])),
-            "abex",
-        )
+        model, e_fu, batched_vocab, reference_vocab = _beam_setup(seed, vocab_size, sharpness)
         got = beam_decode(model, e_fu, batched_vocab, max_len, width)
         want = beam_reference(model, e_fu, reference_vocab, max_len, width)
         assert batched_vocab.ids == reference_vocab.ids
         assert got.tokens == want.tokens
         assert len(got.step_log_probs) == len(want.step_log_probs)
         assert np.abs(np.subtract(got.step_log_probs, want.step_log_probs)).max() < 1e-9
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        vocab_size=st.integers(5, 12),
+        sharpness=st.floats(0.5, 8.0),
+        max_len=st.integers(1, 12),
+        width=st.integers(1, 8),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        never_stops=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_same_bits_as_the_batched_reference(
+        self, seed, vocab_size, sharpness, max_len, width, dtype, never_stops
+    ):
+        model, e_fu, vocab, reference_vocab = _beam_setup(seed, vocab_size, sharpness, dtype)
+        if never_stops:
+            model.out_b.data[EOS] = -50.0
+        got = beam_decode(model, e_fu, vocab, max_len, width)
+        want = beam_decode_reference(model, e_fu, reference_vocab, max_len, width)
+        assert vocab.ids == reference_vocab.ids
+        assert got.tokens == want.tokens
+        assert list(map(float.hex, got.step_log_probs)) == list(
+            map(float.hex, want.step_log_probs)
+        )
 
 
 def test_dataset_drops_unsegmentable_pair(overfit_run, unsegmentable_corpus_path):

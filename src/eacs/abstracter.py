@@ -96,26 +96,26 @@ class AbstracterModel(nc.Model):
             raise EmptyInput("no snippet tokens to encode")
         return self.encode("ab", Batch.pad([ids]))
 
-    def init_decoder(self, e_fu: nc.Tensor) -> tuple[nc.Tensor, nc.Tensor, nc.Tensor]:
-        """Initial (h, c) plus the per-step fused-context input."""
+    def init_decoder(self, e_fu: nc.Tensor) -> tuple[nc.Tensor, nc.Tensor]:
+        """The initial hidden state h0 and the per-step fused-context input u;
+        the cell state starts at zeros."""
         h0 = nc.tanh(nc.add(nc.matmul(e_fu, self.ctx_w), self.ctx_b))
-        c0 = nc.Tensor(np.zeros_like(h0.data))
         u = nc.add(nc.matmul(e_fu, self.step_w), self.step_b)
-        return h0, c0, u
+        return h0, u
 
     def decode_teacher_forced(
         self, inputs: Batch, e_fu: nc.Tensor, rng: Optional[np.random.Generator]
     ) -> nc.Tensor:
         """(B, T, H) decoder states over padded previous-token ids, as one node;
         the embeddings are dropped out with ``rng`` when given."""
-        h0, c0, u = self.init_decoder(e_fu)
+        h0, u = self.init_decoder(e_fu)
         emb = self.drop(nc.embedding_lookup(self.embedding, inputs.indices), rng)
         # Each sequence's u, repeated over its steps.
         rows = np.broadcast_to(np.arange(len(inputs.lengths))[:, None], inputs.indices.shape)
         x = nc.concat([emb, nc.embedding_lookup(u, rows)])
         return nc.lstm_over(
             x, self.dec_wx, self.dec_wh, self.dec_b,
-            lengths=inputs.lengths, h0=h0, c0=c0, collect=True,
+            lengths=inputs.lengths, h0=h0, collect=True,
         )[0]
 
     def decode_step(
@@ -135,18 +135,15 @@ class AbstracterModel(nc.Model):
         if y_prev.min() < 0:  # np.take wraps negative ids; it raises past the table
             raise IndexError("embedding id out of range")
         k = len(y_prev)
-        x, emb, xw, tc, logits, probs, views = state.rows(k)
+        x, emb, xw, tc, probs, views = state.rows(k)
         np.take(state.table, y_prev, axis=0, out=emb)
         h, c = state.select(parents)
         np.matmul(x, state.wx, xw)
         xw += state.b
         nc.lstm_run(((xw, tc, h, c),), h, c, state.wh, views)
-        np.matmul(h, state.out_w, logits)
-        logits += state.out_b
-        # The ops of numcore.softmax, in its order and in place: the same bits.
-        logits -= logits.max(axis=-1, keepdims=True)
-        np.exp(logits, probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
+        np.matmul(h, state.out_w, probs)
+        probs += state.out_b
+        nc.softmax_into(probs, probs)
         return h, c, probs
 
 
@@ -159,7 +156,8 @@ class DecoderState:
     into their last H columns once, the (width, 4H) x Wx + b rows, the
     (width, 4H) gate scratch and gate constants of a
     :class:`numcore.LSTMScratch`, the (width, H) tanh(c) rows, the (width, V)
-    logit and probability rows, and two (width, H) buffers each for h and c.
+    rows that hold the logits and then the probabilities, and two (width, H)
+    buffers each for h and c, the cell state starting at zeros.
     A step whose parents are rows 0..k-1 steps them in place; any other step
     first gathers its parents into the other buffer, so the gather never
     reads a row it has written. Every product runs over the step's k rows
@@ -167,7 +165,7 @@ class DecoderState:
     """
 
     def __init__(self, model: AbstracterModel, e_fu: nc.Tensor, width: int):
-        h0, c0, u = model.init_decoder(e_fu)
+        h0, u = model.init_decoder(e_fu)
         self.table = model.embedding.data
         self.wx, self.wh, self.b = model.dec_wx.data, model.dec_wh.data, model.dec_b.data
         self.out_w, self.out_b = model.out_w.data, model.out_b.data
@@ -177,30 +175,30 @@ class DecoderState:
         self.x[:, e:] = u.data
         self.xw = np.empty((width, 4 * hidden), dtype=dtype)
         self.tc = np.empty((width, hidden), dtype=dtype)
-        self.logits = np.empty((width, vocab), dtype=dtype)
-        self.probs = np.empty_like(self.logits)
+        self.probs = np.empty((width, vocab), dtype=dtype)
         self.h = np.empty((2, width, hidden), dtype=dtype)
         self.c = np.empty_like(self.h)
         self._scratch = nc.LSTMScratch(hidden, dtype, width)
         self._rows: dict[int, tuple] = {}
-        self.start(h0.data, c0.data)
+        self.start(h0.data, 0.0)
 
-    def start(self, h: np.ndarray, c: np.ndarray) -> None:
-        """Make the k rows of ``h`` and ``c`` (k, H) the state of hypotheses 0..k-1."""
+    def start(self, h: np.ndarray, c) -> None:
+        """Make the k rows of ``h`` (k, H) and ``c``, (k, H) or a scalar,
+        the state of hypotheses 0..k-1."""
         self.cur = 0
         self.h[0, : len(h)] = h
-        self.c[0, : len(c)] = c
+        self.c[0, : len(h)] = c
 
     def rows(self, k: int) -> tuple:
         """The first k rows of the input, its embedding columns, the x Wx + b,
-        tanh(c), logit and probability buffers, and the scratch views of
+        tanh(c) and probability buffers, and the scratch views of
         :func:`numcore.lstm_run`, sliced once per k."""
         views = self._rows.get(k)
         if views is None:
             e = self.table.shape[1]
             views = self._rows[k] = (
                 self.x[:k], self.x[:k, :e], self.xw[:k], self.tc[:k],
-                self.logits[:k], self.probs[:k], self._scratch.views(k),
+                self.probs[:k], self._scratch.views(k),
             )
         return views
 

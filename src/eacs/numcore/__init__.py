@@ -29,6 +29,7 @@ from .ops import (
     sigmoid,
     slice_axis,
     softmax,
+    softmax_into,
     sub,
     sum_all,
     tanh,
@@ -125,6 +126,7 @@ __all__ = [
     "sigmoid",
     "slice_axis",
     "softmax",
+    "softmax_into",
     "sub",
     "sum_all",
     "tanh",

@@ -158,12 +158,20 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     return out
 
 
+def softmax_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The softmax of ``x`` along its last axis, written into ``out`` (which
+    may be ``x``): the row max subtracted, exp, then division by the row sum,
+    all in ``out``. The one copy of the math :func:`softmax` and decoding run."""
+    np.subtract(x, x.max(axis=-1, keepdims=True), out)
+    np.exp(out, out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
 def softmax(x: Tensor) -> Tensor:
     """Numerically stable softmax; rows along the last axis sum to 1."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = softmax_into(x.data, np.empty_like(x.data))
     out = Tensor(p)
 
     def backward(gs):
@@ -363,11 +371,13 @@ def _batch_major(a: np.ndarray, back) -> np.ndarray:
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, wx: Tensor, wh: Tensor, b: Tensor):
     """One LSTM step over a (B, D) input from (h_prev, c_prev): returns (h, c).
 
-    It is :func:`lstm_over` over one time step, as a tape node, so its
-    gradient is checked as one op. Decoding needs no tape: it calls
-    :func:`lstm_run`, the step code of :func:`lstm_over`, directly.
+    It is :func:`lstm_over` over ``x`` reshaped to (B, 1, D) with unit
+    lengths, so its gradient is checked as one op. Decoding needs no tape:
+    it calls :func:`lstm_run`, the step code of :func:`lstm_over`, directly.
     """
-    return lstm_over(x, wx, wh, b, h0=h_prev, c0=c_prev)
+    # Any input other than (B, D) fails lstm_over's (B, T, D) check.
+    steps = reshape(x, x.shape[:1] + (1,) + x.shape[1:])
+    return lstm_over(steps, wx, wh, b, np.ones(x.shape[:1]), h_prev, c_prev)
 
 
 def lstm_over(
@@ -375,7 +385,7 @@ def lstm_over(
     wx: Tensor,
     wh: Tensor,
     b: Tensor,
-    lengths: Optional[np.ndarray] = None,
+    lengths: np.ndarray,
     h0: Optional[Tensor] = None,
     c0: Optional[Tensor] = None,
     collect: bool = False,
@@ -383,10 +393,10 @@ def lstm_over(
     """Run a standard LSTM (gate order i, f, g, o) over a padded batch, as one tape node.
 
     i, f, o = sigmoid(x Wx + b + h Wh), g = tanh(...), c = f * c_prev + i * g
-    and h = o * tanh(c). ``x`` is (B, T, D), or (B, D) for one time step;
-    sequence k has ``lengths[k]`` steps (default T), and its h and c carry
-    unchanged past them. The state starts at (h0, c0), each (B, H), or at
-    zeros. Returns (out, c): ``out`` is every sequence's final hidden state
+    and h = o * tanh(c). ``x`` is (B, T, D), and ``lengths`` (B,) is
+    required: sequence k has ``lengths[k]`` steps, 1 to T, and its h and c
+    carry unchanged past them. The state starts at (h0, c0), each (B, H), or
+    at zeros. Returns (out, c): ``out`` is every sequence's final hidden state
     (B, H), or the hidden state after every step (B, T, H) when ``collect``
     is set, and ``c`` is the final cell state (B, H).
 
@@ -407,15 +417,9 @@ def lstm_over(
     arXiv 1604.01946).
     """
     x, wx, wh, b = as_tensor(x), as_tensor(wx), as_tensor(wh), as_tensor(b)
-    if x.data.ndim == 2:
-        xs = x.data[:, None]
-    elif x.data.ndim == 3 and x.shape[1] >= 1:
-        xs = x.data
-    else:
-        raise ShapeError(
-            f"lstm_over expects a (B, T, D) input with T >= 1, or (B, D), got {x.shape}"
-        )
-    n, steps, width = xs.shape
+    if x.data.ndim != 3 or x.shape[1] < 1:
+        raise ShapeError(f"lstm_over expects a (B, T, D) input with T >= 1, got {x.shape}")
+    n, steps, width = x.shape
     hidden = wh.shape[0]
     h0 = None if h0 is None else as_tensor(h0)
     c0 = None if c0 is None else as_tensor(c0)
@@ -424,7 +428,7 @@ def lstm_over(
         or wh.shape != (hidden, 4 * hidden)
         or b.shape != (4 * hidden,)
         or any(s is not None and s.shape != (n, hidden) for s in (h0, c0))
-        or (lengths is not None and np.shape(lengths) != (n,))
+        or np.shape(lengths) != (n,)
     ):
         shape = lambda s: None if s is None else s.shape
         raise ShapeError(
@@ -441,7 +445,7 @@ def lstm_over(
     runs = [(n, 0, steps)]
     floor = min(n, 2)
     ragged = False
-    if lengths is not None and n:
+    if n:
         lengths = np.asarray(lengths, dtype=np.int64)
         shortest, longest = lengths.min(), lengths.max()
         if shortest < 1 or longest > steps:
@@ -457,9 +461,9 @@ def lstm_over(
         runs = [(live[first], first, end) for first, end in zip(cuts, cuts[1:])]
         inside[:, :floor] = True
         rows = (order * steps + np.arange(steps)[:, None])[inside]
-        xs_run = np.take(xs.reshape(n * steps, width), rows, axis=0)
+        xs_run = np.take(x.data.reshape(n * steps, width), rows, axis=0)
     else:
-        xs_run = xs.swapaxes(0, 1).reshape(n * steps, width)
+        xs_run = x.data.swapaxes(0, 1).reshape(n * steps, width)
     # One GEMM over the rows the steps read, time-major; a row's bits do not
     # depend on how many rows there are or where it sits. Each step turns its
     # rows into the tanh of its scaled pre-activations in place.
@@ -474,20 +478,14 @@ def lstm_over(
     tcs = np.empty((len(xw), hidden), dtype=dtype)  # tanh(c), packed like xw
     row = 0
     for k, first, end in runs:
-        # A one-step run, as every lstm_cell call is, takes its views
-        # directly: reshaping and zipping them made such a call about 8%
-        # slower.
         m = max(k, floor)
         stop = row + (end - first) * m
-        if end - first == 1:
-            run = ((xw[row:stop], tcs[row:stop], hs[end, :m], cs[end, :m]),)
-        else:
-            run = zip(
-                xw[row:stop].reshape(end - first, m, 4 * hidden),
-                tcs[row:stop].reshape(end - first, m, hidden),
-                hs[first + 1 : end + 1, :m],
-                cs[first + 1 : end + 1, :m],
-            )
+        run = zip(
+            xw[row:stop].reshape(end - first, m, 4 * hidden),
+            tcs[row:stop].reshape(end - first, m, hidden),
+            hs[first + 1 : end + 1, :m],
+            cs[first + 1 : end + 1, :m],
+        )
         lstm_run(run, hs[first, :m], cs[first, :m], wh.data, step_scratch.views(m))
         if k < n:
             # Finished rows, a floor row past its end among them, carry
@@ -565,7 +563,7 @@ def lstm_over(
             hs_in = np.stack((hs[0], hs[1]), axis=1)[:, 0]
         return (
             (dz @ wx.data.T).reshape(x.data.shape),
-            xs.reshape(n * steps, width).T @ dz,
+            x.data.reshape(n * steps, width).T @ dz,
             hs_in.T @ dz,
             dz.sum(axis=0),
             dh[back],

@@ -299,7 +299,8 @@ def step_distributions(model, sample):
     """Inference-mode per-step distributions under teacher forcing, one step at a time."""
     e_ex = model.encode_extractive(sample.important_ids)
     e_ab = model.encode_abstractive(sample.code_ids)
-    h, c, u = model.init_decoder(fuse(e_ex, e_ab, model.config.fusion))
+    h, u = model.init_decoder(fuse(e_ex, e_ab, model.config.fusion))
+    c = nc.Tensor(np.zeros_like(h.data))
     out = []
     for y_prev in sample.comment_ids[:-1]:
         h, c, probs = decode_step_reference(model, np.array([y_prev]), h, c, u)
@@ -309,7 +310,8 @@ def step_distributions(model, sample):
 
 def beam_reference(model, e_fu, vocab, max_len, width):
     """Beam search that runs ``decode_step_reference`` on one hypothesis at a time."""
-    h0, c0, u = model.init_decoder(e_fu)
+    h0, u = model.init_decoder(e_fu)
+    c0 = nc.Tensor(np.zeros_like(h0.data))
     # hypothesis: (ids, step log-probs, total, h, c, finished)
     beams = [((), (), 0.0, h0, c0, False)]
     for _ in range(max_len):
@@ -338,7 +340,8 @@ def beam_decode_reference(model, e_fu, vocab, max_len, width):
     """The earlier batched ``beam_decode``: each step runs its k live
     hypotheses through one ``decode_step_reference`` call on their parents'
     gathered (h, c) rows, and ranks candidates by today's rule."""
-    h, c, u = model.init_decoder(e_fu)
+    h, u = model.init_decoder(e_fu)
+    c = nc.Tensor(np.zeros_like(h.data))
     # hypothesis: (ids, step log-probs, total, finished, row of h and c)
     beams = [((), (), 0.0, False, 0)]
     for _ in range(max_len):

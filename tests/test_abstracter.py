@@ -174,7 +174,7 @@ class TestDecodeStep:
             model.encode_abstractive(np.array([5, 6, 9])),
             "abex",
         )
-        _, _, u = model.init_decoder(e_fu)
+        _, u = model.init_decoder(e_fu)
         state = DecoderState(model, e_fu, 8)
         rng = np.random.default_rng(11)
         for k in range(8, 0, -1):

@@ -30,6 +30,23 @@ class TestOps:
         out = nc.softmax(nc.Tensor(np.array([[0.0, np.log(3.0)]])))
         assert np.allclose(out.data, [[0.25, 0.75]])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_bits_match_two_copy_expression(self, dtype):
+        # Rows near +80 and -80 overflow or underflow exp in float32 unless
+        # shifted by their max.
+        rng = np.random.default_rng(12)
+        x = rng.normal(0, 3, (6, 37))
+        x[1] += 80.0
+        x[2] -= 80.0
+        x[3, ::2] += 85.0
+        x = x.astype(dtype)
+        e = np.exp(x - x.max(-1, keepdims=True))
+        want = e / e.sum(-1, keepdims=True)
+        got = nc.softmax(nc.Tensor(x)).data
+        assert got.dtype == dtype and np.array_equal(got, want)
+        assert np.array_equal(nc.softmax_into(x, x.copy()), want)
+        assert np.isfinite(got).all()
+
     def test_softmax_shift_invariance_and_normalization(self):
         rng = np.random.default_rng(5)
         x = rng.normal(0, 3, (4, 7))
@@ -72,6 +89,35 @@ class TestOps:
 
 
 class TestLstmCell:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_matches_one_step_lstm_over_bit_for_bit(self, n, dtype):
+        rng = np.random.default_rng(7)
+        draw = lambda *shape: rng.normal(0, 0.7, shape).astype(dtype)
+        x, h0, c0 = draw(n, 3), draw(n, 4), draw(n, 4)
+        wx, wh, b = draw(3, 16), draw(4, 16), draw(16)
+        g_h, g_c = draw(n, 4), draw(n, 4)
+
+        def run(step, x):
+            params = [nc.Parameter(str(k), v) for k, v in enumerate((x, h0, c0, wx, wh, b))]
+            with nc.Tape() as tape:
+                h, c = step(*params)
+                loss = nc.add(nc.sum_all(nc.mul(h, g_h)), nc.sum_all(nc.mul(c, g_c)))
+                tape.backward(loss, params)
+            return h.data, c.data, [p.grad for p in params]
+
+        h, c, grads = run(nc.lstm_cell, x)
+        h1, c1, grads1 = run(
+            lambda x, h0, c0, wx, wh, b: nc.lstm_over(x, wx, wh, b, np.ones(n), h0, c0),
+            x[:, None],
+        )
+        assert h.dtype == c.dtype == dtype
+        assert np.array_equal(h, h1) and np.array_equal(c, c1)
+        assert grads[0].shape == (n, 3)
+        grads1[0] = grads1[0][:, 0]
+        for k, (got, want) in enumerate(zip(grads, grads1)):
+            assert got.dtype == dtype and np.array_equal(got, want), k
+
     def test_zero_everything(self):
         z = lambda s: nc.Tensor(np.zeros(s))
         h, c = nc.lstm_cell(z((1, 3)), z((1, 4)), z((1, 4)), z((3, 16)), z((4, 16)), z((16,)))
@@ -141,23 +187,15 @@ class TestLstmOver:
     def test_shape_validation(self):
         z = lambda s: nc.Tensor(np.zeros(s))
         weights = (z((3, 16)), z((4, 16)), z((16,)))
-        for shape in ((3,), (2, 0, 3), (2, 1, 1, 3)):
+        for shape in ((3,), (2, 3), (2, 0, 3), (2, 1, 1, 3)):
             with pytest.raises(ShapeError):
-                nc.lstm_over(z(shape), *weights)
+                nc.lstm_over(z(shape), *weights, np.ones(shape[0]))
         with pytest.raises(ShapeError):
-            nc.lstm_over(z((2, 5, 3)), *weights, lengths=np.array([5, 0]))
+            nc.lstm_over(z((2, 5, 3)), *weights, np.array([5, 0]))
         with pytest.raises(ShapeError):
-            nc.lstm_over(z((2, 5, 3)), *weights, lengths=np.array([6, 1]))
+            nc.lstm_over(z((2, 5, 3)), *weights, np.array([6, 1]))
         with pytest.raises(ShapeError):
-            nc.lstm_over(z((2, 5, 3)), *weights, h0=z((1, 4)))
-        # A (B, D) input is one time step.
-        rng = np.random.default_rng(6)
-        wx, wh, b = self._weights(rng)
-        x = rng.normal(0, 1, (2, 3))
-        h0, c0 = nc.Tensor(rng.normal(0, 1, (2, 4))), nc.Tensor(rng.normal(0, 1, (2, 4)))
-        h, c = nc.lstm_over(nc.Tensor(x), wx, wh, b, h0=h0, c0=c0)
-        h3, c3 = nc.lstm_over(nc.Tensor(x[:, None]), wx, wh, b, h0=h0, c0=c0)
-        assert np.array_equal(h.data, h3.data) and np.array_equal(c.data, c3.data)
+            nc.lstm_over(z((2, 5, 3)), *weights, np.array([5, 5]), h0=z((1, 4)))
 
 
 class TestLstmOverBits:

@@ -140,7 +140,7 @@ class AbstracterModel(nc.Model):
         h, c = state.select(parents)
         np.matmul(x, state.wx, xw)
         xw += state.b
-        nc.lstm_run(((xw, tc, h, c),), h, c, state.wh, views)
+        nc.lstm_run(((xw, tc, h, c),), h, c, views)
         np.matmul(h, state.out_w, probs)
         probs += state.out_b
         nc.softmax_into(probs, probs)
@@ -167,10 +167,10 @@ class DecoderState:
     def __init__(self, model: AbstracterModel, e_fu: nc.Tensor, width: int):
         h0, u = model.init_decoder(e_fu)
         self.table = model.embedding.data
-        self.wx, self.wh, self.b = model.dec_wx.data, model.dec_wh.data, model.dec_b.data
+        self.wx, self.b = model.dec_wx.data, model.dec_b.data
         self.out_w, self.out_b = model.out_w.data, model.out_b.data
         vocab, e = self.table.shape
-        hidden, dtype = self.wh.shape[0], self.table.dtype
+        hidden, dtype = model.dec_wh.shape[0], self.table.dtype
         self.x = np.empty((width, e + hidden), dtype=dtype)
         self.x[:, e:] = u.data
         self.xw = np.empty((width, 4 * hidden), dtype=dtype)
@@ -178,7 +178,7 @@ class DecoderState:
         self.probs = np.empty((width, vocab), dtype=dtype)
         self.h = np.empty((2, width, hidden), dtype=dtype)
         self.c = np.empty_like(self.h)
-        self._scratch = nc.LSTMScratch(hidden, dtype, width)
+        self._scratch = nc.LSTMScratch(model.dec_wh.data, dtype, width)
         self._rows: dict[int, tuple] = {}
         self.start(h0.data, 0.0)
 

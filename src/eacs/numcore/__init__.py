@@ -35,6 +35,7 @@ from .ops import (
     tanh,
 )
 from .optim import AdamW
+from .product import Product
 from .tensor import Parameter, Tape, Tensor, as_tensor
 
 
@@ -102,6 +103,7 @@ __all__ = [
     "LSTMScratch",
     "Model",
     "Parameter",
+    "Product",
     "Tape",
     "Tensor",
     "add",

@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import ShapeError
+from .product import Product
 from .tensor import RowGrad, Tensor, as_tensor, record
 
 
@@ -308,42 +309,48 @@ def _gate_constants(hidden: int, dtype: np.dtype, rows: int):
 
 
 class LSTMScratch:
-    """What :func:`lstm_run` steps with, set up once for up to ``rows`` rows:
-    a (rows, 4H) gate scratch, which each step fills with h @ wh and then
-    the gates i, f, g, o, and the gate constants of :func:`_gate_constants`.
+    """What :func:`lstm_run` steps with, set up once for up to ``rows`` rows
+    of an LSTM with recurrent weights ``wh`` (H, 4H): the recurrent product
+    (a :class:`~eacs.numcore.product.Product`), a (rows, 4H) gate scratch,
+    which each step fills with h @ wh and then the gates i, f, g, o, and the
+    gate constants of :func:`_gate_constants`.
     """
 
-    def __init__(self, hidden: int, dtype: np.dtype, rows: int):
+    def __init__(self, wh: np.ndarray, dtype: np.dtype, rows: int):
+        hidden = wh.shape[0]
+        self.product = Product(wh, rows)
         self.gates = np.empty((rows, 4 * hidden), dtype=dtype)
         # Rows rounded up to a power of two, so a few sizes serve every batch.
         rows_up = 1 << (rows - 1).bit_length()
         self.scale, self.shift, self.slope, self.columns = _gate_constants(hidden, dtype, rows_up)
 
     def views(self, m: int) -> tuple:
-        """The first m rows of the scratch, its four gates' columns among
-        them, and of the scale and shift: the views :func:`lstm_run` takes."""
+        """The m-row recurrent product, the first m rows of the scratch, its
+        four gates' columns among them, and of the scale and shift: the
+        views :func:`lstm_run` takes."""
         step = self.gates[:m]
         ci, cf, cg, co = self.columns
         gates = (step[:, ci], step[:, cf], step[:, cg], step[:, co])
-        return step, gates, self.scale[:m], self.shift[:m]
+        return self.product.for_rows(m), step, gates, self.scale[:m], self.shift[:m]
 
 
-def lstm_run(steps, h: np.ndarray, c: np.ndarray, wh: np.ndarray, views: tuple) -> None:
+def lstm_run(steps, h: np.ndarray, c: np.ndarray, views: tuple) -> None:
     """Step an LSTM through a run of steps that share their m rows, in place:
     the one copy of the gate math, which :func:`lstm_over` and decoding run.
 
-    ``h`` and ``c`` (m, H) are the state before the run, ``wh`` the (H, 4H)
-    recurrent weights and ``views`` :meth:`LSTMScratch.views` for m rows.
+    ``h`` and ``c`` (m, H) are the state before the run and ``views``
+    :meth:`LSTMScratch.views` for m rows.
     ``steps`` yields each step's (a, tc, h_next, c_next): ``a`` (m, 4H)
     holds x Wx + b on entry and the tanh of the scaled pre-activations on
     exit, which a backward reads; ``tc`` (m, H) receives tanh(c), and
     ``h_next`` and ``c_next`` (m, H) the new state. A step may write its new
-    state over the state it reads. Each step only calls ufuncs, with ``out``
-    passed by position (the keyword costs about 0.1 us a call).
+    state over the state it reads. Besides the recurrent product, each step
+    only calls ufuncs, with ``out`` passed by position (the keyword costs
+    about 0.1 us a call).
     """
-    step, (i, f, g, o), sc, sh = views
+    product, step, (i, f, g, o), sc, sh = views
     for a, tc, h_next, c_next in steps:
-        np.matmul(h, wh, step)
+        product(h, step)
         a += step
         a *= sc
         np.tanh(a, a)
@@ -470,7 +477,7 @@ def lstm_over(
     xw = xs_run @ wx.data
     xw += b.data
     dtype = xw.dtype
-    step_scratch = LSTMScratch(hidden, dtype, n)
+    step_scratch = LSTMScratch(wh.data, dtype, n)
     hs = np.empty((steps + 1, n, hidden), dtype=dtype)
     cs = np.empty_like(hs)
     hs[0] = 0 if h0 is None else h0.data[order]
@@ -486,7 +493,7 @@ def lstm_over(
             hs[first + 1 : end + 1, :m],
             cs[first + 1 : end + 1, :m],
         )
-        lstm_run(run, hs[first, :m], cs[first, :m], wh.data, step_scratch.views(m))
+        lstm_run(run, hs[first, :m], cs[first, :m], step_scratch.views(m))
         if k < n:
             # Finished rows, a floor row past its end among them, carry
             # their state. A floor row is stepped inside the run from the
@@ -496,6 +503,9 @@ def lstm_over(
         row = stop
     out = Tensor(_batch_major(hs[1:], back) if collect else hs[steps, back].copy())
     c_out = Tensor(cs[steps, back].copy())
+    # Backward keeps the gate constants, not the scratch and its tiles of wh.
+    scale, shift, slope = step_scratch.scale, step_scratch.shift, step_scratch.slope
+    ci, cf, cg, co = step_scratch.columns
 
     def backward(gs):
         # Elementwise work runs on the live prefix, in sorted order, of a scratch
@@ -504,8 +514,6 @@ def lstm_over(
         # bits of its columns can depend on their count, their position and
         # the layout. dz_t is then stored batch-major, the layout the weight
         # GEMMs read.
-        scale, shift, slope = step_scratch.scale, step_scratch.shift, step_scratch.slope
-        ci, cf, cg, co = step_scratch.columns
         dz = np.empty((n, steps, 4 * hidden), dtype=dtype)
         scratch = np.zeros((n, 4 * hidden), dtype=dtype)
         dz_t = np.empty_like(scratch) if ragged else scratch

@@ -1,9 +1,13 @@
 """Shared fixtures: the 32-pair toy corpus and one session-scoped overfit run."""
 
+import ctypes
+import glob
 import json
+import os
 import time
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -12,6 +16,37 @@ from eacs.config import RunConfig
 from eacs.corpus import RawPair, Vocabulary, build_vocabulary, load_corpus
 from eacs.extractor import TrainResult, train_extractor
 from eacs.segmenter import PreparedPair, segment_pairs
+
+
+def _openblas_config():
+    """OpenBLAS's runtime configuration, with the core its dynamic build
+    chose, from the library bundled with numpy; None where it is not found."""
+    root = os.path.dirname(np.__file__)
+    for pattern in ("../numpy.libs/*openblas*", ".dylibs/*openblas*"):
+        for path in glob.glob(os.path.join(root, pattern)):
+            get = getattr(ctypes.CDLL(path), "scipy_openblas_get_config64_", None)
+            if get is not None:
+                get.restype = ctypes.c_char_p
+                return get().decode()
+    return None
+
+
+def pytest_report_header(config):
+    """numpy's BLAS build and the kernels it runs: the bit tests
+    (TestBlasRows, TestProduct, TestLstmOverBits) pin behaviour of those
+    kernels, so a failing run names them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    build = f"{blas.get('name')} {blas.get('version')}"
+    runtime = _openblas_config() or f"build config {blas.get('openblas configuration')}"
+    return [f"blas: {build}", f"blas runtime: {runtime}"]
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    """The same lines after a failing run, which ``-q`` shows without a header."""
+    if terminalreporter.stats.get("failed"):
+        for line in pytest_report_header(config):
+            terminalreporter.write_line(line)
+
 
 TYPES = ["int", "long", "float", "double"]
 OPS = [

@@ -28,6 +28,7 @@ from .oracles import (
     beam_decode_reference,
     beam_reference,
     decode_step_reference,
+    lstm_over_reference,
     step_distributions,
 )
 
@@ -185,6 +186,35 @@ class TestDecodeStep:
             want = decode_step_reference(model, ids, h, c, u)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype == dtype and np.array_equal(g, w.data), k
+
+    def test_published_width_matches_plain_step(self):
+        # At E = H = 512 the recurrent product of k >= 2 rows is tiled
+        # (numcore.Product). decode_step_reference runs lstm_cell, which
+        # tiles too, so the reference here is lstm_over_reference's plain
+        # numpy step and a plain projection and softmax.
+        width, vocab = 512, 50
+        config = AbstracterConfig(embed_dim=width, hidden_dim=width, dropout=0.0, seed=7)
+        model = AbstracterModel(vocab, config, np.random.default_rng(5))
+        rng = np.random.default_rng(13)
+        e_fu = nc.Tensor(rng.normal(0, 1, (1, 2 * width)).astype(np.float32))
+        _, u = model.init_decoder(e_fu)
+        state = DecoderState(model, e_fu, 8)
+        for k in (8, 4, 2):
+            ids = rng.integers(0, vocab, k)
+            h, c = (rng.normal(0, 0.5, (k, width)).astype(np.float32) for _ in range(2))
+            state.start(h, c)
+            got = model.decode_step(ids, list(range(k)), state)
+            x = np.concatenate([model.embedding.data[ids], np.repeat(u.data, k, axis=0)], axis=1)
+            zeros = np.zeros((k, width), np.float32)
+            want_h, want_c, _ = lstm_over_reference(
+                x[:, None], model.dec_wx.data, model.dec_wh.data, model.dec_b.data,
+                np.ones(k, np.int64), h, c, False, zeros, zeros,
+            )
+            logits = want_h @ model.out_w.data + model.out_b.data
+            want_p = np.exp(logits - logits.max(axis=1, keepdims=True))
+            want_p /= want_p.sum(axis=1, keepdims=True)
+            for g, w in zip(got, (want_h, want_c, want_p)):
+                assert np.array_equal(g, w), k
 
 
 class TestLoss:

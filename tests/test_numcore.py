@@ -277,6 +277,33 @@ class TestLstmOverBits:
         for name, got, want in zip(names, grads, ref_grads):
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("collect", [False, True])
+    @pytest.mark.parametrize("lengths", [[5, 5, 5, 5], [3, 5, 1, 4]])
+    def test_published_width(self, lengths, collect, dtype):
+        # At E = H = 512 and B = 4 every recurrent product of 2 to 4 rows is
+        # tiled (numcore.Product); the reference's products are plain.
+        rng = np.random.default_rng(512)
+        draw = lambda *s, scale=1.0: rng.normal(0, scale, s).astype(dtype)
+        n, steps, hidden = 4, 5, 512
+        lengths = np.array(lengths)
+        x = draw(n, steps, hidden)
+        wx, wh = draw(hidden, 4 * hidden, scale=0.05), draw(hidden, 4 * hidden, scale=0.05)
+        b, h0, c0 = draw(4 * hidden, scale=0.5), draw(n, hidden), draw(n, hidden)
+        g_out = draw(*((n, steps, hidden) if collect else (n, hidden)))
+        g_c = draw(n, hidden)
+        names, arrays = ("x", "wx", "wh", "b", "h0", "c0"), (x, wx, wh, b, h0, c0)
+        inputs = [nc.Parameter(k, v) for k, v in zip(names, arrays)]
+        with nc.Tape() as tape:
+            out, c = nc.lstm_over(*inputs[:4], lengths, *inputs[4:], collect=collect)
+        grads = tape.nodes[-1].backward([g_out, g_c])
+        ref_out, ref_c, ref_grads = lstm_over_reference(
+            x, wx, wh, b, lengths, h0, c0, collect, g_out, g_c
+        )
+        assert np.array_equal(out.data, ref_out) and np.array_equal(c.data, ref_c)
+        for name, got, want in zip(names, grads, ref_grads):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
 
 class TestBlasRows:
     """The BLAS property ``lstm_over`` relies on: with M >= 2 rows, a row of
@@ -318,6 +345,58 @@ class TestBlasRows:
             assert np.array_equal(x[start : start + m] @ w, full[start : start + m]), (
                 f"rows change at M = {m}, offset {start}"
             )
+
+
+class TestProduct:
+    """``numcore.Product`` tiles the recurrent product ``h @ wh`` at the
+    published width, yet equals the plain product bit for bit.
+
+    It cuts a 512-deep reduction into the two 256-deep blocks OpenBLAS's
+    packed path makes, keeps a reduction of up to 256 whole, and cuts each
+    block into column tiles for the small-matrix kernel. This holds on
+    scipy-openblas 0.3.31's SkylakeX kernels (the test header names the
+    kernels of the run): there each block's dot products are one sequential
+    FMA chain in both kernels. At H = 384 the packed path keeps K whole, and
+    256-deep halves moved bits on every M tried, so it stays plain. One row
+    takes numpy's matrix-vector path and stays plain too.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hidden", [64, 128, 256, 384, 512])
+    def test_equals_plain_product(self, hidden, dtype):
+        rng = np.random.default_rng(hidden)
+        h = rng.normal(0, 1, (64, hidden)).astype(dtype)
+        wh = rng.normal(0, 0.1, (hidden, 4 * hidden)).astype(dtype)
+        product = nc.Product(wh, 64)
+        out = np.empty((64, 4 * hidden), dtype)
+        tiled = []
+        for m in range(1, 65):
+            run = product.for_rows(m)
+            run(h[:m], out[:m])
+            assert np.array_equal(_bits(out[:m]), _bits(h[:m] @ wh)), f"M = {m}"
+            if run != product.plain:
+                tiled.append(m)
+        # M * H * 4H must be above OpenBLAS's small-matrix bound of 100^3.
+        want = {64: [], 128: list(range(16, 33)), 256: list(range(4, 33)), 384: [],
+                512: list(range(2, 33))}[hidden]
+        assert tiled == want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_independent_of_count_and_position(self, dtype):
+        rng = np.random.default_rng(7)
+        h = rng.normal(0, 1, (64, 512)).astype(dtype)
+        wh = rng.normal(0, 0.1, (512, 2048)).astype(dtype)
+        product = nc.Product(wh, 64)
+        full = np.empty((64, 2048), dtype)
+        product.for_rows(64)(h, full)
+        out = np.empty_like(full)
+        for m in range(2, 65):
+            product.for_rows(m)(h[:m], out[:m])
+            assert np.array_equal(out[:m], full[:m]), f"rows change with M = {m}"
+        for m in (4, 32):
+            perm = rng.permutation(64)[:m]
+            product.for_rows(m)(h[perm], out[:m])
+            assert np.array_equal(out[:m], full[perm]), f"rows change with position at M = {m}"
 
 
 def _bits(a):

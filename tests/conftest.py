@@ -1,9 +1,6 @@
 """Shared fixtures: the 32-pair toy corpus and one session-scoped overfit run."""
 
-import ctypes
-import glob
 import json
-import os
 import time
 from dataclasses import dataclass
 
@@ -15,20 +12,8 @@ from eacs.abstracter import train_abstracter
 from eacs.config import RunConfig
 from eacs.corpus import RawPair, Vocabulary, build_vocabulary, load_corpus
 from eacs.extractor import TrainResult, train_extractor
+from eacs.numcore.product import openblas
 from eacs.segmenter import PreparedPair, segment_pairs
-
-
-def _openblas_config():
-    """OpenBLAS's runtime configuration, with the core its dynamic build
-    chose, from the library bundled with numpy; None where it is not found."""
-    root = os.path.dirname(np.__file__)
-    for pattern in ("../numpy.libs/*openblas*", ".dylibs/*openblas*"):
-        for path in glob.glob(os.path.join(root, pattern)):
-            get = getattr(ctypes.CDLL(path), "scipy_openblas_get_config64_", None)
-            if get is not None:
-                get.restype = ctypes.c_char_p
-                return get().decode()
-    return None
 
 
 def pytest_report_header(config):
@@ -37,7 +22,13 @@ def pytest_report_header(config):
     kernels, so a failing run names them."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     build = f"{blas.get('name')} {blas.get('version')}"
-    runtime = _openblas_config() or f"build config {blas.get('openblas configuration')}"
+    lib = openblas()
+    runtime = (
+        lib.scipy_openblas_get_config64_().decode()
+        + f", {lib.scipy_openblas_get_num_threads64_()} threads"
+        if lib is not None
+        else f"build config {blas.get('openblas configuration')}"
+    )
     return [f"blas: {build}", f"blas runtime: {runtime}"]
 
 
@@ -46,6 +37,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if terminalreporter.stats.get("failed"):
         for line in pytest_report_header(config):
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def one_blas_thread():
+    """OpenBLAS at one thread for the test, the setting numcore.Product tiles
+    at, and at its own thread count again after it."""
+    lib = openblas()
+    if lib is None:
+        yield
+        return
+    threads = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    yield
+    lib.scipy_openblas_set_num_threads64_(threads)
 
 
 TYPES = ["int", "long", "float", "double"]

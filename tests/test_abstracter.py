@@ -187,9 +187,9 @@ class TestDecodeStep:
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype == dtype and np.array_equal(g, w.data), k
 
-    def test_published_width_matches_plain_step(self):
+    def test_published_width_matches_plain_step(self, one_blas_thread):
         # At E = H = 512 the recurrent product of k >= 2 rows is tiled
-        # (numcore.Product). decode_step_reference runs lstm_cell, which
+        # (numcore.Product) on the kernels it was measured on. decode_step_reference runs lstm_cell, which
         # tiles too, so the reference here is lstm_over_reference's plain
         # numpy step and a plain projection and softmax.
         width, vocab = 512, 50

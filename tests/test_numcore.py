@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from eacs import numcore as nc
 from eacs.numcore import optim
+from eacs.numcore import product as product_module
 from eacs.errors import ShapeError
 
 from .oracles import adamw_reference, lstm_over_reference, lstm_reference, scatter_add_reference
@@ -280,9 +281,10 @@ class TestLstmOverBits:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("collect", [False, True])
     @pytest.mark.parametrize("lengths", [[5, 5, 5, 5], [3, 5, 1, 4]])
-    def test_published_width(self, lengths, collect, dtype):
+    def test_published_width(self, one_blas_thread, lengths, collect, dtype):
         # At E = H = 512 and B = 4 every recurrent product of 2 to 4 rows is
-        # tiled (numcore.Product); the reference's products are plain.
+        # tiled (numcore.Product) on the kernels it was measured on; the
+        # reference's products are plain.
         rng = np.random.default_rng(512)
         draw = lambda *s, scale=1.0: rng.normal(0, scale, s).astype(dtype)
         n, steps, hidden = 4, 5, 512
@@ -353,50 +355,63 @@ class TestProduct:
 
     It cuts a 512-deep reduction into the two 256-deep blocks OpenBLAS's
     packed path makes, keeps a reduction of up to 256 whole, and cuts each
-    block into column tiles for the small-matrix kernel. This holds on
-    scipy-openblas 0.3.31's SkylakeX kernels (the test header names the
-    kernels of the run): there each block's dot products are one sequential
-    FMA chain in both kernels. At H = 384 the packed path keeps K whole, and
-    256-deep halves moved bits on every M tried, so it stays plain. One row
-    takes numpy's matrix-vector path and stays plain too.
+    block into column tiles for the small-matrix kernel: 256 columns for a
+    Product of up to 15 rows, 128 from 16. This holds on scipy-openblas
+    0.3.31's SkylakeX kernels (the test header names the kernels of the
+    run): there each block's dot products are one sequential FMA chain in
+    both kernels. At H = 384 the packed path keeps K whole, and 256-deep
+    halves moved bits on every M tried, so it stays plain. One row takes
+    numpy's matrix-vector path and stays plain too. On other kernels, and
+    at more than one OpenBLAS thread, every product is plain.
     """
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("hidden", [64, 128, 256, 384, 512])
-    def test_equals_plain_product(self, hidden, dtype):
+    @pytest.mark.parametrize("rows", [4, 16, 64])
+    def test_equals_plain_product(self, one_blas_thread, rows, hidden, dtype):
         rng = np.random.default_rng(hidden)
-        h = rng.normal(0, 1, (64, hidden)).astype(dtype)
+        h = rng.normal(0, 1, (rows, hidden)).astype(dtype)
         wh = rng.normal(0, 0.1, (hidden, 4 * hidden)).astype(dtype)
-        product = nc.Product(wh, 64)
-        out = np.empty((64, 4 * hidden), dtype)
+        product = nc.Product(wh, rows)
+        out = np.empty((rows, 4 * hidden), dtype)
         tiled = []
-        for m in range(1, 65):
+        for m in range(1, rows + 1):
             run = product.for_rows(m)
             run(h[:m], out[:m])
             assert np.array_equal(_bits(out[:m]), _bits(h[:m] @ wh)), f"M = {m}"
             if run != product.plain:
                 tiled.append(m)
-        # M * H * 4H must be above OpenBLAS's small-matrix bound of 100^3.
-        want = {64: [], 128: list(range(16, 33)), 256: list(range(4, 33)), 384: [],
-                512: list(range(2, 33))}[hidden]
-        assert tiled == want
+        # 2 to 16 rows, M * H * 4H above OpenBLAS's small-matrix bound of
+        # 100^3, and H a multiple of 16 of at most 256, or 512.
+        want = [
+            m
+            for m in range(2, min(rows, 16) + 1)
+            if m * 4 * hidden * hidden > 100**3 and hidden in (64, 128, 256, 512)
+        ]
+        assert tiled == (want if product_module.tiling_kernels() else [])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_rows_independent_of_count_and_position(self, dtype):
+    @pytest.mark.parametrize("rows", [4, 16, 64])
+    def test_rows_independent_of_count_and_position(self, one_blas_thread, rows, dtype):
         rng = np.random.default_rng(7)
-        h = rng.normal(0, 1, (64, 512)).astype(dtype)
+        h = rng.normal(0, 1, (rows, 512)).astype(dtype)
         wh = rng.normal(0, 0.1, (512, 2048)).astype(dtype)
-        product = nc.Product(wh, 64)
-        full = np.empty((64, 2048), dtype)
-        product.for_rows(64)(h, full)
+        product = nc.Product(wh, rows)
+        full = np.empty((rows, 2048), dtype)
+        product.for_rows(rows)(h, full)
         out = np.empty_like(full)
-        for m in range(2, 65):
+        for m in range(2, rows + 1):
             product.for_rows(m)(h[:m], out[:m])
             assert np.array_equal(out[:m], full[:m]), f"rows change with M = {m}"
-        for m in (4, 32):
-            perm = rng.permutation(64)[:m]
+        for m in (3, rows // 2, rows):
+            perm = rng.permutation(rows)[:m]
             product.for_rows(m)(h[perm], out[:m])
             assert np.array_equal(out[:m], full[perm]), f"rows change with position at M = {m}"
+
+    def test_plain_off_the_measured_kernels(self, monkeypatch):
+        monkeypatch.setattr(product_module, "tiling_kernels", lambda: False)
+        product = nc.Product(np.ones((512, 2048), np.float32), 4)
+        assert all(product.for_rows(m) == product.plain for m in range(1, 5))
 
 
 def _bits(a):

@@ -11,7 +11,6 @@ hypotheses through the decoder as one batch; greedy decoding is width 1.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -23,8 +22,6 @@ from .corpus import BOS, EOS, Batch, RawPair, Vocabulary
 from .errors import EmptyInput, ShapeError, UsageError, VocabMismatch
 from .extractor import ExtractorModel, TrainResult, fit, predict_important
 from .segmenter import PreparedPair, SegmentedSnippet, segment, segment_pairs
-
-log = logging.getLogger(__name__)
 
 LOGPROB_CLAMP = 1e-9
 # The widest beam search. Each step ranks up to width x vocabulary candidates.

@@ -29,8 +29,6 @@ from .oracle import label_statements
 from .report import emit_report
 from .segmenter import LANGUAGES, segment, segment_pairs
 
-log = logging.getLogger(__name__)
-
 # glibc mallopt parameters (<malloc.h>) and the values main sets.
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3

@@ -12,7 +12,7 @@ from .tensor import Parameter
 
 # Elements per slice of the update. Six slices (p, grad, m, v and the scratch
 # pair) take 768 KiB in float32, as training runs, and 1.5 MiB in float64, as
-# gradsuite runs: both within a 2 MiB L2 cache. At the published width,
+# TestAdamW runs: both within a 2 MiB L2 cache. At the published width,
 # on one core with that cache, 16K-128K elements took 65-72 ms a step against
 # 110 ms unblocked.
 BLOCK = 32768

@@ -4,8 +4,8 @@ The recurrent product ``h @ wh`` of an LSTM step is made once per step with
 the same ``wh``. OpenBLAS forms a product whose M·N·K is above its
 small-matrix bound with its packed GEMM path, which copies all of ``wh``
 into its own layout on every call: at E = H = 512 and four rows, 4 MB per
-step. :class:`Product` copies ``wh`` once into column tiles small enough
-for the small-matrix kernel, which reads them in place.
+step. :class:`Product` copies ``wh`` once into tiles small enough for the
+small-matrix kernel, which reads them in place.
 """
 
 from __future__ import annotations
@@ -21,17 +21,15 @@ import numpy as np
 # kernel (scipy-openblas 0.3.31, SkylakeX kernels), and any larger one with
 # the packed GEMM path.
 SMALL_MATRIX_BOUND = 100**3
-# The packed path splits a 512-deep reduction into two blocks of this depth
-# and adds the second block's sums to the first's. A 384-deep one it keeps
-# whole: 256-deep halves there moved bits at every row count tried.
-DEPTH_BLOCK = 256
-# Up to this many rows the tiles are clearly faster. At H = 512 in float32
-# (one OpenBLAS thread), plain against tiled took 796-936 against 567-628 us
-# at 15 and 16 rows, but 907-1,094 against 788-955 at 24, where the ranges
-# overlap.
-MAX_TILED_ROWS = 16
-# The widest tile; 512 columns measured slower than 256 at every row count.
-MAX_TILE_COLUMNS = 256
+# A tile is TILE deep and TILE wide. The packed path splits a 512-deep
+# reduction into two blocks of this depth and adds the second block's sums
+# to the first's; 512-wide tiles measured slower than 256-wide ones.
+TILE = 256
+# The most rows whose product with one tile stays within the small-matrix
+# bound: 15.
+MAX_TILED_ROWS = SMALL_MATRIX_BOUND // TILE**2
+# The one right operand the tiles were measured on: ``wh`` at E = H = 512.
+TILED_SHAPE = (512, 2048)
 # The OpenBLAS cores whose kernels the tiles were measured on.
 TILED_CORES = (b"SkylakeX",)
 
@@ -72,83 +70,64 @@ class Product:
     """``out = x @ w`` for an ``x`` of 1 to ``rows`` rows, bit for bit as
     ``np.matmul(x, w, out)``, with ``w`` (K, N) fixed.
 
-    On the kernels of :func:`tiling_kernels`, an m-row product is tiled when
-    m is 2 to :data:`MAX_TILED_ROWS`, m·K·N is above
-    :data:`SMALL_MATRIX_BOUND`, and K is a multiple of 16 that is at most
-    :data:`DEPTH_BLOCK` or exactly twice it. Every other product is the one
-    plain ``np.matmul``: one row (numpy's matrix-vector path), any product
-    small enough for the small-matrix kernel already, more rows, any other
-    K, and any other kernels.
+    An m-row product is tiled only where the tiles were measured: ``w`` of
+    shape :data:`TILED_SHAPE`, ``2 <= m <= rows <= MAX_TILED_ROWS``, and the
+    kernels of :func:`tiling_kernels`. Every other product is the one plain
+    ``np.matmul``: one row (numpy's matrix-vector path), any other shape, a
+    ``Product`` of more rows, and any other kernels.
 
-    A tiled product cuts ``w`` into the K blocks the packed path makes and
-    each block into column tiles of a power-of-two width, the widest up to
-    :data:`MAX_TILE_COLUMNS` whose product over ``min(rows,``
-    :data:`MAX_TILED_ROWS` ``)`` rows stays within the small-matrix bound.
-    The tiles are contiguous copies, made at the first tiled product. The
-    first block's tiles write into ``out``, the second block's into one
-    buffer, which is then added to ``out``. On OpenBLAS 0.3.31's SkylakeX
-    kernels, each block's dot products are one sequential chain of fused
-    multiply-adds in the small-matrix kernel as in the packed one, so the
-    sums, and their sum, have the bits of the plain product
-    (``tests/test_numcore.py::TestProduct``). K must be a multiple of 16:
-    over K = 40 to 256 and 2 to 32 rows, tiles moved bits at odd K, and in
-    float32 at K = 2 (mod 4) from 90 on.
+    A tiled product cuts ``w`` into its two :data:`TILE`-deep K blocks, the
+    blocks the packed path makes, and each block into :data:`TILE`-wide
+    column tiles. The tiles are contiguous copies, made at the first tiled
+    product. The first block's tiles write into ``out``, the second block's
+    into one (rows, N) buffer, which is then added to ``out``. On OpenBLAS
+    0.3.31's SkylakeX kernels, each block's dot products are one sequential
+    chain of fused multiply-adds in the small-matrix kernel as in the packed
+    one, so the sums, and their sum, have the bits of the plain product
+    (``tests/test_numcore.py::TestProduct``).
     """
 
     def __init__(self, w: np.ndarray, rows: int):
         self.w = w
-        depth = w.shape[0]
-        self._top = top = min(rows, MAX_TILED_ROWS)
+        self._rows = rows
         self._tiles = None
-        self._tiled = (
-            top >= 2
-            and top * w.size > SMALL_MATRIX_BOUND
-            and depth % 16 == 0
-            and (depth <= DEPTH_BLOCK or depth == 2 * DEPTH_BLOCK)
-            and tiling_kernels()
-        )
+        self._tiled = w.shape == TILED_SHAPE and rows <= MAX_TILED_ROWS and tiling_kernels()
 
     def plain(self, x: np.ndarray, out: np.ndarray) -> None:
         """The one plain product, for any number of rows."""
         np.matmul(x, self.w, out)
 
     def _cut(self) -> tuple:
-        """The first block's tiles, the second block's (an empty list when K
-        is one block) and the buffer that holds the second block's sums."""
-        w, top = self.w, self._top
+        """Each K block's column tiles, and the buffer that holds the second
+        block's sums."""
+        w = self.w
         depth, width = w.shape
-        block = min(depth, DEPTH_BLOCK)
-        cols = MAX_TILE_COLUMNS
-        while top * block * cols > SMALL_MATRIX_BOUND:
-            cols //= 2
         tiles = [
             [
-                (slice(j, j + cols), np.ascontiguousarray(w[k : k + block, j : j + cols]))
-                for j in range(0, width, cols)
+                (slice(j, j + TILE), np.ascontiguousarray(w[k : k + TILE, j : j + TILE]))
+                for j in range(0, width, TILE)
             ]
-            for k in range(0, depth, block)
+            for k in range(0, depth, TILE)
         ]
-        second = tiles[1] if depth > block else []
-        return tiles[0], second, np.empty((top, width), dtype=w.dtype) if second else None
+        return tiles, np.empty((self._rows, width), dtype=w.dtype)
 
     def for_rows(self, m: int):
         """The product for an x of m rows: :meth:`plain` or the tiled
         product, a function ``(x, out)`` that writes ``x @ w`` into ``out``."""
-        if not (self._tiled and 2 <= m <= self._top and m * self.w.size > SMALL_MATRIX_BOUND):
+        if not (self._tiled and 2 <= m <= self._rows):
             return self.plain
         if self._tiles is None:
             self._tiles = self._cut()
-        first, second, rest = self._tiles
-        rest = rest[:m] if second else None
+        (first, second), rest = self._tiles
+        rest = rest[:m]
 
         def tiled(x, out):
-            x_k = x[:, :DEPTH_BLOCK]
+            x_k = x[:, :TILE]
             for cols, tile in first:
                 np.matmul(x_k, tile, out[:, cols])
-            if second:
-                x_k = x[:, DEPTH_BLOCK:]
-                for cols, tile in second:
-                    np.matmul(x_k, tile, rest[:, cols])
-                out += rest
+            x_k = x[:, TILE:]
+            for cols, tile in second:
+                np.matmul(x_k, tile, rest[:, cols])
+            out += rest
 
         return tiled

@@ -353,21 +353,22 @@ class TestProduct:
     """``numcore.Product`` tiles the recurrent product ``h @ wh`` at the
     published width, yet equals the plain product bit for bit.
 
-    It cuts a 512-deep reduction into the two 256-deep blocks OpenBLAS's
-    packed path makes, keeps a reduction of up to 256 whole, and cuts each
-    block into column tiles for the small-matrix kernel: 256 columns for a
-    Product of up to 15 rows, 128 from 16. This holds on scipy-openblas
-    0.3.31's SkylakeX kernels (the test header names the kernels of the
-    run): there each block's dot products are one sequential FMA chain in
-    both kernels. At H = 384 the packed path keeps K whole, and 256-deep
-    halves moved bits on every M tried, so it stays plain. One row takes
-    numpy's matrix-vector path and stays plain too. On other kernels, and
-    at more than one OpenBLAS thread, every product is plain.
+    It tiles only a (512, 2048) ``wh`` in a Product of at most 15 rows, the
+    most whose product with a 256 x 256 tile stays in OpenBLAS's
+    small-matrix kernel, and only for 2 rows or more. It cuts the 512-deep
+    reduction into the two 256-deep blocks OpenBLAS's packed path makes, and
+    each block into 256 columns. This holds on scipy-openblas 0.3.31's
+    SkylakeX kernels (the test header names the kernels of the run): there
+    each block's dot products are one sequential FMA chain in both kernels.
+    Every other shape and row count stays plain, H = 384 among them, where
+    the packed path keeps K whole and 256-deep halves moved bits on every M
+    tried. On other kernels, and at more than one OpenBLAS thread, every
+    product is plain.
     """
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("hidden", [64, 128, 256, 384, 512])
-    @pytest.mark.parametrize("rows", [4, 16, 64])
+    @pytest.mark.parametrize("rows", [4, 15, 16, 64])
     def test_equals_plain_product(self, one_blas_thread, rows, hidden, dtype):
         rng = np.random.default_rng(hidden)
         h = rng.normal(0, 1, (rows, hidden)).astype(dtype)
@@ -381,17 +382,12 @@ class TestProduct:
             assert np.array_equal(_bits(out[:m]), _bits(h[:m] @ wh)), f"M = {m}"
             if run != product.plain:
                 tiled.append(m)
-        # 2 to 16 rows, M * H * 4H above OpenBLAS's small-matrix bound of
-        # 100^3, and H a multiple of 16 of at most 256, or 512.
-        want = [
-            m
-            for m in range(2, min(rows, 16) + 1)
-            if m * 4 * hidden * hidden > 100**3 and hidden in (64, 128, 256, 512)
-        ]
+        # Only H = 512, in a Product of at most 15 rows, from M = 2.
+        want = list(range(2, rows + 1)) if hidden == 512 and rows <= 15 else []
         assert tiled == (want if product_module.tiling_kernels() else [])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("rows", [4, 16, 64])
+    @pytest.mark.parametrize("rows", [4, 15, 16, 64])
     def test_rows_independent_of_count_and_position(self, one_blas_thread, rows, dtype):
         rng = np.random.default_rng(7)
         h = rng.normal(0, 1, (rows, 512)).astype(dtype)
@@ -407,6 +403,19 @@ class TestProduct:
             perm = rng.permutation(rows)[:m]
             product.for_rows(m)(h[perm], out[:m])
             assert np.array_equal(out[:m], full[perm]), f"rows change with position at M = {m}"
+
+    def test_tiles_are_two_blocks_of_256_by_256(self, monkeypatch):
+        # The layout the README's timings measured, checked on any kernels.
+        # 128-deep blocks move bits, but 128-wide tiles keep them, so only
+        # this test tells 256-wide tiles from the slower 128-wide ones.
+        monkeypatch.setattr(product_module, "tiling_kernels", lambda: True)
+        product = nc.Product(np.ones((512, 2048), np.float32), 15)
+        assert product.for_rows(15) != product.plain
+        blocks, rest = product._tiles
+        assert len(blocks) == 2 and rest.shape == (15, 2048)
+        for block in blocks:
+            assert [(c.start, c.stop) for c, _ in block] == [(j, j + 256) for j in range(0, 2048, 256)]
+            assert all(tile.shape == (256, 256) and tile.flags.c_contiguous for _, tile in block)
 
     def test_plain_off_the_measured_kernels(self, monkeypatch):
         monkeypatch.setattr(product_module, "tiling_kernels", lambda: False)

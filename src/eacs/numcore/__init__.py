@@ -97,40 +97,3 @@ class Model:
             return x
         return dropout(x, keep_mask(rng, x.shape, p, x.dtype))
 
-
-__all__ = [
-    "AdamW",
-    "LSTMScratch",
-    "Model",
-    "Parameter",
-    "Product",
-    "Tape",
-    "Tensor",
-    "add",
-    "as_tensor",
-    "clip",
-    "concat",
-    "dropout",
-    "embedding_lookup",
-    "finite_difference_check",
-    "gather_rows",
-    "init_parameters",
-    "keep_mask",
-    "log",
-    "lstm_cell",
-    "lstm_over",
-    "lstm_run",
-    "matmul",
-    "mean_all",
-    "mul",
-    "reshape",
-    "rng_streams",
-    "sigmoid",
-    "slice_axis",
-    "softmax",
-    "softmax_into",
-    "sub",
-    "sum_all",
-    "tanh",
-    "xavier_uniform",
-]

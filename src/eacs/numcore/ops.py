@@ -20,9 +20,9 @@ from .tensor import RowGrad, Tensor, as_tensor, record
 def _pair(a, b) -> tuple[Tensor, Tensor]:
     """Wrap a binary op's operands, casting a bare constant to the tensor's dtype."""
     if isinstance(a, Tensor) and not isinstance(b, Tensor):
-        return a, as_tensor(b, like=a.data)
+        return a, Tensor(np.asarray(b, a.dtype))
     if isinstance(b, Tensor) and not isinstance(a, Tensor):
-        return as_tensor(a, like=b.data), b
+        return Tensor(np.asarray(a, b.dtype)), b
     return as_tensor(a), as_tensor(b)
 
 
@@ -35,49 +35,38 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def add(a, b) -> Tensor:
+def _elementwise(name: str, a, b, forward, grads) -> Tensor:
+    """``forward(a, b)`` over the operands of :func:`_pair`, broadcast together.
+
+    ``grads(g, a, b)`` gives each operand's gradient at the output's shape
+    from the output gradient ``g``; each is then summed to its operand's
+    shape. A gradient that needs no sum is handed over as it is, so ``add``
+    gives one array to both operands.
+    """
     a, b = _pair(a, b)
     try:
-        out = Tensor(a.data + b.data)
+        out = Tensor(forward(a.data, b.data))
     except ValueError as exc:
-        raise ShapeError(f"add: {a.shape} vs {b.shape}") from exc
-    record(
-        (a, b),
-        (out,),
-        lambda gs: (_unbroadcast(gs[0], a.data.shape), _unbroadcast(gs[0], b.data.shape)),
-    )
+        raise ShapeError(f"{name}: {a.shape} vs {b.shape}") from exc
+
+    def backward(gs):
+        ga, gb = grads(gs[0], a.data, b.data)
+        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+
+    record((a, b), (out,), backward)
     return out
+
+
+def add(a, b) -> Tensor:
+    return _elementwise("add", a, b, np.add, lambda g, a, b: (g, g))
 
 
 def sub(a, b) -> Tensor:
-    a, b = _pair(a, b)
-    try:
-        out = Tensor(a.data - b.data)
-    except ValueError as exc:
-        raise ShapeError(f"sub: {a.shape} vs {b.shape}") from exc
-    record(
-        (a, b),
-        (out,),
-        lambda gs: (_unbroadcast(gs[0], a.data.shape), _unbroadcast(-gs[0], b.data.shape)),
-    )
-    return out
+    return _elementwise("sub", a, b, np.subtract, lambda g, a, b: (g, -g))
 
 
 def mul(a, b) -> Tensor:
-    a, b = _pair(a, b)
-    try:
-        out = Tensor(a.data * b.data)
-    except ValueError as exc:
-        raise ShapeError(f"mul: {a.shape} vs {b.shape}") from exc
-    record(
-        (a, b),
-        (out,),
-        lambda gs: (
-            _unbroadcast(gs[0] * b.data, a.data.shape),
-            _unbroadcast(gs[0] * a.data, b.data.shape),
-        ),
-    )
-    return out
+    return _elementwise("mul", a, b, np.multiply, lambda g, a, b: (g * b, g * a))
 
 
 def matmul(a, b) -> Tensor:
@@ -419,7 +408,8 @@ def lstm_over(
     that have finished carry their state by one block copy per run.
     Forward keeps no gates: each step writes them into one (B, 4H) scratch,
     and backward rebuilds them from the saved tanh values.
-    Backward runs BPTT in one loop, collecting dz as (B*T, 4H), then forms
+    Backward walks the same runs in reverse, step by step, to find each
+    step's rows. It runs BPTT in one loop, collecting dz as (B*T, 4H), then forms
     dx, dWx, dWh and db with one GEMM or reduction each (Appleyard et al.,
     arXiv 1604.01946).
     """
@@ -442,14 +432,14 @@ def lstm_over(
             f"lstm_over shapes: x{x.shape} wx{wx.shape} wh{wh.shape} b{b.shape} "
             f"h0{shape(h0)} c0{shape(c0)} lengths{np.shape(lengths)}"
         )
-    # The live[t] rows still inside their sequence at step t are a prefix of
-    # the sorted order; `back` restores the input order. Forward steps at
-    # least two rows, so every recurrent product takes the GEMM path, whose
-    # rows do not depend on how many there are. `runs` holds (live rows,
-    # first step, end step) for each stretch of steps with one live count.
+    # The rows still inside their sequence at a step are a prefix of the
+    # sorted order; `back` restores the input order. Steps take at least two
+    # rows, so every recurrent product takes the GEMM path, whose rows do not
+    # depend on how many there are. `runs` is the one schedule forward and
+    # backward walk: (live rows k, rows stepped m, first step, end step) for
+    # each stretch of steps with one live count.
     order = back = slice(None)
-    live = [n] * steps
-    runs = [(n, 0, steps)]
+    runs = [(n, n, 0, steps)]
     floor = min(n, 2)
     ragged = False
     if n:
@@ -463,9 +453,9 @@ def lstm_over(
         back = np.argsort(order)
         inside = lengths[order] > np.arange(steps)[:, None]  # (T, B) in sorted order
         counts = inside.sum(axis=1)
-        live = counts.tolist()
         cuts = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), steps]
-        runs = [(live[first], first, end) for first, end in zip(cuts, cuts[1:])]
+        live = counts[cuts[:-1]].tolist()
+        runs = [(k, max(k, floor), first, end) for k, first, end in zip(live, cuts, cuts[1:])]
         inside[:, :floor] = True
         rows = (order * steps + np.arange(steps)[:, None])[inside]
         xs_run = np.take(x.data.reshape(n * steps, width), rows, axis=0)
@@ -484,8 +474,7 @@ def lstm_over(
     cs[0] = 0 if c0 is None else c0.data[order]
     tcs = np.empty((len(xw), hidden), dtype=dtype)  # tanh(c), packed like xw
     row = 0
-    for k, first, end in runs:
-        m = max(k, floor)
+    for k, m, first, end in runs:
         stop = row + (end - first) * m
         run = zip(
             xw[row:stop].reshape(end - first, m, 4 * hidden),
@@ -530,37 +519,37 @@ def lstm_over(
         dtanh = tcs * tcs
         np.subtract(1.0, dtanh, out=dtanh)
         row = len(xw)
-        for t in reversed(range(steps)):
-            if collect:
-                dh += g_out[:, t]
-            k = live[t]
-            row -= max(k, floor)
-            live_rows = slice(row, row + k)
-            step = all_gates[live_rows]
-            i, f, g, o = step[:, ci], step[:, cf], step[:, cg], step[:, co]
-            tc = tcs[live_rows]
-            dh_k = dh[:k]
-            dc_t = dh_k * o
-            dc_t *= dtanh[live_rows]
-            dc_t += dc[:k]
-            dz_live = scratch[:k]
-            np.multiply(dc_t, g, out=dz_live[:, ci])
-            np.multiply(dc_t, cs[t, :k], out=dz_live[:, cf])
-            np.multiply(dc_t, i, out=dz_live[:, cg])
-            np.multiply(dh_k, tc, out=dz_live[:, co])
-            dz_live *= da[live_rows]
-            dz_live *= slope[:k]
-            np.multiply(dc_t, f, out=dc[:k])
-            if ragged:
-                # mode="clip" writes straight into dz_t; "raise" would buffer.
-                np.take(scratch, back, axis=0, out=dz_t, mode="clip")
-            dz[:, t] = dz_t
-            # dz_t @ wh.T with wh read in its own layout: no copy, bit-equal on
-            # every shape tried, and under half the time of the view at H = 512.
-            dh_prev = (wh.data @ dz_t.T).T[order]
-            if k < n:
-                dh_prev[k:] = dh[k:]
-            dh = dh_prev
+        for k, m, first, end in reversed(runs):
+            dz_live, slope_k = scratch[:k], slope[:k]
+            for t in reversed(range(first, end)):
+                if collect:
+                    dh += g_out[:, t]
+                row -= m
+                live_rows = slice(row, row + k)
+                step = all_gates[live_rows]
+                i, f, g, o = step[:, ci], step[:, cf], step[:, cg], step[:, co]
+                dh_k = dh[:k]
+                dc_t = dh_k * o
+                dc_t *= dtanh[live_rows]
+                dc_t += dc[:k]
+                np.multiply(dc_t, g, out=dz_live[:, ci])
+                np.multiply(dc_t, cs[t, :k], out=dz_live[:, cf])
+                np.multiply(dc_t, i, out=dz_live[:, cg])
+                np.multiply(dh_k, tcs[live_rows], out=dz_live[:, co])
+                dz_live *= da[live_rows]
+                dz_live *= slope_k
+                np.multiply(dc_t, f, out=dc[:k])
+                if ragged:
+                    # mode="clip" writes straight into dz_t; "raise" would buffer.
+                    np.take(scratch, back, axis=0, out=dz_t, mode="clip")
+                dz[:, t] = dz_t
+                # dz_t @ wh.T with wh read in its own layout: no copy, bit-equal
+                # on every shape tried, and under half the time of the view at
+                # H = 512.
+                dh_prev = (wh.data @ dz_t.T).T[order]
+                if k < n:
+                    dh_prev[k:] = dh[k:]
+                dh = dh_prev
         dz = dz.reshape(n * steps, 4 * hidden)
         if steps > 1:
             hs_in = _batch_major(hs[:steps], back).reshape(n * steps, hidden)

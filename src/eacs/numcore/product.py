@@ -70,64 +70,57 @@ class Product:
     """``out = x @ w`` for an ``x`` of 1 to ``rows`` rows, bit for bit as
     ``np.matmul(x, w, out)``, with ``w`` (K, N) fixed.
 
-    An m-row product is tiled only where the tiles were measured: ``w`` of
-    shape :data:`TILED_SHAPE`, ``2 <= m <= rows <= MAX_TILED_ROWS``, and the
-    kernels of :func:`tiling_kernels`. Every other product is the one plain
+    A ``Product`` tiles only where the tiles were measured: ``w`` of shape
+    :data:`TILED_SHAPE`, ``2 <= rows <= MAX_TILED_ROWS``, and the kernels of
+    :func:`tiling_kernels`. It decides that when it is made, and a tiling
+    ``Product`` cuts its tiles then. It forms an m-row product with the
+    tiles for m = 2 to ``rows``. Every other product is the one plain
     ``np.matmul``: one row (numpy's matrix-vector path), any other shape, a
     ``Product`` of more rows, and any other kernels.
 
-    A tiled product cuts ``w`` into its two :data:`TILE`-deep K blocks, the
-    blocks the packed path makes, and each block into :data:`TILE`-wide
-    column tiles. The tiles are contiguous copies, made at the first tiled
-    product. The first block's tiles write into ``out``, the second block's
-    into one (rows, N) buffer, which is then added to ``out``. On OpenBLAS
-    0.3.31's SkylakeX kernels, each block's dot products are one sequential
-    chain of fused multiply-adds in the small-matrix kernel as in the packed
-    one, so the sums, and their sum, have the bits of the plain product
+    The tiles cut ``w`` into its two :data:`TILE`-deep K blocks, the blocks
+    the packed path makes, and each block into :data:`TILE`-wide column
+    tiles, as contiguous copies. The first block's tiles write into ``out``,
+    the second block's into one (rows, N) buffer, which is then added to
+    ``out``. On OpenBLAS 0.3.31's SkylakeX kernels, each block's dot
+    products are one sequential chain of fused multiply-adds in the
+    small-matrix kernel as in the packed one, so the sums, and their sum,
+    have the bits of the plain product
     (``tests/test_numcore.py::TestProduct``).
     """
 
     def __init__(self, w: np.ndarray, rows: int):
         self.w = w
-        self._rows = rows
-        self._tiles = None
-        self._tiled = w.shape == TILED_SHAPE and rows <= MAX_TILED_ROWS and tiling_kernels()
+        self._tiles = self._rest = None
+        if w.shape == TILED_SHAPE and 2 <= rows <= MAX_TILED_ROWS and tiling_kernels():
+            depth, width = w.shape
+            self._tiles = [
+                [
+                    (slice(j, j + TILE), np.ascontiguousarray(w[k : k + TILE, j : j + TILE]))
+                    for j in range(0, width, TILE)
+                ]
+                for k in range(0, depth, TILE)
+            ]
+            self._rest = np.empty((rows, width), dtype=w.dtype)
 
     def plain(self, x: np.ndarray, out: np.ndarray) -> None:
         """The one plain product, for any number of rows."""
         np.matmul(x, self.w, out)
 
-    def _cut(self) -> tuple:
-        """Each K block's column tiles, and the buffer that holds the second
-        block's sums."""
-        w = self.w
-        depth, width = w.shape
-        tiles = [
-            [
-                (slice(j, j + TILE), np.ascontiguousarray(w[k : k + TILE, j : j + TILE]))
-                for j in range(0, width, TILE)
-            ]
-            for k in range(0, depth, TILE)
-        ]
-        return tiles, np.empty((self._rows, width), dtype=w.dtype)
+    def _by_tiles(self, x: np.ndarray, out: np.ndarray) -> None:
+        first, second = self._tiles
+        rest = self._rest[: len(x)]
+        x_k = x[:, :TILE]
+        for cols, tile in first:
+            np.matmul(x_k, tile, out[:, cols])
+        x_k = x[:, TILE:]
+        for cols, tile in second:
+            np.matmul(x_k, tile, rest[:, cols])
+        out += rest
 
     def for_rows(self, m: int):
         """The product for an x of m rows: :meth:`plain` or the tiled
         product, a function ``(x, out)`` that writes ``x @ w`` into ``out``."""
-        if not (self._tiled and 2 <= m <= self._rows):
-            return self.plain
-        if self._tiles is None:
-            self._tiles = self._cut()
-        (first, second), rest = self._tiles
-        rest = rest[:m]
-
-        def tiled(x, out):
-            x_k = x[:, :TILE]
-            for cols, tile in first:
-                np.matmul(x_k, tile, out[:, cols])
-            x_k = x[:, TILE:]
-            for cols, tile in second:
-                np.matmul(x_k, tile, rest[:, cols])
-            out += rest
-
-        return tiled
+        if self._tiles is not None and 2 <= m <= len(self._rest):
+            return self._by_tiles
+        return self.plain

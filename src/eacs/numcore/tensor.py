@@ -63,14 +63,9 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape}, dtype={self.dtype})"
 
 
-def as_tensor(x, like: Optional[np.ndarray] = None) -> Tensor:
-    """Wrap a constant; cast to ``like``'s dtype so float32 graphs stay float32."""
-    if isinstance(x, Tensor):
-        return x
-    arr = np.asarray(x)
-    if like is not None and arr.dtype != like.dtype:
-        arr = arr.astype(like.dtype)
-    return Tensor(arr)
+def as_tensor(x) -> Tensor:
+    """``x`` itself if it is a tensor, else a constant tensor over it."""
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class RowGrad(NamedTuple):

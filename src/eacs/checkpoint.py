@@ -86,7 +86,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         if version != FORMAT_VERSION:
             raise VersionError(f"{path}: format version {version!r}, expected {FORMAT_VERSION}")
         kind = header.get("kind")
-        if kind not in MODELS:
+        if not isinstance(kind, str) or kind not in MODELS:
             raise CorruptCheckpoint(f"{path}: unknown model kind {kind!r}")
         hyperparameters = header.get("hyperparameters")
         if not isinstance(hyperparameters, dict):

@@ -33,7 +33,7 @@ from .segmenter import LANGUAGES, segment, segment_pairs
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD_BYTES = 4 << 20
-TRIM_THRESHOLD_BYTES = 8 << 20
+TRIM_THRESHOLD_BYTES = 64 << 20
 
 
 def _read_token_lines(path: str) -> list[list[str]]:
@@ -263,11 +263,12 @@ def keep_freed_heap() -> None:
 
     Under glibc's defaults, blocks over its mmap threshold (128 KiB at first)
     get pages of their own and the heap top is trimmed after large frees, so
-    many of a desk training step's buffers land on fresh pages and fault.
-    Blocks under 4 MiB now come from the heap, and up to 8 MiB of free heap
-    top stays mapped; the trim threshold alone would also pin the mmap
-    threshold at 128 KiB. Addresses change, computed values do not. Only
-    ``main`` calls this, so importing eacs leaves the allocator alone.
+    many of a training step's buffers land on fresh pages and fault. Blocks
+    under 4 MiB now come from the heap, and up to 64 MiB of free heap top
+    stays mapped, above the 5.4-6.4 MiB a desk LSTM call leaves free there; the
+    trim threshold alone would also pin the mmap threshold at 128 KiB.
+    Addresses change, computed values do not. Only ``main`` calls this, so
+    importing eacs leaves the allocator alone.
     """
     mallopt = _glibc_mallopt()
     if mallopt is not None:

@@ -36,7 +36,7 @@ from .ops import (
 )
 from .optim import AdamW
 from .product import Product
-from .tensor import Parameter, Tape, Tensor, as_tensor
+from .tensor import Parameter, Tape, Tensor
 
 
 def rng_streams(seed: int) -> list[np.random.Generator]:

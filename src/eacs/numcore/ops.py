@@ -1,8 +1,9 @@
 """Differentiable operations.
 
-Each op validates shapes, computes eagerly, and records a backward closure on
-the active tape. Broadcasting is limited to what the two models need: scalar
-constants and 1-D bias vectors against 2-D activations.
+Each op validates shapes, computes its output arrays eagerly, and returns
+``record(...)`` of them, which wraps them as tensors and records the op's
+backward closure on the active tape. Broadcasting is limited to what the two
+models need: scalar constants and 1-D bias vectors against 2-D activations.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def _elementwise(name: str, a, b, forward, grads) -> Tensor:
     """
     a, b = _pair(a, b)
     try:
-        out = Tensor(forward(a.data, b.data))
+        out = forward(a.data, b.data)
     except ValueError as exc:
         raise ShapeError(f"{name}: {a.shape} vs {b.shape}") from exc
 
@@ -53,8 +54,7 @@ def _elementwise(name: str, a, b, forward, grads) -> Tensor:
         ga, gb = grads(gs[0], a.data, b.data)
         return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
 
-    record((a, b), (out,), backward)
-    return out
+    return record((a, b), (out,), backward)[0]
 
 
 def add(a, b) -> Tensor:
@@ -73,13 +73,7 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-    record(
-        (a, b),
-        (out,),
-        lambda gs: (gs[0] @ b.data.T, a.data.T @ gs[0]),
-    )
-    return out
+    return record((a, b), (a.data @ b.data,), lambda gs: (gs[0] @ b.data.T, a.data.T @ gs[0]))[0]
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -88,7 +82,7 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
         raise ShapeError("concat of zero tensors")
     try:
-        out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
+        out = np.concatenate([p.data for p in parts], axis=-1)
     except ValueError as exc:
         raise ShapeError(f"concat: {[p.shape for p in parts]}") from exc
     splits = np.cumsum([p.data.shape[-1] for p in parts])[:-1]
@@ -96,29 +90,25 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     def backward(gs):
         return tuple(np.split(gs[0], splits, axis=-1))
 
-    record(tuple(parts), (out,), backward)
-    return out
+    return record(tuple(parts), (out,), backward)[0]
 
 
 def slice_axis(x: Tensor, start: int, stop: int) -> Tensor:
     """Columns ``start:stop`` of the last axis."""
     x = as_tensor(x)
-    out = Tensor(x.data[..., start:stop])
 
     def backward(gs):
         g = np.zeros_like(x.data)
         g[..., start:stop] = gs[0]
         return (g,)
 
-    record((x,), (out,), backward)
-    return out
+    return record((x,), (x.data[..., start:stop],), backward)[0]
 
 
 def tanh(x) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(np.tanh(x.data))
-    record((x,), (out,), lambda gs: (gs[0] * (1.0 - out.data**2),))
-    return out
+    y = np.tanh(x.data)
+    return record((x,), (y,), lambda gs: (gs[0] * (1.0 - y**2),))[0]
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -128,24 +118,19 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
 
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(_sigmoid(x.data))
-    record((x,), (out,), lambda gs: (gs[0] * out.data * (1.0 - out.data),))
-    return out
+    y = _sigmoid(x.data)
+    return record((x,), (y,), lambda gs: (gs[0] * y * (1.0 - y),))[0]
 
 
 def log(x) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(np.log(x.data))
-    record((x,), (out,), lambda gs: (gs[0] / x.data,))
-    return out
+    return record((x,), (np.log(x.data),), lambda gs: (gs[0] / x.data,))[0]
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(np.clip(x.data, lo, hi))
     interior = (x.data > lo) & (x.data < hi)
-    record((x,), (out,), lambda gs: (gs[0] * interior,))
-    return out
+    return record((x,), (np.clip(x.data, lo, hi),), lambda gs: (gs[0] * interior,))[0]
 
 
 def softmax_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -162,40 +147,34 @@ def softmax(x: Tensor) -> Tensor:
     """Numerically stable softmax; rows along the last axis sum to 1."""
     x = as_tensor(x)
     p = softmax_into(x.data, np.empty_like(x.data))
-    out = Tensor(p)
 
     def backward(gs):
         g = gs[0]
         dot = (g * p).sum(axis=-1, keepdims=True)
         return ((g - dot) * p,)
 
-    record((x,), (out,), backward)
-    return out
+    return record((x,), (p,), backward)[0]
 
 
 def sum_all(x) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(np.asarray(x.data.sum()))
-    record((x,), (out,), lambda gs: (np.broadcast_to(gs[0], x.data.shape).copy(),))
-    return out
+    shape = x.data.shape
+    return record((x,), (x.data.sum(),), lambda gs: (np.broadcast_to(gs[0], shape).copy(),))[0]
 
 
 def mean_all(x) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(np.asarray(x.data.mean()))
-    n = x.data.size
-    record((x,), (out,), lambda gs: (np.broadcast_to(gs[0] / n, x.data.shape).copy(),))
-    return out
+    n, shape = x.data.size, x.data.shape
+    return record((x,), (x.data.mean(),), lambda gs: (np.broadcast_to(gs[0] / n, shape).copy(),))[0]
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     x = as_tensor(x)
     try:
-        out = Tensor(x.data.reshape(shape))
+        out = x.data.reshape(shape)
     except ValueError as exc:
         raise ShapeError(f"reshape: {x.shape} to {shape}") from exc
-    record((x,), (out,), lambda gs: (gs[0].reshape(x.data.shape),))
-    return out
+    return record((x,), (out,), lambda gs: (gs[0].reshape(x.data.shape),))[0]
 
 
 def _scatter_add(shape: tuple[int, ...], dtype, index: np.ndarray, values: np.ndarray):
@@ -222,7 +201,6 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
         raise ShapeError(f"embedding table must be 2-D, got {table.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError("embedding id out of range")
-    out = Tensor(table.data[ids])
 
     def backward(gs):
         # The distinct ids in order and each id's slot among them: a mask
@@ -236,8 +214,7 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
         index = slot[ids].reshape(-1, 1) * width + np.arange(width)
         return (RowGrad(rows, _scatter_add((len(rows), width), table.dtype, index, gs[0])),)
 
-    record((table,), (out,), backward)
-    return out
+    return record((table,), (table.data[ids],), backward)[0]
 
 
 def gather_rows(x: Tensor, ids: np.ndarray) -> Tensor:
@@ -247,11 +224,9 @@ def gather_rows(x: Tensor, ids: np.ndarray) -> Tensor:
     if x.data.ndim != 2 or ids.shape != (x.shape[0],):
         raise ShapeError(f"gather_rows: {x.shape} with ids {ids.shape}")
     rows = np.arange(x.shape[0])
-    out = Tensor(x.data[rows, ids])
-
     flat = rows * x.shape[1] + ids
-    record((x,), (out,), lambda gs: (_scatter_add(x.shape, x.dtype, flat, gs[0]),))
-    return out
+    backward = lambda gs: (_scatter_add(x.shape, x.dtype, flat, gs[0]),)
+    return record((x,), (x.data[rows, ids],), backward)[0]
 
 
 def keep_mask(rng: np.random.Generator, shape: tuple[int, ...], p: float, dtype) -> np.ndarray:
@@ -270,9 +245,7 @@ def dropout(x: Tensor, keep: np.ndarray) -> Tensor:
     x = as_tensor(x)
     if keep.shape != x.data.shape:
         raise ShapeError(f"dropout: mask {keep.shape} for input {x.shape}")
-    out = Tensor(x.data * keep)
-    record((x,), (out,), lambda gs: (gs[0] * keep,))
-    return out
+    return record((x,), (x.data * keep,), lambda gs: (gs[0] * keep,))[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -490,8 +463,8 @@ def lstm_over(
             hs[first + 1 : end + 1, k:] = hs[first, k:]
             cs[first + 1 : end + 1, k:] = cs[first, k:]
         row = stop
-    out = Tensor(_batch_major(hs[1:], back) if collect else hs[steps, back].copy())
-    c_out = Tensor(cs[steps, back].copy())
+    out = _batch_major(hs[1:], back) if collect else hs[steps, back].copy()
+    c_out = cs[steps, back].copy()
     # Backward keeps the gate constants, not the scratch and its tiles of wh.
     scale, shift, slope = step_scratch.scale, step_scratch.shift, step_scratch.slope
     ci, cf, cg, co = step_scratch.columns
@@ -568,5 +541,4 @@ def lstm_over(
         )
 
     starts = tuple(_NO_START if s is None else s for s in (h0, c0))
-    record((x, wx, wh, b) + starts, (out, c_out), backward)
-    return out, c_out
+    return record((x, wx, wh, b) + starts, (out, c_out), backward)

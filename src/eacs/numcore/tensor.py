@@ -190,14 +190,16 @@ def _accumulate(grads: dict[int, list], t: Tensor, g) -> None:
 
 def record(
     inputs: tuple[Tensor, ...],
-    outputs: tuple[Tensor, ...],
+    outputs: tuple[np.ndarray, ...],
     backward: Callable[[list[np.ndarray]], Sequence[Optional[np.ndarray]]],
-) -> None:
+) -> tuple[Tensor, ...]:
+    """An op's output arrays as tensors. With a tape active and some input needing
+    a gradient, they need one too, and the tape records the op's node."""
+    tensors = tuple(map(Tensor, outputs))
     tape = Tape.current()
-    if tape is None:
-        return
-    if not any(t.requires_grad for t in inputs):
-        return
-    for o in outputs:
+    if tape is None or not any(t.requires_grad for t in inputs):
+        return tensors
+    for o in tensors:
         o.requires_grad = True
-    tape.nodes.append(_Node(inputs, outputs, backward))
+    tape.nodes.append(_Node(inputs, tensors, backward))
+    return tensors

@@ -208,9 +208,9 @@ def _edit_first_value(value):
     return edit
 
 
-def _edit_vocabulary(tokens):
+def _edit_key(key, value):
     def edit(header, params):
-        header["vocabulary"] = tokens
+        header[key] = value
         return header, params
 
     return edit
@@ -237,15 +237,17 @@ def _not_an_object(header, params):
         (_edit_header(dropout=True), "hyperparameter dropout = True is not float"),
         (_swap_eos_with_next_token, "vocabulary does not begin with <pad> <unk> <bos> <eos>"),
         (_not_an_object, "header is not a JSON object"),
-        (_edit_vocabulary([0, 1, 2, 3]), "vocabulary is not a list of strings"),
+        (_edit_key("vocabulary", [0, 1, 2, 3]), "vocabulary is not a list of strings"),
         (_edit_first_param_line(b"embedding 9 x"), "bad parameter header b'embedding 9 x\\n'"),
         (_edit_header(vocab_size=5), "vocab_size 5 but 12 vocabulary tokens"),
+        (_edit_key("kind", ["extractor"]), "unknown model kind ['extractor']"),
+        (_edit_key("kind", {"a": 1}), "unknown model kind {'a': 1}"),
     ],
     ids=["missing-embed-dim", "string-dim", "negative-dim", "hyperparameters-not-object",
          "negative-shape", "huge-shape", "width-disagrees-with-arrays", "nan-value",
          "infinite-value", "bool-int", "bool-float", "reserved-tokens-reordered",
          "header-not-object", "vocabulary-not-strings", "non-integer-dim",
-         "vocab-size-disagrees"],
+         "vocab-size-disagrees", "kind-list", "kind-object"],
 )
 def test_corrupt_header_exits_one_line(tmp_path, capsys, vocab, ex_model, edit, reason):
     path = tmp_path / "ex.ckpt"

@@ -950,6 +950,66 @@ class TestAllocator:
         # later call took 1,200-1,500 faults.
         assert sum(faults[4:]) < 50 * len(faults[4:]), faults
 
+    def test_lstm_over_steady_state_survives_training_steps(self, tmp_path):
+        # The calls above, with a desk abstracter training step between every
+        # six, in a fresh process: the free heap top a step leaves varies with
+        # the process's layout. Under an 8 MiB trim threshold glibc trimmed it
+        # at some steps, and the next six calls took 1,600-8,100 faults.
+        pytest.importorskip("resource")
+        if cli._glibc_mallopt() is None:
+            pytest.skip("the C library has no glibc mallopt")
+        src = tmp_path / "snippet.java"
+        src.write_text("int a = 1;")
+        script = """
+import json, resource, sys
+import numpy as np
+from eacs import cli
+from eacs import numcore as nc
+from eacs.abstracter import AbstracterModel, AbstracterSample, abstracter_loss
+from eacs.config import RunConfig
+
+assert cli.main(["segment", "--code", sys.argv[1]]) == 0
+rng = np.random.default_rng(101)
+lengths = rng.integers(1, 31, 90)
+x, wx, wh = (nc.Parameter(k, rng.normal(0, 0.5, s).astype(np.float32)) for k, s in
+             (("x", (90, 30, 64)), ("wx", (64, 256)), ("wh", (64, 256))))
+b = nc.Parameter("b", np.zeros(256, np.float32))
+config = RunConfig(seed=101)
+init_rng, _, drop_rng = nc.rng_streams(config.seed)
+model = AbstracterModel(500, config, init_rng)
+params = model.parameters()
+optimizer = nc.AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
+ids = lambda lo, hi: rng.integers(4, 500, rng.integers(lo, hi))
+samples = [AbstracterSample(i, ids(10, 121), ids(3, 31), np.array([2, *ids(3, 29), 3]), [])
+           for i in range(config.batch_size)]
+
+def faults_of_calls(calls):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        with nc.Tape() as tape:
+            out, _ = nc.lstm_over(x, wx, wh, b, lengths, collect=True)
+            tape.backward(nc.sum_all(out), ())
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+for _ in range(4):
+    faults_of_calls(1)
+rounds = []
+for _ in range(25):
+    optimizer.zero_grad()
+    with nc.Tape() as tape:
+        tape.backward(abstracter_loss(model, samples, train=True, rng=drop_rng), params)
+    optimizer.step()
+    rounds.append(faults_of_calls(6))
+print(json.dumps(rounds))
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eacs.__file__)))
+        done = subprocess.run([sys.executable, "-c", script, str(src)], check=True,
+                              capture_output=True, text=True, env=env, timeout=120)
+        rounds = json.loads(done.stdout.splitlines()[-1])
+        # The first five rounds grow the heap to hold both the step's buffers
+        # and the calls'. The bound over six calls is the test above's.
+        assert all(faults < 300 for faults in rounds[5:]), rounds
+
     def test_cli_checkpoint_matches_untouched_allocator(self, toy_corpus_path, tmp_path):
         # Each side runs in a fresh interpreter, so the API side's allocator
         # is certainly untouched; it asserts that main never ran there.

@@ -6,9 +6,101 @@ from hypothesis import strategies as st
 from eacs import numcore as nc
 from eacs.numcore import optim
 from eacs.numcore import product as product_module
+from eacs.numcore.tensor import RowGrad, record
 from eacs.errors import ShapeError
 
 from .oracles import adamw_reference, lstm_over_reference, lstm_reference, scatter_add_reference
+
+
+def _matmul_case(rng, dtype):
+    a, b = rng.normal(0, 1, (3, 4)).astype(dtype), rng.normal(0, 1, (4, 5)).astype(dtype)
+    return [a, b], nc.matmul, a @ b, lambda g: [g @ b.T, a.T @ g]
+
+
+def _concat_case(rng, dtype):
+    parts = [rng.normal(0, 1, (3, k)).astype(dtype) for k in (2, 4, 1)]
+    grads = lambda g: [g[:, :2], g[:, 2:6], g[:, 6:]]
+    return parts, lambda *ts: nc.concat(ts), np.concatenate(parts, -1), grads
+
+
+def _slice_case(rng, dtype):
+    x = rng.normal(0, 1, (3, 6)).astype(dtype)
+    grads = lambda g: [np.pad(g, ((0, 0), (1, 2)))]
+    return [x], lambda t: nc.slice_axis(t, 1, 4), x[..., 1:4], grads
+
+
+def _softmax_case(rng, dtype):
+    x = rng.normal(0, 3, (4, 7)).astype(dtype)
+    e = np.exp(x - x.max(-1, keepdims=True))
+    p = e / e.sum(-1, keepdims=True)
+    return [x], nc.softmax, p, lambda g: [(g - (g * p).sum(-1, keepdims=True)) * p]
+
+
+def _dropout_case(rng, dtype):
+    x = rng.normal(0, 1, (3, 5)).astype(dtype)
+    keep = nc.keep_mask(rng, x.shape, 0.3, dtype)
+    return [x], lambda t: nc.dropout(t, keep), x * keep, lambda g: [g * keep]
+
+
+def _gather_rows_case(rng, dtype):
+    x = rng.normal(0, 1, (4, 6)).astype(dtype)
+    ids = np.array([5, 0, 5, 2])
+
+    def grads(g):
+        want = np.zeros_like(x)
+        np.add.at(want, (np.arange(4), ids), g)
+        return [want]
+
+    return [x], lambda t: nc.gather_rows(t, ids), x[np.arange(4), ids], grads
+
+
+def _embedding_case(rng, dtype):
+    table = rng.normal(0, 1, (7, 3)).astype(dtype)
+    ids = np.array([[4, 1, 4, 6, 1], [0, 4, 4, 2, 6]])
+
+    def grads(g):
+        want = np.zeros_like(table)
+        np.add.at(want, ids.reshape(-1), g.reshape(-1, 3))
+        return [want]
+
+    return [table], lambda t: nc.embedding_lookup(t, ids), table[ids], grads
+
+
+def _unary_case(op, forward, grad, low=-2.0):
+    def case(rng, dtype):
+        x = rng.uniform(low, 2.0, (3, 5)).astype(dtype)
+        return [x], op, forward(x), lambda g: [grad(g, x)]
+
+    return case
+
+
+def _sigmoid(x):
+    return np.tanh(x * 0.5) * 0.5 + 0.5
+
+
+# Each op against the numpy expressions of its output and input gradients:
+# case(rng, dtype) gives the input arrays, the op over their tensors, the
+# expected output, and grads(g) from the upstream gradient g.
+OP_BITS = {
+    "matmul": _matmul_case,
+    "concat": _concat_case,
+    "slice_axis": _slice_case,
+    "tanh": _unary_case(nc.tanh, np.tanh, lambda g, x: g * (1 - np.tanh(x) ** 2)),
+    "sigmoid": _unary_case(nc.sigmoid, _sigmoid, lambda g, x: g * _sigmoid(x) * (1 - _sigmoid(x))),
+    "log": _unary_case(nc.log, np.log, lambda g, x: g / x, low=0.05),
+    "clip": _unary_case(
+        lambda t: nc.clip(t, -0.5, 0.5), lambda x: np.clip(x, -0.5, 0.5),
+        lambda g, x: g * ((x > -0.5) & (x < 0.5)),
+    ),
+    "softmax": _softmax_case,
+    "sum_all": _unary_case(nc.sum_all, np.sum, lambda g, x: np.full(x.shape, g)),
+    "mean_all": _unary_case(nc.mean_all, np.mean, lambda g, x: np.full(x.shape, g / x.size)),
+    "reshape": _unary_case(lambda t: nc.reshape(t, (5, 3)), lambda x: x.reshape(5, 3),
+                           lambda g, x: g.reshape(x.shape)),
+    "dropout": _dropout_case,
+    "gather_rows": _gather_rows_case,
+    "embedding_lookup": _embedding_case,
+}
 
 
 class TestOps:
@@ -89,6 +181,31 @@ class TestOps:
                 want.append(w)
             for got_k, want_k in zip(got, want):
                 assert got_k.dtype == dtype and np.array_equal(_bits(got_k), _bits(want_k))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", OP_BITS)
+    def test_op_bits_match_numpy(self, name, dtype):
+        # The output and every input gradient, from the op's node on a seeded
+        # upstream gradient; a RowGrad is made dense with np.add.at.
+        rng = np.random.default_rng(19)
+        arrays, op, want_out, grads = OP_BITS[name](rng, dtype)
+        inputs = [nc.Parameter(f"x{k}", x) for k, x in enumerate(arrays)]
+        with nc.Tape() as tape:
+            out = op(*inputs)
+        assert len(tape.nodes) == 1
+        g = np.asarray(rng.normal(0, 1, out.shape), dtype)
+        got = [out.data]
+        for x, grad in zip(arrays, tape.nodes[0].backward([g])):
+            if isinstance(grad, RowGrad):
+                dense = np.zeros_like(x)
+                np.add.at(dense, grad.rows, grad.values)
+                grad = dense
+            got.append(grad)
+        want = [np.asarray(want_out), *grads(g)]
+        assert len(got) == len(want) == len(arrays) + 1
+        for got_k, want_k in zip(got, want):
+            assert got_k.dtype == dtype and got_k.shape == want_k.shape
+            assert np.array_equal(_bits(got_k), _bits(want_k))
 
     def test_sigmoid_saturates_without_warnings(self):
         with np.errstate(all="raise"):
@@ -589,6 +706,24 @@ class TestRowGradBuffer:
 
 
 class TestBackward:
+    def test_record_wraps_outputs_and_records_only_for_gradients(self):
+        def backward(gs):
+            return gs
+
+        const, param = nc.Tensor(np.ones(2)), nc.Parameter("p", np.ones(2))
+        outputs = (np.zeros(2), np.ones(3))
+        idle = nc.Tape()  # never entered, so no tape is active
+        got = record((param,), outputs, backward)
+        assert not idle.nodes and all(t.data is o for t, o in zip(got, outputs))
+        assert all(type(t) is nc.Tensor and not t.requires_grad for t in got)
+        with nc.Tape() as tape:
+            got = record((const,), outputs, backward)
+            assert not tape.nodes and not any(t.requires_grad for t in got)
+            got = record((const, param), outputs, backward)
+            assert len(tape.nodes) == 1 and all(t.requires_grad for t in got)
+        node = tape.nodes[0]
+        assert node.inputs == (const, param) and node.outputs == got and node.backward is backward
+
     def test_product_rule(self):
         x = nc.Parameter("x", np.array([3.0]))
         y = nc.Parameter("y", np.array([5.0]))

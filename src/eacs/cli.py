@@ -170,10 +170,19 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print one line,
+    ``<prog>: error: <message>``, without the usage block, and exit 2. Its
+    subparsers are of this class too; ``--help`` is unchanged."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eacs",
         description="Extract-then-abstract code summarization pipeline",
     )

@@ -471,14 +471,18 @@ def lstm_over(
 
     def backward(gs):
         # Elementwise work runs on the live prefix, in sorted order, of a scratch
-        # whose dead rows stay zero. The recurrent product reads a contiguous
-        # dz_t in input order over all B rows, as the every-row loop did: the
+        # whose dead rows stay zero. The recurrent product dz_t @ wh.T, a
+        # Product whose tiles are cut once per call, reads a contiguous dz_t
+        # in input order over all B rows, as the every-row loop did: the
         # bits of its columns can depend on their count, their position and
         # the layout. dz_t is then stored batch-major, the layout the weight
-        # GEMMs read.
+        # GEMMs read. The product writes into dh_all; without padding dh is
+        # dh_all itself, which a step reads before its product overwrites it.
         dz = np.empty((n, steps, 4 * hidden), dtype=dtype)
         scratch = np.zeros((n, 4 * hidden), dtype=dtype)
         dz_t = np.empty_like(scratch) if ragged else scratch
+        times_wh_t = Product(wh.data.T, n).for_rows(n)
+        dh_all = np.empty((n, hidden), dtype=dtype)
         g_out = gs[0][order]
         dh = np.zeros((n, hidden), dtype=dtype) if collect else g_out
         dc = gs[1][order].copy()
@@ -516,10 +520,8 @@ def lstm_over(
                     # mode="clip" writes straight into dz_t; "raise" would buffer.
                     np.take(scratch, back, axis=0, out=dz_t, mode="clip")
                 dz[:, t] = dz_t
-                # dz_t @ wh.T with wh read in its own layout: no copy, bit-equal
-                # on every shape tried, and under half the time of the view at
-                # H = 512.
-                dh_prev = (wh.data @ dz_t.T).T[order]
+                times_wh_t(dz_t, dh_all)
+                dh_prev = dh_all[order]
                 if k < n:
                     dh_prev[k:] = dh[k:]
                 dh = dh_prev

@@ -20,6 +20,7 @@ from eacs.abstracter import (
 )
 from eacs.corpus import BOS, EOS, PAD, RESERVED_TOKENS, Vocabulary, load_corpus
 from eacs.errors import EmptyInput, ShapeError, VocabMismatch
+from eacs.numcore import product as product_module
 from eacs.segmenter import segment_pairs
 
 from .oracles import (
@@ -362,14 +363,13 @@ class TestTraining:
 class TestPublishedWidthStep:
     """Two AdamW steps at E = H = 512, where BLAS runs other kernels than at desk width."""
 
-    def _two_steps(self):
+    def _two_steps(self, samples):
         config = AbstracterConfig(embed_dim=512, hidden_dim=512, dropout=0.1, seed=4)
         init_rng, _, drop_rng = nc.rng_streams(config.seed)
         model = AbstracterModel(12, config, init_rng)
         params = model.parameters()
         start = [p.data.copy() for p in params]
         optimizer = nc.AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
-        samples = [make_sample(), make_sample(code=(9, 8, 11), important=(10,), comment=(7, 4))]
         grads = []
         for _ in range(2):
             optimizer.zero_grad()
@@ -381,13 +381,32 @@ class TestPublishedWidthStep:
         return start, grads, [p.data for p in params], config
 
     def test_same_seed_same_bytes_and_reference_update(self):
-        start, grads, first, config = self._two_steps()
-        _, _, second, _ = self._two_steps()
+        samples = [make_sample(), make_sample(code=(9, 8, 11), important=(10,), comment=(7, 4))]
+        start, grads, first, config = self._two_steps(samples)
+        _, _, second, _ = self._two_steps(samples)
         assert [a.tobytes() for a in first] == [b.tobytes() for b in second]
         want = adamw_reference(start, grads, 2, lr=config.lr, weight_decay=config.weight_decay)
         for got, w in zip(first, want):
             assert got.dtype == np.float32
             assert np.array_equal(got, w)
+
+    def test_tiled_products_keep_the_bits(self, one_blas_thread, monkeypatch):
+        # At one OpenBLAS thread on its SkylakeX kernels every recurrent
+        # product of these batches of 4, in each LSTM's forward and in its
+        # backpropagation through time, is tiled (numcore.Product); with
+        # tiling_kernels false every one is plain.
+        samples = [
+            make_sample(),
+            make_sample(code=(9, 8, 11), important=(10,), comment=(7, 4)),
+            make_sample(code=(5, 11, 6, 7, 9, 8), important=(6, 7, 9), comment=(8, 9, 10, 11)),
+            make_sample(code=(10, 4), important=(4, 5), comment=(6,)),
+        ]
+        _, tiled_grads, tiled, _ = self._two_steps(samples)
+        monkeypatch.setattr(product_module, "tiling_kernels", lambda: False)
+        _, plain_grads, plain, _ = self._two_steps(samples)
+        for step, (a, b) in enumerate(zip(tiled_grads, plain_grads)):
+            assert [g.tobytes() for g in a] == [g.tobytes() for g in b], f"gradients of step {step + 1}"
+        assert [p.tobytes() for p in tiled] == [p.tobytes() for p in plain]
 
 
 class TestGeneration:

@@ -28,18 +28,45 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def one_usage_line(err: str, prog: str) -> str:
+    """The one stderr line of a usage error, ``<prog>: error: <message>``."""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{prog}: error: "), err
+    return lines[0]
+
+
 class TestUsage:
+    """A usage error exits 2 with one diagnostic line and no usage block."""
+
     def test_unknown_command(self, capsys):
-        code, _, _ = run(capsys, "frobnicate")
+        code, _, err = run(capsys, "frobnicate")
         assert code == 2
+        assert "invalid choice: 'frobnicate'" in one_usage_line(err, "eacs")
 
     def test_missing_required_flag(self, capsys):
-        code, _, _ = run(capsys, "label", "--lang", "java")
+        code, _, err = run(capsys, "label", "--lang", "java")
         assert code == 2
+        assert "required: --corpus, --out" in one_usage_line(err, "eacs label")
 
     def test_unknown_flag(self, capsys):
-        code, _, _ = run(capsys, "segment", "--wat")
+        code, _, err = run(capsys, "segment", "--wat")
         assert code == 2
+        assert "unrecognized arguments: --wat" in one_usage_line(err, "eacs")
+
+    def test_bad_lang_choice(self, capsys):
+        code, _, err = run(capsys, "segment", "--lang", "cobol")
+        assert code == 2
+        assert "argument --lang: invalid choice: 'cobol'" in one_usage_line(err, "eacs segment")
+
+    def test_non_integer_beam(self, capsys):
+        code, _, err = run(capsys, "summarize", "--extractor", "e", "--abstracter", "a", "--beam", "four")
+        assert code == 2
+        assert "argument --beam: invalid int value: 'four'" in one_usage_line(err, "eacs summarize")
+
+    def test_help_keeps_its_usage(self, capsys):
+        code, out, err = run(capsys, "summarize", "--help")
+        assert code == 0 and not err
+        assert out.startswith("usage: eacs summarize [-h] --extractor EXTRACTOR")
 
 
 class TestSegment:

@@ -431,14 +431,19 @@ class TestLstmOverBits:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("collect", [False, True])
-    @pytest.mark.parametrize("lengths", [[5, 5, 5, 5], [3, 5, 1, 4]])
+    @pytest.mark.parametrize(
+        "lengths",
+        [[5, 5, 5, 5], [3, 5, 1, 4], [4, 5], [5, 1, 3, 5, 2, 4, 5, 3], [1, 5, 2, 5, 4, 3, 5, 1, 2]],
+    )
     def test_published_width(self, one_blas_thread, lengths, collect, dtype):
-        # At E = H = 512 and B = 4 every recurrent product of 2 to 4 rows is
-        # tiled (numcore.Product) on the kernels it was measured on; the
-        # reference's products are plain.
+        # At E = H = 512 every forward recurrent product of 2 to 15 rows is
+        # tiled (numcore.Product) on the kernels it was measured on, and the
+        # backward's dz @ wh.T of B = 2 to 8 rows in float32 (to 10 in
+        # float64); B = 9 is the first plain one in float32. The reference's
+        # products are plain.
         rng = np.random.default_rng(512)
         draw = lambda *s, scale=1.0: rng.normal(0, scale, s).astype(dtype)
-        n, steps, hidden = 4, 5, 512
+        n, steps, hidden = len(lengths), 5, 512
         lengths = np.array(lengths)
         x = draw(n, steps, hidden)
         wx, wh = draw(hidden, 4 * hidden, scale=0.05), draw(hidden, 4 * hidden, scale=0.05)
@@ -508,20 +513,22 @@ class TestBlasRows:
 
 
 class TestProduct:
-    """``numcore.Product`` tiles the recurrent product ``h @ wh`` at the
-    published width, yet equals the plain product bit for bit.
+    """``numcore.Product`` tiles the recurrent product ``h @ wh`` and the
+    backward's ``dz @ wh.T`` at the published width, yet equals the plain
+    product bit for bit.
 
     It tiles only a (512, 2048) ``wh`` in a Product of at most 15 rows, the
     most whose product with a 256 x 256 tile stays in OpenBLAS's
-    small-matrix kernel, and only for 2 rows or more. It cuts the 512-deep
-    reduction into the two 256-deep blocks OpenBLAS's packed path makes, and
-    each block into 256 columns. This holds on scipy-openblas 0.3.31's
-    SkylakeX kernels (the test header names the kernels of the run): there
-    each block's dot products are one sequential FMA chain in both kernels.
-    Every other shape and row count stays plain, H = 384 among them, where
-    the packed path keeps K whole and 256-deep halves moved bits on every M
-    tried. On other kernels, and at more than one OpenBLAS thread, every
-    product is plain.
+    small-matrix kernel, and a (2048, 512) ``wh.T`` in one of at most 8
+    rows in float32 (10 in float64), and only for 2 rows or more. It cuts
+    the reduction into the K blocks OpenBLAS's packed path makes (two
+    256-deep blocks at 512), and each block into 256 columns. This holds on
+    scipy-openblas 0.3.31's SkylakeX kernels (the test header names the
+    kernels of the run): there each block's dot products are one sequential
+    FMA chain in both kernels. Every other shape and row count stays plain,
+    H = 384 among them, where the packed path keeps K whole and 256-deep
+    halves moved bits on every M tried. On other kernels, and at more than
+    one OpenBLAS thread, every product is plain.
     """
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -569,11 +576,43 @@ class TestProduct:
         monkeypatch.setattr(product_module, "tiling_kernels", lambda: True)
         product = nc.Product(np.ones((512, 2048), np.float32), 15)
         assert product.for_rows(15) != product.plain
-        blocks, rest = product._tiles, product._rest
-        assert len(blocks) == 2 and rest.shape == (15, 2048)
-        for block in blocks:
+        blocks, rest = product._blocks, product._rest
+        assert [(k.start, k.stop) for k, _ in blocks] == [(0, 256), (256, 512)]
+        assert rest.shape == (15, 2048)
+        for _, block in blocks:
             assert [(c.start, c.stop) for c, _ in block] == [(j, j + 256) for j in range(0, 2048, 256)]
             assert all(tile.shape == (256, 256) and tile.flags.c_contiguous for _, tile in block)
+
+    @pytest.mark.parametrize(
+        "dtype, blocks, bound",
+        [
+            (np.float32, [448, 448, 448, 352, 352], 8),
+            (np.float64, [384, 384, 384, 384, 256, 256], 10),
+        ],
+    )
+    def test_transposed_operand_equals_plain_product(self, one_blas_thread, dtype, blocks, bound):
+        # Backpropagation through time at H = 512 forms dz @ wh.T, 2048 deep,
+        # with a Product of wh.T. Its tiles follow OpenBLAS's own K blocks
+        # (uniform 256- or 512-deep blocks move bits), which cut 512 into the
+        # forward's two 256-deep blocks; the row bound is the most rows whose
+        # product with the deepest (block, 256) tile is at most 100^3.
+        assert product_module.k_blocks(512, dtype) == [256, 256]
+        assert product_module.k_blocks(2048, dtype) == blocks
+        assert product_module.max_tiled_rows(2048, dtype) == bound == 100**3 // (blocks[0] * 256)
+        rng = np.random.default_rng(2048)
+        wh = rng.normal(0, 0.05, (512, 2048)).astype(dtype)
+        x = rng.normal(0, 1, (bound + 1, 2048)).astype(dtype)
+        tiled = []
+        for m in range(1, bound + 2):
+            product = nc.Product(wh.T, m)
+            run = product.for_rows(m)
+            out = np.empty((m, 512), dtype)
+            run(x[:m], out)
+            assert np.array_equal(_bits(out), _bits((wh @ x[:m].T).T)), f"M = {m}"
+            if run != product.plain:
+                tiled.append(m)
+        want = list(range(2, bound + 1))
+        assert tiled == (want if product_module.tiling_kernels() else [])
 
     def test_plain_off_the_measured_kernels(self, monkeypatch):
         monkeypatch.setattr(product_module, "tiling_kernels", lambda: False)

@@ -25,6 +25,7 @@ from .errors import EacsError, FormatError, UsageError
 from .extractor import TrainResult, predict_important, train_extractor
 from .fileio import read_text, replace_on_success
 from .metrics import evaluate_corpus, mann_whitney_u_test, profile_reference
+from .numcore import blas
 from .oracle import label_statements
 from .report import emit_report
 from .segmenter import LANGUAGES, segment, segment_pairs
@@ -187,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Extract-then-abstract code summarization pipeline",
     )
     parser.add_argument("--version", action="version", version=f"eacs {__version__}")
-    parser.add_argument("-v", "--verbose", action="store_true", help="log per-epoch losses")
+    parser.add_argument("-v", "--verbose", action="store_true", help="log numpy's BLAS and per-epoch losses")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("segment", help="split a snippet into statements")
@@ -296,6 +297,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    if args.verbose:
+        logging.getLogger(__name__).info("blas: %s", blas() or "not scipy-openblas")
     try:
         return args.func(args)
     except UsageError as exc:

@@ -35,7 +35,7 @@ from .ops import (
     tanh,
 )
 from .optim import AdamW
-from .product import Product
+from .product import Product, blas
 from .tensor import Parameter, Tape, Tensor
 
 

@@ -15,15 +15,18 @@ import ctypes
 import functools
 import glob
 import os
+from dataclasses import dataclass, field
 
 import numpy as np
 
-# OpenBLAS forms a product whose M·N·K is at most this with its small-matrix
-# kernel (scipy-openblas 0.3.31, SkylakeX kernels), and any larger one with
-# the packed GEMM path.
+# The BLAS the tiles copy and were measured on: numpy's scipy-openblas at
+# OpenBLAS TILED_VERSION (its first three dotted components), on a core in
+# TILED_CORES, at one thread. There the small-matrix kernel forms products of
+# M·N·K up to SMALL_MATRIX_BOUND, and the packed path's K panel depth (GEMM_Q)
+# and unroll (GEMM_UNROLL_M) are these, from OpenBLAS's param.h.
+TILED_VERSION = "0.3.31"
+TILED_CORES = ("SkylakeX",)
 SMALL_MATRIX_BOUND = 100**3
-# The packed path's K panel depth (GEMM_Q) and unroll (GEMM_UNROLL_M) on the
-# SkylakeX kernels, from OpenBLAS 0.3.31's param.h.
 GEMM_Q = {np.dtype(np.float32): 448, np.dtype(np.float64): 384}
 GEMM_UNROLL = 16
 # A tile is TILE wide; 512-wide tiles measured slower than 256-wide ones.
@@ -31,8 +34,6 @@ TILE = 256
 # The right operands the tiles were measured on: ``wh`` at E = H = 512, and
 # its transpose, which backpropagation through time multiplies by.
 TILED_SHAPES = ((512, 2048), (2048, 512))
-# The OpenBLAS cores whose kernels the tiles were measured on.
-TILED_CORES = (b"SkylakeX",)
 
 
 def k_blocks(depth: int, dtype) -> list[int]:
@@ -65,35 +66,58 @@ def max_tiled_rows(depth: int, dtype) -> int:
     return SMALL_MATRIX_BOUND // (max(k_blocks(depth, dtype)) * TILE)
 
 
+@dataclass(frozen=True)
+class Blas:
+    """numpy's OpenBLAS as it runs; ``lib``, the library, sets its threads."""
+
+    config: str
+    version: str
+    core: str
+    threads: int
+    lib: ctypes.CDLL = field(repr=False, compare=False)
+
+
 @functools.cache
-def openblas():
-    """The OpenBLAS numpy runs, as a ctypes library: the scipy-openblas
-    build its wheels bundle. None for any other BLAS."""
+def _library():
+    """numpy's scipy-openblas as a ctypes library; None for any other BLAS."""
     root = os.path.dirname(np.__file__)
     for pattern in ("../numpy.libs/*openblas*", ".dylibs/*openblas*"):
         for path in sorted(glob.glob(os.path.join(root, pattern))):
             lib = ctypes.CDLL(path)
-            if hasattr(lib, "scipy_openblas_get_corename64_"):
-                lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
-                lib.scipy_openblas_get_config64_.restype = ctypes.c_char_p
+            if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+                lib.scipy_openblas_set_num_threads64_.argtypes = (ctypes.c_int,)
                 return lib
     return None
 
 
-def tiling_kernels() -> bool:
-    """Whether numpy runs the BLAS kernels the tiles were measured on:
-    OpenBLAS's SkylakeX core at one thread.
+def blas() -> Blas | None:
+    """The BLAS record, read now; None for a numpy that bundles no
+    scipy-openblas (conda's MKL, Apple's Accelerate)."""
+    lib = _library()
+    if lib is None:
+        return None
+    get_config, get_core = lib.scipy_openblas_get_config64_, lib.scipy_openblas_get_corename64_
+    get_config.restype = get_core.restype = ctypes.c_char_p
+    config = get_config().decode()
+    # The config string opens with "OpenBLAS <version>".
+    return Blas(config, config.split()[1], get_core().decode(),
+                lib.scipy_openblas_get_num_threads64_(), lib)
 
-    On its Haswell core (picked on AVX2-only hosts) the tiles were no faster
-    at 2 and 4 rows and moved bits from 8. At two threads, which the packed
-    path uses and the small-matrix kernel does not, they were slower from
-    15 rows.
+
+def tiling_kernels() -> bool:
+    """Whether numpy runs the BLAS the tiles were measured on (above).
+
+    Another version may block K otherwise than :func:`k_blocks`. On the
+    Haswell core (picked on AVX2-only hosts) the tiles were no faster at 2
+    and 4 rows and moved bits from 8. At two threads, which the packed path
+    uses and the small-matrix kernel does not, they were slower from 15 rows.
     """
-    lib = openblas()
+    record = blas()
     return (
-        lib is not None
-        and lib.scipy_openblas_get_corename64_() in TILED_CORES
-        and lib.scipy_openblas_get_num_threads64_() == 1
+        record is not None
+        and record.version.split(".")[:3] == TILED_VERSION.split(".")
+        and record.core in TILED_CORES
+        and record.threads == 1
     )
 
 
@@ -108,21 +132,22 @@ class Product:
 
     A ``Product`` tiles only where the tiles were measured: ``w`` of a shape
     in :data:`TILED_SHAPES`, in float32 or float64, ``2 <= rows <=``
-    :func:`max_tiled_rows`, and the kernels of :func:`tiling_kernels`. It decides that when it is made, and a
-    tiling ``Product`` cuts its tiles then. It forms an m-row product with
-    the tiles for m = 2 to ``rows``. Every other product is the plain one:
+    :func:`max_tiled_rows`, and :func:`tiling_kernels`: OpenBLAS
+    :data:`TILED_VERSION` on a core in :data:`TILED_CORES` at one thread. It
+    decides that when it is made, and then cuts its tiles. It forms an m-row
+    product with them for m = 2 to ``rows``. Every other product is plain:
     one row (numpy's matrix-vector path), any other shape, a ``Product`` of
-    more rows, and any other kernels.
+    more rows, and any other BLAS version, core or thread count.
 
     The tiles cut ``w`` into the K blocks the packed path makes
     (:func:`k_blocks`), and each block into :data:`TILE`-wide column tiles,
     as contiguous copies; tiles that are views of ``wh`` move bits. The
     first block's tiles write into ``out``, each further block's into one
-    (rows, N) buffer, which is then added to ``out``. On OpenBLAS 0.3.31's
-    SkylakeX kernels, each block's dot products are one sequential chain of
-    fused multiply-adds in the small-matrix kernel as in the packed one, and
-    the packed path adds each block's sums into C in turn, so the tiled
-    product has the bits of the plain one (``tests/test_numcore.py::TestProduct``).
+    (rows, N) buffer, which is then added to ``out``. On those kernels each
+    block's dot products are one sequential chain of fused multiply-adds in
+    the small-matrix kernel as in the packed one, and the packed path adds
+    each block's sums into C in turn, so the tiled product has the bits of
+    the plain one (``tests/test_numcore.py::TestProduct``).
     """
 
     def __init__(self, w: np.ndarray, rows: int):

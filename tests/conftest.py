@@ -4,7 +4,6 @@ import json
 import time
 from dataclasses import dataclass
 
-import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -12,45 +11,34 @@ from eacs.abstracter import train_abstracter
 from eacs.config import RunConfig
 from eacs.corpus import RawPair, Vocabulary, build_vocabulary, load_corpus
 from eacs.extractor import TrainResult, train_extractor
-from eacs.numcore.product import openblas
+from eacs.numcore import blas
 from eacs.segmenter import PreparedPair, segment_pairs
 
 
 def pytest_report_header(config):
-    """numpy's BLAS build and the kernels it runs: the bit tests
-    (TestBlasRows, TestProduct, TestLstmOverBits) pin behaviour of those
-    kernels, so a failing run names them."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    build = f"{blas.get('name')} {blas.get('version')}"
-    lib = openblas()
-    runtime = (
-        lib.scipy_openblas_get_config64_().decode()
-        + f", {lib.scipy_openblas_get_num_threads64_()} threads"
-        if lib is not None
-        else f"build config {blas.get('openblas configuration')}"
-    )
-    return [f"blas: {build}", f"blas runtime: {runtime}"]
+    """numpy's BLAS record: the bit tests (TestBlasRows, TestProduct,
+    TestLstmOverBits) pin behaviour of its kernels, so a failing run names
+    them."""
+    return f"blas: {blas() or 'not scipy-openblas'}"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """The same lines after a failing run, which ``-q`` shows without a header."""
+    """The same line after a failing run, which ``-q`` shows without a header."""
     if terminalreporter.stats.get("failed"):
-        for line in pytest_report_header(config):
-            terminalreporter.write_line(line)
+        terminalreporter.write_line(pytest_report_header(config))
 
 
 @pytest.fixture
 def one_blas_thread():
     """OpenBLAS at one thread for the test, the setting numcore.Product tiles
-    at, and at its own thread count again after it."""
-    lib = openblas()
-    if lib is None:
+    at, set through the record's library, and at its own count again after."""
+    record = blas()
+    if record is None:
         yield
         return
-    threads = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
+    record.lib.scipy_openblas_set_num_threads64_(1)
     yield
-    lib.scipy_openblas_set_num_threads64_(threads)
+    record.lib.scipy_openblas_set_num_threads64_(record.threads)
 
 
 TYPES = ["int", "long", "float", "double"]

@@ -463,6 +463,25 @@ class TestParser:
             assert run(capsys, *argv) == (0, want, "")
 
 
+class TestVerbose:
+    def test_logs_the_blas_record_and_keeps_stdout(self, tmp_path):
+        # Fresh interpreters, so stderr is what a user sees: -v adds one INFO
+        # line, the BLAS record, and without -v stderr stays empty.
+        src = tmp_path / "snippet.java"
+        src.write_text("int a = 1; a++;")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eacs.__file__)))
+        argv = ["segment", "--lang", "java", "--code", str(src)]
+        quiet, verbose = (
+            subprocess.run([sys.executable, "-m", "eacs", *flags, *argv], capture_output=True,
+                           text=True, check=True, env=env)
+            for flags in ([], ["-v"])
+        )
+        assert verbose.stdout == quiet.stdout == "int a = 1;\na++;\n"
+        assert quiet.stderr == ""
+        record = nc.blas() or "not scipy-openblas"
+        assert verbose.stderr.splitlines() == [f"INFO eacs.cli: blas: {record}"]
+
+
 class TestGradcheck:
     def test_all_suites_pass(self, capsys):
         code, out, _ = run(capsys, "gradcheck", "--max-coords", "8")

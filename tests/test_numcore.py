@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -523,12 +525,13 @@ class TestProduct:
     rows in float32 (10 in float64), and only for 2 rows or more. It cuts
     the reduction into the K blocks OpenBLAS's packed path makes (two
     256-deep blocks at 512), and each block into 256 columns. This holds on
-    scipy-openblas 0.3.31's SkylakeX kernels (the test header names the
-    kernels of the run): there each block's dot products are one sequential
-    FMA chain in both kernels. Every other shape and row count stays plain,
-    H = 384 among them, where the packed path keeps K whole and 256-deep
-    halves moved bits on every M tried. On other kernels, and at more than
-    one OpenBLAS thread, every product is plain.
+    scipy-openblas 0.3.31's SkylakeX kernels (the test header prints the
+    BLAS record of the run): there each block's dot products are one
+    sequential FMA chain in both kernels. Every other shape and row count
+    stays plain, H = 384 among them, where the packed path keeps K whole and
+    256-deep halves moved bits on every M tried. On any other OpenBLAS
+    version (its first three dotted components other than 0.3.31) or core,
+    and at more than one OpenBLAS thread, every product is plain.
     """
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -614,24 +617,66 @@ class TestProduct:
         want = list(range(2, bound + 1))
         assert tiled == (want if product_module.tiling_kernels() else [])
 
-    def test_plain_off_the_measured_kernels(self, monkeypatch):
-        monkeypatch.setattr(product_module, "tiling_kernels", lambda: False)
-        product = nc.Product(np.ones((512, 2048), np.float32), 4)
-        assert all(product.for_rows(m) == product.plain for m in range(1, 5))
+    MEASURED = product_module.Blas(
+        "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64",
+        "0.3.31.188.0", "SkylakeX", 1, lib=None,
+    )
 
-    def test_plain_without_openblas(self, monkeypatch):
-        # numpy built on another BLAS (conda's MKL, Apple's Accelerate)
-        # bundles no scipy-openblas library, so no product tiles.
-        product_module.openblas.cache_clear()
+    @pytest.mark.parametrize(
+        "change, tiles",
+        [
+            ({}, True),
+            ({"version": "0.3.30"}, False),
+            ({"version": "0.3.310"}, False),
+            ({"core": "Haswell"}, False),
+            ({"threads": 2}, False),
+            (None, False),
+        ],
+        ids=["measured", "version-0.3.30", "version-0.3.310", "core-Haswell", "threads-2", "no-library"],
+    )
+    def test_plain_off_the_measured_kernels(self, monkeypatch, request, change, tiles):
+        # The record the tiles were measured on tiles, and one that differs
+        # from it in one fact does not. None is numpy built on another BLAS
+        # (conda's MKL, Apple's Accelerate), which bundles no scipy-openblas.
+        if change is None:
+            monkeypatch.setattr(product_module.glob, "glob", lambda pattern: [])
+            product_module._library.cache_clear()
+            request.addfinalizer(product_module._library.cache_clear)
+            assert product_module.blas() is None
+        else:
+            record = dataclasses.replace(self.MEASURED, **change)
+            monkeypatch.setattr(product_module, "blas", lambda: record)
+        product = nc.Product(np.ones((512, 2048), np.float32), 4)
+        tiled = [m for m in range(1, 5) if product.for_rows(m) != product.plain]
+        assert tiled == ([2, 3, 4] if tiles else [])
+
+    @pytest.fixture
+    def two_threads(self):
+        """OpenBLAS at two threads, set through the record's library before
+        the fixtures requested after this one, whose teardown must leave two;
+        and at its own count again after."""
+        record = nc.blas()
+        if record is None:
+            pytest.skip("numpy bundles no scipy-openblas")
+        record.lib.scipy_openblas_set_num_threads64_(2)
+        yield record
+        threads = nc.blas().threads
+        record.lib.scipy_openblas_set_num_threads64_(record.threads)
+        assert threads == 2, "one_blas_thread did not restore the thread count"
+
+    def test_tiles_follow_the_live_thread_count(self, two_threads, one_blas_thread):
+        # one_blas_thread sets one thread over two_threads' two; on OpenBLAS
+        # 0.3.31's SkylakeX kernels one thread tiles, and two never do.
+        record = two_threads
+        measured = record.core == "SkylakeX" and record.version.split(".")[:3] == ["0", "3", "31"]
+        assert nc.blas().threads == 1
+        assert product_module.tiling_kernels() == measured
+        record.lib.scipy_openblas_set_num_threads64_(2)
         try:
-            with monkeypatch.context() as patch:
-                patch.setattr(product_module.glob, "glob", lambda pattern: [])
-                assert product_module.openblas() is None
-                assert not product_module.tiling_kernels()
-                product = nc.Product(np.ones((512, 2048), np.float32), 4)
-                assert all(product.for_rows(m) == product.plain for m in range(1, 5))
+            assert nc.blas().threads == 2
+            assert not product_module.tiling_kernels()
         finally:
-            product_module.openblas.cache_clear()
+            record.lib.scipy_openblas_set_num_threads64_(1)
 
 
 def _bits(a):
